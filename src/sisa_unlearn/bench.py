@@ -5,19 +5,21 @@ failing cell records its error and the grid moves on.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 
 import numpy as np
 
-from .data import load_cifar10, split, SplitSpec
+from .data import SplitSpec
 from .ensemble import MAX_CONFIDENCE
 from .evaluation import evaluate
-from .partition import BALANCED, SEQUENTIAL_CLASS, make_plan
-from .pipeline import DataBundle, synthetic_bundle, train_baseline, train_sisa
+from .partition import SEQUENTIAL_CLASS, make_plan
+from .pipeline import (DataBundle, cifar_bundle, synthetic_bundle, train_baseline,
+                       train_sisa)
 from .training import TrainConfig
 from .unlearning import (BASELINE_FULL, SISA_BALANCED, SISA_GATED,
-                         SISA_SCLS_REPLAY, STRATEGIES, run_unlearning)
+                         SISA_SCLS_REPLAY, STRATEGIES, STRATEGY_RULES,
+                         run_unlearning)
 
 MODEL_NUMBERS = {BASELINE_FULL: 1, SISA_BALANCED: 2, SISA_SCLS_REPLAY: 3, SISA_GATED: 4}
 
@@ -89,22 +91,9 @@ class GridReport:
 
 def _bundle(cfg: BenchConfig, seed: int) -> DataBundle:
     if cfg.cifar_dir:
-        ds = load_cifar10(cfg.cifar_dir)
-        train, val, test = split(ds, SplitSpec(0.7, 0.1, 0.2, seed=seed))
-        return DataBundle(train=train, val=val, test=test)
+        return cifar_bundle(cfg.cifar_dir, SplitSpec(0.7, 0.1, 0.2, seed=seed))
     return synthetic_bundle(cfg.n_per_class, cfg.num_classes, cfg.shape,
                             cfg.separation, seed=seed)
-
-
-def _strategy_train_cfg(cfg: BenchConfig, strategy: str, seed: int) -> TrainConfig:
-    base = cfg.train
-    ratio = 0.0 if strategy in (BASELINE_FULL, SISA_BALANCED) else cfg.scls_replay_ratio
-    return TrainConfig(
-        max_epochs_per_slice=base.max_epochs_per_slice, patience=base.patience,
-        eval_every=base.eval_every, replay_ratio=ratio,
-        batch_size=base.batch_size, seed=seed,
-        learning_rate=base.learning_rate,
-    )
 
 
 def _run_strategy_cell(cfg: BenchConfig, data: DataBundle, setup: tuple[int, int],
@@ -112,7 +101,9 @@ def _run_strategy_cell(cfg: BenchConfig, data: DataBundle, setup: tuple[int, int
     K, L = setup
     cell = GridCell(setup=f"{K}-{L}", model=MODEL_NUMBERS[strategy],
                     strategy=strategy, seed=seed)
-    tcfg = _strategy_train_cfg(cfg, strategy, seed)
+    rule = STRATEGY_RULES[strategy]
+    tcfg = replace(cfg.train, seed=seed,
+                   replay_ratio=cfg.scls_replay_ratio if rule.replay else 0.0)
     classes = sorted(set(int(c) for c in data.train.labels))
 
     if strategy == BASELINE_FULL:
@@ -121,8 +112,7 @@ def _run_strategy_cell(cfg: BenchConfig, data: DataBundle, setup: tuple[int, int
         cell.train_seconds = model.train_seconds
         target = model
     else:
-        policy = BALANCED if strategy == SISA_BALANCED else SEQUENTIAL_CLASS
-        plan = make_plan(data.train.labels, K, L, policy)
+        plan = make_plan(data.train.labels, K, L, rule.policy)
         system = train_sisa(data, plan, tcfg, mode=MAX_CONFIDENCE,
                             gated=(strategy == SISA_GATED))
         cell.accuracy_before = evaluate(system.ensemble, data.test).accuracy
@@ -143,11 +133,7 @@ def _run_replay_cell(cfg: BenchConfig, data: DataBundle, ratio: float,
                      seed: int) -> ReplayCell:
     cell = ReplayCell(ratio=ratio, seed=seed)
     K, L = cfg.replay_setup
-    base = cfg.train
-    tcfg = TrainConfig(max_epochs_per_slice=base.max_epochs_per_slice,
-                       patience=base.patience, eval_every=base.eval_every,
-                       replay_ratio=ratio, batch_size=base.batch_size,
-                       seed=seed, learning_rate=base.learning_rate)
+    tcfg = replace(cfg.train, replay_ratio=ratio, seed=seed)
     plan = make_plan(data.train.labels, K, L, SEQUENTIAL_CLASS)
     system = train_sisa(data, plan, tcfg)
     cell.accuracy = evaluate(system.ensemble, data.test).accuracy

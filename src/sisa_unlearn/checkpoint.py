@@ -207,9 +207,6 @@ class CheckpointStore:
     def load_slice(self, shard_id: int, slice_index: int) -> Checkpoint:
         return load_checkpoint(self.slice_path(shard_id, slice_index))
 
-    def slice_digest(self, shard_id: int, slice_index: int) -> int:
-        return stored_digest(self.slice_path(shard_id, slice_index))
-
     def shard_digests(self, shard_id: int) -> dict[str, int]:
         shard_dir = self.root / "shards" / str(shard_id)
         if not shard_dir.exists():

@@ -10,39 +10,48 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .bench import BenchConfig, format_grid_table, run_benchmark_grid
 from .checkpoint import Checkpoint, CheckpointStore, load_checkpoint, save_checkpoint
-from .data import SplitSpec, channel_stats, load_cifar10, normalize, split
+from .data import SplitSpec
 from .ensemble import MAX_CONFIDENCE, EnsembleModel
 from .errors import SisaError, UnknownClassError
 from .evaluation import evaluate
 from .partition import PartitionPlan, make_plan, SEQUENTIAL_CLASS, POLICIES
-from .pipeline import (BaselineModel, DataBundle, SisaSystem, max_workers,
+from .pipeline import (BaselineModel, DataBundle, SisaSystem, cifar_bundle,
                        synthetic_bundle, train_baseline, train_sisa)
 from .rng import RngState
 from .training import ShardTrainResult, TrainConfig
-from .unlearning import (BASELINE_FULL, SISA_GATED, STRATEGIES,
-                         run_unlearning)
+from .unlearning import (BASELINE_FULL, SISA_GATED, STRATEGIES, run_unlearning,
+                         strategy_rule)
 
 _DATASET_KEYS = {
     "synthetic": {"kind", "n_per_class", "num_classes", "shape", "separation", "seed"},
     "cifar10": {"kind", "dir"},
 }
 _SPLIT_KEYS = {"train", "val", "test", "seed"}
-_TRAIN_KEYS = {"max_epochs_per_slice", "patience", "eval_every", "batch_size",
-               "learning_rate"}
+# train-section keys and how each value is read (patience may be null)
+_TRAIN_KEYS = {"max_epochs_per_slice": int, "patience": lambda v: v,
+               "eval_every": int, "batch_size": int, "learning_rate": float}
+# TrainConfig fields the train section leaves out, for train/unlearn/eval
+_RUN_TRAIN_DEFAULTS = TrainConfig(max_epochs_per_slice=15)
 _TOP_KEYS = {"dataset", "split", "K", "L", "policy", "strategy", "replay_ratio",
              "train", "seed", "out", "bench"}
 _BENCH_KEYS = {"setups", "replay_ratios", "scls_replay_ratio", "seeds"}
 
 
-def _reject_unknown(doc: dict, allowed: set[str], path: str) -> None:
-    unknown = set(doc) - allowed
+def _reject_unknown(doc: dict, allowed, path: str) -> None:
+    unknown = set(doc) - set(allowed)
     if unknown:
         raise ValueError(f"unknown config key(s) at {path}: {sorted(unknown)}")
+
+
+def _train_config(train_doc: dict, defaults: TrainConfig, **fields) -> TrainConfig:
+    """`defaults` overlaid with a config's train section, then with `fields`."""
+    parsed = {k: _TRAIN_KEYS[k](v) for k, v in train_doc.items()}
+    return replace(defaults, **parsed, **fields)
 
 
 @dataclass
@@ -78,16 +87,12 @@ class RunConfig:
         spec = SplitSpec(split_doc.get("train", 0.7), split_doc.get("val", 0.1),
                          split_doc.get("test", 0.2), seed=split_doc.get("seed", seed))
         strategy = doc.get("strategy", "sisa_scls_replay")
-        if strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {strategy!r}")
-        default_policy = "balanced" if strategy == "sisa_balanced" else SEQUENTIAL_CLASS
-        policy = doc.get("policy", default_policy)
+        required = strategy_rule(strategy).policy
+        policy = doc.get("policy", required or SEQUENTIAL_CLASS)
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}")
-        if strategy == "sisa_balanced" and policy != "balanced":
-            raise ValueError("strategy sisa_balanced requires policy 'balanced'")
-        if strategy in ("sisa_scls_replay", SISA_GATED) and policy != SEQUENTIAL_CLASS:
-            raise ValueError(f"strategy {strategy} requires policy 'sequential_class'")
+        if required is not None and policy != required:
+            raise ValueError(f"strategy {strategy} requires policy {required!r}")
         return cls(
             dataset={**dataset, "kind": kind}, split=spec,
             K=int(doc.get("K", 2)), L=int(doc.get("L", 3)), policy=policy,
@@ -98,17 +103,9 @@ class RunConfig:
         )
 
     def train_config(self) -> TrainConfig:
-        t = self.train
-        ratio = self.replay_ratio if self.strategy in ("sisa_scls_replay", SISA_GATED) else 0.0
-        return TrainConfig(
-            max_epochs_per_slice=int(t.get("max_epochs_per_slice", 15)),
-            patience=t.get("patience", 7),
-            eval_every=int(t.get("eval_every", 1)),
-            replay_ratio=ratio,
-            batch_size=int(t.get("batch_size", 64)),
-            seed=self.seed,
-            learning_rate=float(t.get("learning_rate", 1e-3)),
-        )
+        ratio = self.replay_ratio if strategy_rule(self.strategy).replay else 0.0
+        return _train_config(self.train, _RUN_TRAIN_DEFAULTS,
+                             replay_ratio=ratio, seed=self.seed)
 
     def to_dict(self) -> dict:
         return {
@@ -125,11 +122,7 @@ class RunConfig:
 def build_bundle(cfg: RunConfig) -> DataBundle:
     ds_cfg = cfg.dataset
     if ds_cfg["kind"] == "cifar10":
-        ds = load_cifar10(ds_cfg["dir"])
-        train, val, test = split(ds, cfg.split)
-        stats = channel_stats(train)   # train-only statistics, reused downstream
-        return DataBundle(train=normalize(train, stats), val=normalize(val, stats),
-                          test=normalize(test, stats))
+        return cifar_bundle(ds_cfg["dir"], cfg.split)
     return synthetic_bundle(
         n_per_class=int(ds_cfg.get("n_per_class", 200)),
         num_classes=int(ds_cfg.get("num_classes", 10)),
@@ -152,6 +145,14 @@ def _write_json(path: Path, payload: dict) -> None:
     tmp.replace(path)
 
 
+def _constituents(system: SisaSystem) -> list[dict]:
+    """The manifest's per-shard head and checkpoint chain."""
+    return [{"shard_id": k, "output_classes": list(r.head),
+             "checkpoints": [f"shards/{k}/slice_{i}.ckpt"
+                             for i in range(len(r.checkpoints))]}
+            for k, r in sorted(system.shard_results.items())]
+
+
 # --- commands ----------------------------------------------------------------
 
 def cmd_plan(args) -> int:
@@ -171,13 +172,9 @@ def cmd_train(args) -> int:
     cfg = RunConfig.from_file(args.config, seed_override=args.seed,
                               out_override=args.out)
     if args.strategy:
-        if args.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {args.strategy!r}")
+        required = strategy_rule(args.strategy).policy
         cfg.strategy = args.strategy
-        if args.strategy == "sisa_balanced":
-            cfg.policy = "balanced"
-        elif args.strategy in ("sisa_scls_replay", SISA_GATED):
-            cfg.policy = "sequential_class"
+        cfg.policy = required or cfg.policy
     bundle = build_bundle(cfg)
     tcfg = cfg.train_config()
     out = Path(cfg.out)
@@ -205,16 +202,9 @@ def cmd_train(args) -> int:
         plan = make_plan(bundle.train.labels, cfg.K, cfg.L, cfg.policy)
         plan.save(out / "plan.json")
         system = train_sisa(bundle, plan, tcfg, store=store,
-                            gated=(cfg.strategy == SISA_GATED),
-                            workers=max_workers())
+                            gated=(cfg.strategy == SISA_GATED))
         manifest["K"], manifest["L"], manifest["policy"] = cfg.K, cfg.L, cfg.policy
-        manifest["constituents"] = [
-            {"shard_id": k,
-             "output_classes": list(system.shard_results[k].head),
-             "checkpoints": [f"shards/{k}/slice_{i}.ckpt"
-                             for i in range(len(system.shard_results[k].checkpoints))]}
-            for k in sorted(system.shard_results)
-        ]
+        manifest["constituents"] = _constituents(system)
         manifest["gating"] = "gating.ckpt" if system.ensemble.gating is not None else None
         manifest["train_seconds"] = system.train_seconds
         target = system.ensemble
@@ -248,8 +238,7 @@ def _load_run(run_dir: Path):
         ckpts = [load_checkpoint(run_dir / rel) for rel in entry["checkpoints"]]
         shard_results[k] = ShardTrainResult(
             shard_id=k, head=tuple(entry["output_classes"]), checkpoints=ckpts,
-            replays=[], seconds_per_slice=[], histories=[],
-            slices_trained=len(ckpts))
+            replays=[], seconds_per_slice=[], slices_trained=len(ckpts))
     shard_ids = sorted(shard_results)
     gating = None
     if manifest.get("gating"):
@@ -275,11 +264,7 @@ def cmd_unlearn(args) -> int:
     if class_id in manifest["removed_classes"]:
         raise UnknownClassError(f"class {args.class_name!r} already removed")
     if args.seed is not None:
-        tcfg = TrainConfig(
-            max_epochs_per_slice=tcfg.max_epochs_per_slice, patience=tcfg.patience,
-            eval_every=tcfg.eval_every, replay_ratio=tcfg.replay_ratio,
-            batch_size=tcfg.batch_size, seed=int(args.seed),
-            learning_rate=tcfg.learning_rate)
+        tcfg = replace(tcfg, seed=int(args.seed))
 
     new_target, outcome = run_unlearning(manifest["strategy"], target, bundle,
                                          class_id, tcfg)
@@ -289,13 +274,7 @@ def cmd_unlearn(args) -> int:
                           shard_id=-1, slice_index=-1, epoch=0, rng=RngState(tcfg.seed))
         save_checkpoint(ckpt, store.baseline_path())
     else:
-        manifest["constituents"] = [
-            {"shard_id": k,
-             "output_classes": list(new_target.shard_results[k].head),
-             "checkpoints": [f"shards/{k}/slice_{i}.ckpt"
-                             for i in range(len(new_target.shard_results[k].checkpoints))]}
-            for k in sorted(new_target.shard_results)
-        ]
+        manifest["constituents"] = _constituents(new_target)
         new_target.plan.save(run_dir / "plan.json")
     _write_json(run_dir / "manifest.json", manifest)   # atomic swap
     _write_json(run_dir / "reports" / f"unlearn_{args.class_name}.json",
@@ -325,7 +304,6 @@ def cmd_bench(args) -> int:
                               out_override=args.out)
     seeds = tuple(cfg.seed + i for i in range(max(1, args.seeds)))
     bench_doc = cfg.bench
-    train_doc = cfg.train
     bcfg = BenchConfig(
         setups=tuple(tuple(s) for s in bench_doc.get("setups",
                                                      [(2, 3), (2, 5), (3, 3), (3, 5)])),
@@ -337,12 +315,7 @@ def cmd_bench(args) -> int:
         shape=tuple(cfg.dataset.get("shape", [16])),
         separation=float(cfg.dataset.get("separation", 3.0)),
         cifar_dir=cfg.dataset.get("dir"),
-        train=TrainConfig(
-            max_epochs_per_slice=int(train_doc.get("max_epochs_per_slice", 8)),
-            patience=train_doc.get("patience", None),
-            batch_size=int(train_doc.get("batch_size", 64)),
-            learning_rate=float(train_doc.get("learning_rate", 1e-3)),
-        ),
+        train=_train_config(cfg.train, BenchConfig().train),
     )
     out = Path(cfg.out)
     report = run_benchmark_grid(bcfg, out_dir=out)

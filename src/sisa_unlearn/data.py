@@ -9,7 +9,6 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -27,11 +26,6 @@ _CIFAR_TEST_BATCH = "test_batch.bin"
 
 _SDST_MAGIC = b"SDST"
 _SDST_VERSION = 1
-
-
-class Sample(NamedTuple):
-    input: np.ndarray
-    label: int
 
 
 @dataclass(frozen=True)
@@ -61,9 +55,6 @@ class LabeledDataset:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def __getitem__(self, i: int) -> Sample:
-        return Sample(self.inputs[i], int(self.labels[i]))
-
     @property
     def num_classes(self) -> int:
         return len(self.class_names)
@@ -81,12 +72,6 @@ class LabeledDataset:
     def subset(self, indices) -> "LabeledDataset":
         idx = np.asarray(indices, dtype=np.int64)
         return replace(self, inputs=self.inputs[idx], labels=self.labels[idx])
-
-    def without_classes(self, drop) -> "LabeledDataset":
-        """Filter out samples of the given classes; ids and names are kept."""
-        drop = set(int(c) for c in drop)
-        keep = ~np.isin(self.labels, sorted(drop))
-        return replace(self, inputs=self.inputs[keep], labels=self.labels[keep])
 
     def restricted_to(self, keep) -> "LabeledDataset":
         keep = set(int(c) for c in keep)

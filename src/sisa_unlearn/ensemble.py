@@ -100,12 +100,6 @@ def aggregate_predict_batch(ensemble: EnsembleModel, x: np.ndarray,
     return scores.argmax(axis=1), prob_rows
 
 
-def aggregate_predict(ensemble: EnsembleModel, x: np.ndarray,
-                      mode: str | None = None):
-    labels, prob_rows = aggregate_predict_batch(ensemble, x[None, ...], mode)
-    return int(labels[0]), [p[0] for p in prob_rows]
-
-
 def gated_predict_batch(ensemble: EnsembleModel, x: np.ndarray):
     """Route each input to one constituent; returns (class ids, shard ids).
 
@@ -133,11 +127,6 @@ def gated_predict_batch(ensemble: EnsembleModel, x: np.ndarray):
         ensemble.stats.constituent_forwards += len(rows)
     ensemble.stats.queries += len(x)
     return labels, choice
-
-
-def gated_predict(ensemble: EnsembleModel, x: np.ndarray):
-    labels, shards = gated_predict_batch(ensemble, x[None, ...])
-    return int(labels[0]), int(shards[0])
 
 
 def predict_labels(model, x: np.ndarray) -> np.ndarray:

@@ -16,7 +16,6 @@ class EvaluationReport:
     recall: np.ndarray
     confusion: np.ndarray              # rows true class, columns predicted
     train_seconds: float | None = None
-    avg_retrain_seconds: float | None = None
     config_tag: dict | None = None
 
     def to_json_dict(self) -> dict:
@@ -26,7 +25,6 @@ class EvaluationReport:
             "recall": self.recall.tolist(),
             "confusion_matrix": self.confusion.tolist(),
             "train_seconds": self.train_seconds,
-            "avg_retrain_seconds": self.avg_retrain_seconds,
             "config": self.config_tag,
         }
 

@@ -114,9 +114,6 @@ class ModelParameters:
         return ModelParameters(self.arch, tuple(self.output_classes),
                                {k: v.copy() for k, v in self.tensors.items()})
 
-    def local_index(self) -> dict[int, int]:
-        return {c: i for i, c in enumerate(self.output_classes)}
-
 
 @dataclass(frozen=True)
 class AdamConfig:

@@ -6,15 +6,16 @@ on; they return fresh systems rather than mutating in place.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+import time
 from dataclasses import dataclass
 
-from .checkpoint import CheckpointStore, save_checkpoint
-from .data import LabeledDataset, SplitSpec, generate_synthetic, split
+from .checkpoint import Checkpoint, CheckpointStore, save_checkpoint
+from .data import (LabeledDataset, SplitSpec, channel_stats, generate_synthetic,
+                   load_cifar10, normalize, split)
 from .ensemble import MAX_CONFIDENCE, EnsembleModel, train_gating
-from .nn import Architecture, ModelParameters
-from .partition import PartitionPlan, make_plan
+from .nn import Architecture, ModelParameters, OptimizerState
+from .partition import PartitionPlan
+from .rng import RngState
 from .training import ShardTrainResult, TrainConfig, train_model, train_shard
 
 
@@ -43,6 +44,15 @@ def synthetic_bundle(n_per_class: int = 1000, num_classes: int = 10,
     return DataBundle(train=train, val=val, test=test)
 
 
+def cifar_bundle(dir_path, spec: SplitSpec) -> DataBundle:
+    """CIFAR-10 batches split by `spec`, every split normalized with the
+    per-channel statistics of the train split alone."""
+    train, val, test = split(load_cifar10(dir_path), spec)
+    stats = channel_stats(train)
+    return DataBundle(train=normalize(train, stats), val=normalize(val, stats),
+                      test=normalize(test, stats))
+
+
 @dataclass
 class SisaSystem:
     """A trained sharded ensemble plus everything needed to unlearn from it."""
@@ -54,42 +64,21 @@ class SisaSystem:
     arch: Architecture
     store: CheckpointStore | None = None
     train_seconds: float = 0.0
-    gating_seconds: float = 0.0
     removed_classes: tuple[int, ...] = ()
-
-
-def max_workers() -> int:
-    value = os.environ.get("SISA_THREADS", "1")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
 
 
 def train_sisa(data: DataBundle, plan: PartitionPlan, cfg: TrainConfig, *,
                arch: Architecture | None = None,
                mode: str = MAX_CONFIDENCE,
                gated: bool = False,
-               store: CheckpointStore | None = None,
-               workers: int | None = None) -> SisaSystem:
-    """Train every shard (optionally in parallel) and assemble the ensemble.
-
-    Per-shard RNG streams derive from (seed, shard id), so the trained
-    parameters are identical whether shards run serially or concurrently.
-    """
-    workers = workers if workers is not None else max_workers()
-
-    def run(shard_id: int) -> ShardTrainResult:
-        return train_shard(plan, shard_id, data.train, data.val, cfg,
-                           arch=arch, store=store)
-
+               store: CheckpointStore | None = None) -> SisaSystem:
+    """Train every shard, one after another in plan order, and assemble the
+    ensemble. Per-shard RNG streams derive from (seed, shard id), so each
+    shard's parameters do not depend on the others."""
     shard_ids = [a.shard_id for a in plan.assignments if a.class_ids]
-    if workers > 1 and len(shard_ids) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, shard_ids))
-    else:
-        results = [run(k) for k in shard_ids]
-    shard_results = {r.shard_id: r for r in results}
+    shard_results = {k: train_shard(plan, k, data.train, data.val, cfg,
+                                    arch=arch, store=store)
+                     for k in shard_ids}
 
     ensemble = EnsembleModel(
         constituents=[shard_results[k].final.params for k in shard_ids],
@@ -101,35 +90,27 @@ def train_sisa(data: DataBundle, plan: PartitionPlan, cfg: TrainConfig, *,
         plan=plan, ensemble=ensemble, shard_results=shard_results,
         cfg=cfg, arch=shard_results[shard_ids[0]].final.params.arch,
         store=store,
-        train_seconds=sum(r.seconds for r in results),
+        train_seconds=sum(r.seconds for r in shard_results.values()),
     )
     if gated:
-        import time
         t0 = time.perf_counter()
         ensemble.gating = train_gating(ensemble, data.train, data.val,
                                        plan.metadata, cfg)
-        system.gating_seconds = time.perf_counter() - t0
-        system.train_seconds += system.gating_seconds
+        system.train_seconds += time.perf_counter() - t0
         if store is not None:
             _save_gating(system)
     return system
 
 
 def _save_gating(system: SisaSystem) -> None:
-    from .checkpoint import Checkpoint
-    from .nn import adam_init
-    from .rng import RngState
+    """Save the router's parameters only: it is never trained again, and
+    train_gating does not keep its Adam moments."""
     gating = system.ensemble.gating
-    ckpt = Checkpoint(params=gating, opt_state=adam_init(gating, system.cfg.adam()),
+    no_moments = OptimizerState(config=system.cfg.adam(), step=0, m={}, v={})
+    ckpt = Checkpoint(params=gating, opt_state=no_moments,
                       shard_id=-1, slice_index=-1, epoch=0,
                       rng=RngState(system.cfg.seed).child("gating"))
     save_checkpoint(ckpt, system.store.gating_path())
-
-
-def train_sisa_from_scratch(data: DataBundle, K: int, L: int, policy: str,
-                            cfg: TrainConfig, **kwargs) -> SisaSystem:
-    plan = make_plan(data.train.labels, K, L, policy)
-    return train_sisa(data, plan, cfg, **kwargs)
 
 
 @dataclass

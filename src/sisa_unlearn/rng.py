@@ -49,9 +49,6 @@ class RngState:
         """Derive an independent state from this seed and the given tags."""
         return RngState(mix64(self.seed, *tags), 0)
 
-    def advanced(self, steps: int = 1) -> "RngState":
-        return RngState(self.seed, self.counter + steps)
-
     def generator(self) -> np.random.Generator:
         key = [self.seed & _MASK64, self.counter & _MASK64]
         return np.random.Generator(np.random.Philox(key=key))

@@ -189,7 +189,6 @@ class ShardTrainResult:
     checkpoints: list[Checkpoint]        # one per trained slice, in order
     replays: list[ReplayBuffer]
     seconds_per_slice: list[float]
-    histories: list[list[float]]
     slices_trained: int
 
     @property
@@ -258,7 +257,6 @@ def train_shard(plan: PartitionPlan, shard_id: int,
     checkpoints: list[Checkpoint] = []
     replays: list[ReplayBuffer] = []
     seconds: list[float] = []
-    histories: list[list[float]] = []
     for ell in range(start_slice, plan.L):
         slice_rng = root.child("slice", ell)
         replay = sample_replay(layout, ell, cfg.replay_ratio,
@@ -279,10 +277,9 @@ def train_shard(plan: PartitionPlan, shard_id: int,
         checkpoints.append(ckpt)
         replays.append(replay)
         seconds.append(res.seconds)
-        histories.append(res.history)
     return ShardTrainResult(shard_id=shard_id, head=tuple(head),
                             checkpoints=checkpoints, replays=replays,
-                            seconds_per_slice=seconds, histories=histories,
+                            seconds_per_slice=seconds,
                             slices_trained=plan.L - start_slice)
 
 

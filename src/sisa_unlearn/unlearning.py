@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,18 +26,26 @@ BASELINE_FULL = "baseline_full"
 SISA_BALANCED = "sisa_balanced"
 SISA_SCLS_REPLAY = "sisa_scls_replay"
 SISA_GATED = "sisa_gated"
-STRATEGIES = (BASELINE_FULL, SISA_BALANCED, SISA_SCLS_REPLAY, SISA_GATED)
 
 
-@dataclass(frozen=True)
-class UnlearnRequest:
-    target: int
-    strategy: str
-    seed: int = 0
+class StrategyRule(NamedTuple):
+    policy: str | None      # plan policy the strategy requires; None: no plan
+    replay: bool            # trains with the configured replay ratio
 
-    def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
+
+STRATEGY_RULES = {
+    BASELINE_FULL: StrategyRule(None, False),
+    SISA_BALANCED: StrategyRule(BALANCED, False),
+    SISA_SCLS_REPLAY: StrategyRule(SEQUENTIAL_CLASS, True),
+    SISA_GATED: StrategyRule(SEQUENTIAL_CLASS, True),
+}
+STRATEGIES = tuple(STRATEGY_RULES)
+
+
+def strategy_rule(strategy: str) -> StrategyRule:
+    if strategy not in STRATEGY_RULES:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    return STRATEGY_RULES[strategy]
 
 
 @dataclass
@@ -150,7 +159,6 @@ def _rebuild_system(system: SisaSystem, purged_plan, shard_id: int,
         plan=purged_plan, ensemble=ensemble, shard_results=shard_results,
         cfg=system.cfg, arch=system.arch, store=system.store,
         train_seconds=system.train_seconds,
-        gating_seconds=system.gating_seconds,
         removed_classes=system.removed_classes + (class_id,),
     )
 
@@ -235,7 +243,6 @@ def unlearn_scls(system: SisaSystem, data: DataBundle, class_id: int,
         checkpoints=old.checkpoints[:first] + result.checkpoints,
         replays=result.replays,
         seconds_per_slice=result.seconds_per_slice,
-        histories=result.histories,
         slices_trained=result.slices_trained,
     )
     new_system = _rebuild_system(system, purged, shard_id, merged, class_id)

@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from sisa_unlearn.cli import main
+from sisa_unlearn import cli
+from sisa_unlearn.bench import BenchConfig, GridReport, _bundle
+from sisa_unlearn.cli import RunConfig, build_bundle, main
+from sisa_unlearn.data import SplitSpec
 
 
 def base_config(out_dir, **overrides):
@@ -30,6 +33,22 @@ def write_config(tmp_path, **overrides):
 def run(argv, capsys=None):
     code = main([str(a) for a in argv])
     return code
+
+
+def write_cifar_dir(tmp_path, per_class=30):
+    """One CIFAR-format batch: 10 classes, each a noisy copy of one image."""
+    rng = np.random.default_rng(0)
+    labels = np.repeat(np.arange(10), per_class)
+    records = np.zeros((len(labels), 3073), dtype=np.uint8)
+    records[:, 0] = labels
+    base = rng.integers(40, 200, size=(10, 3072))
+    for i, lab in enumerate(labels):
+        noise = rng.integers(-30, 30, size=3072)
+        records[i, 1:] = np.clip(base[lab] + noise, 0, 255)
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    (data_dir / "data_batch_1.bin").write_bytes(records.tobytes())
+    return data_dir
 
 
 class TestPlan:
@@ -94,6 +113,24 @@ class TestTrain:
         assert run(["train", "--config", cfg]) == 0
         assert (tmp_path / "run" / "baseline.ckpt").exists()
 
+    def test_strategy_flag_sets_required_policy(self, tmp_path):
+        cfg = write_config(tmp_path)      # sisa_scls_replay, sequential_class
+        assert run(["train", "--config", cfg, "--strategy", "sisa_balanced"]) == 0
+        plan = json.loads((tmp_path / "run" / "plan.json").read_text())
+        assert plan["policy"] == "balanced"
+
+    @pytest.mark.parametrize("strategy, policy, required", [
+        ("sisa_balanced", "sequential_class", "balanced"),
+        ("sisa_gated", "balanced", "sequential_class"),
+    ])
+    def test_strategy_policy_mismatch(self, tmp_path, capsys, strategy, policy,
+                                      required):
+        cfg = write_config(tmp_path, strategy=strategy, policy=policy)
+        assert run(["train", "--config", cfg]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["message"] == \
+            f"strategy {strategy} requires policy '{required}'"
+
 
 class TestUnlearn:
     @pytest.fixture()
@@ -138,18 +175,7 @@ class TestUnlearn:
 
 class TestCifarPipeline:
     def test_cnn_run_from_binary_batches(self, tmp_path):
-        rng = np.random.default_rng(0)
-        labels = np.repeat(np.arange(10), 30)
-        records = np.zeros((300, 3073), dtype=np.uint8)
-        records[:, 0] = labels
-        base = rng.integers(40, 200, size=(10, 3072))
-        for i, lab in enumerate(labels):
-            noise = rng.integers(-30, 30, size=3072)
-            records[i, 1:] = np.clip(base[lab] + noise, 0, 255)
-        data_dir = tmp_path / "data"
-        data_dir.mkdir()
-        (data_dir / "data_batch_1.bin").write_bytes(records.tobytes())
-
+        data_dir = write_cifar_dir(tmp_path)
         cfg = write_config(
             tmp_path,
             dataset={"kind": "cifar10", "dir": str(data_dir)},
@@ -168,6 +194,35 @@ class TestCifarPipeline:
 
 
 class TestBench:
+    def test_cifar_bundle_matches_cli(self, tmp_path):
+        data_dir = write_cifar_dir(tmp_path, per_class=6)
+        spec = SplitSpec(0.7, 0.1, 0.2, seed=3)
+        from_cli = build_bundle(RunConfig(
+            dataset={"kind": "cifar10", "dir": str(data_dir)}, split=spec))
+        from_bench = _bundle(BenchConfig(cifar_dir=str(data_dir)), seed=3)
+        for part in ("train", "val", "test"):
+            a, b = getattr(from_cli, part), getattr(from_bench, part)
+            assert a.inputs.tobytes() == b.inputs.tobytes()
+            assert a.labels.tobytes() == b.labels.tobytes()
+        mean = from_bench.train.inputs.mean(axis=(0, 2, 3))
+        assert np.allclose(mean, 0.0, atol=1e-4)
+
+    def test_train_section_reaches_bench(self, tmp_path, monkeypatch):
+        seen = []
+
+        def fake_grid(bcfg, out_dir=None):
+            seen.append(bcfg)
+            return GridReport(cells=[], replay_cells=[])
+
+        monkeypatch.setattr(cli, "run_benchmark_grid", fake_grid)
+        cfg = write_config(tmp_path, train={"eval_every": 3})
+        assert run(["--quiet", "bench", "--config", cfg]) == 0
+        train = seen[0].train
+        assert train.eval_every == 3
+        # keys the config leaves out keep the bench's own defaults
+        assert (train.max_epochs_per_slice, train.patience, train.batch_size,
+                train.learning_rate) == (8, None, 64, 1e-3)
+
     def test_grid_files(self, tmp_path):
         cfg = write_config(
             tmp_path,

@@ -38,7 +38,7 @@ class TestCifarLoader:
         pixels[0, 1024] = 128        # G[0, 0]
         write_batch(tmp_path / "data_batch_1.bin", np.array([3]), pixels=pixels)
         ds = su.load_cifar10(tmp_path)
-        assert ds[0].label == 3
+        assert ds.labels[0] == 3
         assert ds.inputs[0, 0, 0, 0] == pytest.approx(1.0)
         assert ds.inputs[0, 1, 0, 0] == pytest.approx(128 / 255)
         assert ds.inputs[0, 2, 0, 0] == 0.0

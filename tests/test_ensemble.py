@@ -47,16 +47,16 @@ class TestAggregation:
             constituents=[fixed_model((0, 1), [0.7, 0.3]),
                           fixed_model((2, 3), [0.9, 0.1])],
             shard_ids=[0, 1], num_classes=4)
-        label, prob_rows = su.aggregate_predict(ens, np.zeros(2, np.float32))
-        assert label == names["ship"]
-        assert prob_rows[0] == pytest.approx([0.7, 0.3], abs=1e-5)
+        labels, prob_rows = aggregate_predict_batch(ens, np.zeros((1, 2), np.float32))
+        assert labels[0] == names["ship"]
+        assert prob_rows[0][0] == pytest.approx([0.7, 0.3], abs=1e-5)
 
     def test_single_constituent_both_modes(self):
         ens = EnsembleModel(constituents=[fixed_model((0, 1, 2), [0.2, 0.5, 0.3])],
                             shard_ids=[0], num_classes=3)
         for mode in (su.MAX_CONFIDENCE, su.SUM):
-            label, _ = su.aggregate_predict(ens, np.zeros(2, np.float32), mode)
-            assert label == 1
+            labels, _ = aggregate_predict_batch(ens, np.zeros((1, 2), np.float32), mode)
+            assert labels[0] == 1
 
     def test_modes_agree_on_disjoint_heads(self):
         # oracle: independent dense implementations of both rules, 1000 draws

@@ -1,8 +1,8 @@
 import numpy as np
 
 import sisa_unlearn as su
+from sisa_unlearn.checkpoint import CheckpointStore, load_checkpoint
 from sisa_unlearn.ensemble import gated_predict_batch
-from sisa_unlearn.pipeline import max_workers
 
 
 class TestTrainSisa:
@@ -15,23 +15,20 @@ class TestTrainSisa:
         assert merged == set(range(small_bundle.num_classes))
         assert sum(len(h) for h in heads) == len(merged)
 
-    def test_parallel_training_matches_serial(self, small_bundle, quick_cfg):
+    def test_gating_checkpoint_holds_parameters_only(self, small_bundle,
+                                                     quick_cfg, tmp_path):
         plan = su.make_plan(small_bundle.train.labels, K=2, L=2,
                             policy=su.SEQUENTIAL_CLASS)
-        serial = su.train_sisa(small_bundle, plan, quick_cfg, workers=1)
-        parallel = su.train_sisa(small_bundle, plan, quick_cfg, workers=2)
-        for a, b in zip(serial.ensemble.constituents,
-                        parallel.ensemble.constituents):
-            for k, t in a.tensors.items():
-                assert b.tensors[k].tobytes() == t.tobytes()
-
-    def test_sisa_threads_env(self, monkeypatch):
-        monkeypatch.setenv("SISA_THREADS", "3")
-        assert max_workers() == 3
-        monkeypatch.setenv("SISA_THREADS", "garbage")
-        assert max_workers() == 1
-        monkeypatch.delenv("SISA_THREADS")
-        assert max_workers() == 1
+        store = CheckpointStore(tmp_path)
+        system = su.train_sisa(small_bundle, plan, quick_cfg, gated=True,
+                               store=store)
+        ckpt = load_checkpoint(store.gating_path())
+        assert ckpt.opt_state.m == {} and ckpt.opt_state.v == {}
+        gating = system.ensemble.gating
+        assert ckpt.params.output_classes == gating.output_classes
+        assert sorted(ckpt.params.tensors) == sorted(gating.tensors)
+        for name, t in gating.tensors.items():
+            assert ckpt.params.tensors[name].tobytes() == t.tobytes()
 
     def test_bundle_determinism(self):
         a = su.synthetic_bundle(n_per_class=20, num_classes=3, seed=5)

@@ -232,12 +232,6 @@ class TestPolicyPreconditions:
         with pytest.raises(ValueError, match="sequential class slicing"):
             su.unlearn_scls(balanced_system, bundle, 0, cfg)
 
-    def test_request_validation(self):
-        with pytest.raises(ValueError, match="unknown strategy"):
-            su.UnlearnRequest(target=0, strategy="nope")
-        req = su.UnlearnRequest(target=3, strategy="sisa_gated", seed=5)
-        assert (req.target, req.strategy, req.seed) == (3, "sisa_gated", 5)
-
 
 class TestDispatcher:
     def test_roundtrip_each_strategy(self, bundle, cfg, scls_system,
