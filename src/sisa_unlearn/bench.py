@@ -17,11 +17,8 @@ from .partition import SEQUENTIAL_CLASS, make_plan
 from .pipeline import (DataBundle, cifar_bundle, synthetic_bundle, train_baseline,
                        train_sisa)
 from .training import TrainConfig
-from .unlearning import (BASELINE_FULL, SISA_BALANCED, SISA_GATED,
-                         SISA_SCLS_REPLAY, STRATEGIES, STRATEGY_RULES,
-                         run_unlearning)
-
-MODEL_NUMBERS = {BASELINE_FULL: 1, SISA_BALANCED: 2, SISA_SCLS_REPLAY: 3, SISA_GATED: 4}
+from .unlearning import (BASELINE_FULL, SISA_SCLS_REPLAY, STRATEGIES,
+                         STRATEGY_RULES, run_unlearning)
 
 
 @dataclass
@@ -99,7 +96,7 @@ def _bundle(cfg: BenchConfig, seed: int) -> DataBundle:
 def _run_strategy_cell(cfg: BenchConfig, data: DataBundle, setup: tuple[int, int],
                        strategy: str, seed: int) -> GridCell:
     K, L = setup
-    cell = GridCell(setup=f"{K}-{L}", model=MODEL_NUMBERS[strategy],
+    cell = GridCell(setup=f"{K}-{L}", model=STRATEGIES.index(strategy) + 1,
                     strategy=strategy, seed=seed)
     rule = STRATEGY_RULES[strategy]
     tcfg = replace(cfg.train, seed=seed,
@@ -114,7 +111,7 @@ def _run_strategy_cell(cfg: BenchConfig, data: DataBundle, setup: tuple[int, int
     else:
         plan = make_plan(data.train.labels, K, L, rule.policy)
         system = train_sisa(data, plan, tcfg, mode=MAX_CONFIDENCE,
-                            gated=(strategy == SISA_GATED))
+                            gated=rule.gated)
         cell.accuracy_before = evaluate(system.ensemble, data.test).accuracy
         cell.train_seconds = system.train_seconds
         target = system
@@ -178,7 +175,7 @@ def run_benchmark_grid(cfg: BenchConfig, out_dir=None) -> GridReport:
                         cell = _run_strategy_cell(cfg, data, setup, strategy, seed)
                     except Exception as exc:   # cell failures never stop the grid
                         cell = GridCell(setup=f"{setup[0]}-{setup[1]}",
-                                        model=MODEL_NUMBERS[strategy],
+                                        model=STRATEGIES.index(strategy) + 1,
                                         strategy=strategy, seed=seed,
                                         error=f"{type(exc).__name__}: {exc}")
                     if strategy == BASELINE_FULL:

@@ -24,8 +24,7 @@ from .pipeline import (BaselineModel, DataBundle, SisaSystem, cifar_bundle,
                        synthetic_bundle, train_baseline, train_sisa)
 from .rng import RngState
 from .training import ShardTrainResult, TrainConfig
-from .unlearning import (BASELINE_FULL, SISA_GATED, STRATEGIES, run_unlearning,
-                         strategy_rule)
+from .unlearning import BASELINE_FULL, STRATEGIES, run_unlearning, strategy_rule
 
 _DATASET_KEYS = {
     "synthetic": {"kind", "n_per_class", "num_classes", "shape", "separation", "seed"},
@@ -202,7 +201,7 @@ def cmd_train(args) -> int:
         plan = make_plan(bundle.train.labels, cfg.K, cfg.L, cfg.policy)
         plan.save(out / "plan.json")
         system = train_sisa(bundle, plan, tcfg, store=store,
-                            gated=(cfg.strategy == SISA_GATED))
+                            gated=strategy_rule(cfg.strategy).gated)
         manifest["K"], manifest["L"], manifest["policy"] = cfg.K, cfg.L, cfg.policy
         manifest["constituents"] = _constituents(system)
         manifest["gating"] = "gating.ckpt" if system.ensemble.gating is not None else None
@@ -248,7 +247,7 @@ def _load_run(run_dir: Path):
         shard_ids=shard_ids, num_classes=bundle.num_classes,
         mode=manifest.get("mode", MAX_CONFIDENCE), gating=gating)
     system = SisaSystem(plan=plan, ensemble=ensemble, shard_results=shard_results,
-                        cfg=tcfg, arch=ensemble.constituents[0].arch, store=store,
+                        arch=ensemble.constituents[0].arch, store=store,
                         removed_classes=tuple(manifest["removed_classes"]))
     return cfg, manifest, bundle, tcfg, store, system
 

@@ -241,6 +241,11 @@ def normalize(ds: LabeledDataset, stats: Normalization) -> LabeledDataset:
     return replace(ds, inputs=((x - mean) / std).astype(np.float32), normalization=stats)
 
 
+def _sdst_record(per_sample: int) -> np.dtype:
+    """One SDST record: a u32 LE label, then the raw float32 LE input."""
+    return np.dtype([("label", "<u4"), ("x", "<f4", (per_sample,))])
+
+
 def save_dataset(ds: LabeledDataset, path) -> None:
     """Write the SDST binary: magic, version, C, N, rank, dims, then records."""
     path = Path(path)
@@ -248,13 +253,11 @@ def save_dataset(ds: LabeledDataset, path) -> None:
     header = _SDST_MAGIC + struct.pack(
         "<IIIB", _SDST_VERSION, ds.num_classes, len(ds), len(shape)
     ) + struct.pack(f"<{len(shape)}I", *shape)
-    body = bytearray(header)
-    flat = ds.inputs.reshape(len(ds), -1).astype("<f4", copy=False)
-    for i in range(len(ds)):
-        body += struct.pack("<I", int(ds.labels[i]))
-        body += flat[i].tobytes()
+    records = np.empty(len(ds), dtype=_sdst_record(int(np.prod(shape))))
+    records["label"] = ds.labels
+    records["x"] = ds.inputs.reshape(records["x"].shape)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(bytes(body))
+    tmp.write_bytes(header + records.tobytes())
     tmp.replace(path)
 
 
@@ -269,19 +272,12 @@ def load_dataset(path) -> LabeledDataset:
     offset = 17
     dims = struct.unpack_from(f"<{rank}I", raw, offset)
     offset += 4 * rank
-    per_sample = int(np.prod(dims))
-    record = 4 + 4 * per_sample
-    if len(raw) - offset != n * record:
-        raise FormatError(f"{path}: expected {n} records of {record} bytes each")
-    labels = np.empty(n, dtype=np.int64)
-    inputs = np.empty((n, per_sample), dtype=np.float32)
-    for i in range(n):
-        labels[i] = struct.unpack_from("<I", raw, offset)[0]
-        offset += 4
-        inputs[i] = np.frombuffer(raw, dtype="<f4", count=per_sample, offset=offset)
-        offset += 4 * per_sample
+    record = _sdst_record(int(np.prod(dims)))
+    if len(raw) - offset != n * record.itemsize:
+        raise FormatError(f"{path}: expected {n} records of {record.itemsize} bytes each")
+    records = np.frombuffer(raw, dtype=record, count=n, offset=offset)
     return LabeledDataset(
-        inputs=inputs.reshape(n, *dims),
-        labels=labels,
+        inputs=records["x"].astype(np.float32).reshape(n, *dims),
+        labels=records["label"].astype(np.int64),
         class_names=[f"class_{c}" for c in range(num_classes)],
     )

@@ -18,7 +18,7 @@ from .nn import (Architecture, ModelParameters, cnn_architecture,
                  forward_batched, mlp_architecture)
 from .partition import ClassLocation
 from .rng import RngState
-from .training import TrainConfig, fit
+from .training import TrainConfig, fit, lookup
 from . import nn
 
 MAX_CONFIDENCE = "max_confidence"
@@ -175,12 +175,10 @@ def _resize(base: Architecture, width: int) -> Architecture:
 def shard_targets(labels: np.ndarray,
                   metadata: dict[int, ClassLocation]) -> np.ndarray:
     """Shard id for each sample, via the class -> location table."""
-    out = np.empty(len(labels), dtype=np.int64)
-    for i, lab in enumerate(labels):
-        loc = metadata.get(int(lab))
-        if loc is None:
-            raise InvalidLabelError(f"class {int(lab)} missing from partition metadata")
-        out[i] = loc.shard_id
+    out = lookup({c: loc.shard_id for c, loc in metadata.items()}, labels)
+    if np.any(out < 0):
+        bad = int(np.asarray(labels)[np.argmax(out < 0)])
+        raise InvalidLabelError(f"class {bad} missing from partition metadata")
     return out
 
 
@@ -197,11 +195,9 @@ def train_gating(ensemble: EnsembleModel, train_ds: LabeledDataset,
     root = RngState(cfg.seed).child("gating")
     params = nn.init_params(arch, shard_ids, root.child("init"))
     opt = nn.adam_init(params, cfg.adam())
-    lut = np.full(max(shard_ids) + 1, -1, dtype=np.int64)
-    for i, s in enumerate(shard_ids):
-        lut[s] = i
-    y = lut[shard_targets(train_ds.labels, metadata)]
-    y_val = lut[shard_targets(val_ds.labels, metadata)] if len(val_ds) else None
+    position = {k: i for i, k in enumerate(shard_ids)}
+    y = lookup(position, shard_targets(train_ds.labels, metadata))
+    y_val = lookup(position, shard_targets(val_ds.labels, metadata)) if len(val_ds) else None
     x_val = val_ds.inputs if len(val_ds) else None
     fit(params, opt, train_ds.inputs, y, x_val, y_val, cfg, root.child("fit"))
     return params

@@ -272,7 +272,7 @@ def _run_forward(params: ModelParameters, x: np.ndarray, keep_cache: bool):
             caches.append((kind, name, mask))
         elif kind == "flatten":
             caches.append((kind, name, a.shape))
-            a = a.reshape(a.shape[0], -1)
+            a = a.reshape(a.shape[0], int(np.prod(a.shape[1:])))  # -1 fails on 0 rows
         else:  # dense
             caches.append((kind, name, a))
             a = a @ params.tensors[f"{name}.w"] + params.tensors[f"{name}.b"]
@@ -294,15 +294,18 @@ def forward(params: ModelParameters, x: np.ndarray) -> np.ndarray:
     return np.exp(log_probs(params, x))
 
 
+def _chunked(fn, n: int, batch_size: int) -> list:
+    """fn(rows) for consecutive row slices of at most batch_size covering n
+    rows (one empty slice when n is 0); chunks bound conv im2col memory."""
+    return [fn(slice(start, start + batch_size))
+            for start in range(0, max(n, 1), batch_size)]
+
+
 def forward_batched(params: ModelParameters, x: np.ndarray,
                     batch_size: int = 512) -> np.ndarray:
-    """forward() in chunks; bounds conv im2col memory on large inputs."""
-    if len(x) <= batch_size:
-        return forward(params, x)
-    out = np.empty((len(x), params.n_out), dtype=params.dtype)
-    for start in range(0, len(x), batch_size):
-        out[start:start + batch_size] = forward(params, x[start:start + batch_size])
-    return out
+    """forward() in chunks."""
+    return np.concatenate(_chunked(lambda rows: forward(params, x[rows]),
+                                   len(x), batch_size))
 
 
 def _check_labels(params: ModelParameters, y: np.ndarray) -> np.ndarray:
@@ -351,23 +354,19 @@ def mean_loss(params: ModelParameters, x: np.ndarray, y: np.ndarray,
               batch_size: int = 1024) -> float:
     """Cross-entropy without gradients, evaluated in chunks."""
     y = _check_labels(params, y)
-    total = 0.0
-    for start in range(0, len(x), batch_size):
-        xb = x[start:start + batch_size]
-        yb = y[start:start + batch_size]
-        logp = log_probs(params, xb)
-        total += float(-logp[np.arange(len(xb)), yb].sum())
-    return total / len(x)
+
+    def chunk_loss(rows):
+        logp = log_probs(params, x[rows])
+        return float(-logp[np.arange(len(logp)), y[rows]].sum())
+    return sum(_chunked(chunk_loss, len(x), batch_size)) / len(x)
 
 
 def predict_local(params: ModelParameters, x: np.ndarray,
                   batch_size: int = 1024) -> np.ndarray:
     """Argmax over the local head, evaluated in chunks."""
-    out = np.empty(len(x), dtype=np.int64)
-    for start in range(0, len(x), batch_size):
-        logits, _ = _run_forward(params, x[start:start + batch_size], keep_cache=False)
-        out[start:start + len(logits)] = logits.argmax(axis=1)
-    return out
+    return np.concatenate(_chunked(
+        lambda rows: _run_forward(params, x[rows], keep_cache=False)[0].argmax(axis=1),
+        len(x), batch_size)).astype(np.int64, copy=False)
 
 
 def predict_global(params: ModelParameters, x: np.ndarray,

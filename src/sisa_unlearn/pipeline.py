@@ -60,7 +60,6 @@ class SisaSystem:
     plan: PartitionPlan
     ensemble: EnsembleModel
     shard_results: dict[int, ShardTrainResult]
-    cfg: TrainConfig
     arch: Architecture
     store: CheckpointStore | None = None
     train_seconds: float = 0.0
@@ -88,7 +87,7 @@ def train_sisa(data: DataBundle, plan: PartitionPlan, cfg: TrainConfig, *,
     )
     system = SisaSystem(
         plan=plan, ensemble=ensemble, shard_results=shard_results,
-        cfg=cfg, arch=shard_results[shard_ids[0]].final.params.arch,
+        arch=shard_results[shard_ids[0]].final.params.arch,
         store=store,
         train_seconds=sum(r.seconds for r in shard_results.values()),
     )
@@ -98,18 +97,18 @@ def train_sisa(data: DataBundle, plan: PartitionPlan, cfg: TrainConfig, *,
                                        plan.metadata, cfg)
         system.train_seconds += time.perf_counter() - t0
         if store is not None:
-            _save_gating(system)
+            _save_gating(system, cfg)
     return system
 
 
-def _save_gating(system: SisaSystem) -> None:
+def _save_gating(system: SisaSystem, cfg: TrainConfig) -> None:
     """Save the router's parameters only: it is never trained again, and
     train_gating does not keep its Adam moments."""
     gating = system.ensemble.gating
-    no_moments = OptimizerState(config=system.cfg.adam(), step=0, m={}, v={})
+    no_moments = OptimizerState(config=cfg.adam(), step=0, m={}, v={})
     ckpt = Checkpoint(params=gating, opt_state=no_moments,
                       shard_id=-1, slice_index=-1, epoch=0,
-                      rng=RngState(system.cfg.seed).child("gating"))
+                      rng=RngState(cfg.seed).child("gating"))
     save_checkpoint(ckpt, system.store.gating_path())
 
 

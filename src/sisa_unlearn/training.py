@@ -206,13 +206,20 @@ def default_architecture(input_shape: tuple[int, ...]) -> Architecture:
     return cnn_architecture(input_shape)
 
 
+def lookup(table: dict[int, int], labels) -> np.ndarray:
+    """table[label] for every label, as int64; -1 where a label has no entry."""
+    labels = np.asarray(labels, dtype=np.int64)
+    lut = np.full(max(table, default=0) + 1, -1, dtype=np.int64)
+    lut[list(table)] = list(table.values())
+    inside = (labels >= 0) & (labels < len(lut))
+    return np.where(inside, lut[labels * inside], -1)
+
+
 def _local_labels(labels: np.ndarray, head: tuple[int, ...]) -> np.ndarray:
-    lut = {c: i for i, c in enumerate(head)}
-    out = np.empty(len(labels), dtype=np.int64)
-    for i, lab in enumerate(labels):
-        if int(lab) not in lut:
-            raise InvalidLabelError(f"label {int(lab)} outside shard head {head}")
-        out[i] = lut[int(lab)]
+    out = lookup({c: i for i, c in enumerate(head)}, labels)
+    if np.any(out < 0):
+        bad = int(np.asarray(labels)[np.argmax(out < 0)])
+        raise InvalidLabelError(f"label {bad} outside shard head {head}")
     return out
 
 

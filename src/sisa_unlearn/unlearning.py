@@ -3,11 +3,13 @@
 All four strategies end with a deployed model whose output heads no longer
 contain the removed class, so zero predictions of it are structurally
 guaranteed; verify_exact checks that empirically via the confusion matrix.
+The three SISA strategies share one removal path, _unlearn_shard; their
+differences are the columns of STRATEGY_RULES.
 """
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -20,7 +22,7 @@ from .evaluation import EvaluationReport, confusion_matrix, evaluate
 from .nn import drop_output_classes
 from .partition import BALANCED, SEQUENTIAL_CLASS, purge_class
 from .pipeline import BaselineModel, DataBundle, SisaSystem
-from .training import ShardTrainResult, TrainConfig, train_model, train_shard
+from .training import TrainConfig, train_model, train_shard
 
 BASELINE_FULL = "baseline_full"
 SISA_BALANCED = "sisa_balanced"
@@ -31,15 +33,26 @@ SISA_GATED = "sisa_gated"
 class StrategyRule(NamedTuple):
     policy: str | None      # plan policy the strategy requires; None: no plan
     replay: bool            # trains with the configured replay ratio
+    # removal resumes from the checkpoint before the class's first slice;
+    # False restarts the shard at slice 0, which balanced slicing needs
+    # because every slice held samples of the class
+    rollback: bool
+    gated: bool             # deploys, and requires, a gating router
 
 
 STRATEGY_RULES = {
-    BASELINE_FULL: StrategyRule(None, False),
-    SISA_BALANCED: StrategyRule(BALANCED, False),
-    SISA_SCLS_REPLAY: StrategyRule(SEQUENTIAL_CLASS, True),
-    SISA_GATED: StrategyRule(SEQUENTIAL_CLASS, True),
+    BASELINE_FULL: StrategyRule(None, False, False, False),
+    SISA_BALANCED: StrategyRule(BALANCED, False, False, False),
+    SISA_SCLS_REPLAY: StrategyRule(SEQUENTIAL_CLASS, True, True, False),
+    SISA_GATED: StrategyRule(SEQUENTIAL_CLASS, True, True, True),
 }
 STRATEGIES = tuple(STRATEGY_RULES)
+
+# why a plan of the wrong policy is refused, by the policy required
+_POLICY_PHRASES = {
+    BALANCED: "balanced unlearning requires a balanced plan",
+    SEQUENTIAL_CLASS: "rollback unlearning requires sequential class slicing",
+}
 
 
 def strategy_rule(strategy: str) -> StrategyRule:
@@ -106,6 +119,11 @@ def _outcome(strategy: str, data: DataBundle, model, class_id: int,
     )
 
 
+def _last_class_message(data: DataBundle, class_id: int) -> str:
+    return (f"class {class_id} ({data.class_names[class_id]!r}) is the last "
+            "class left; removing it would leave no model")
+
+
 def unlearn_baseline(model: BaselineModel, data: DataBundle, class_id: int,
                      cfg: TrainConfig):
     """Full retraining from scratch on the dataset minus the class."""
@@ -113,6 +131,8 @@ def unlearn_baseline(model: BaselineModel, data: DataBundle, class_id: int,
         raise UnknownClassError(
             f"class {class_id} not in model head {model.params.output_classes}")
     survivors = tuple(c for c in model.params.output_classes if c != class_id)
+    if not survivors:
+        raise ValueError(_last_class_message(data, class_id))
     if len(survivors) < 2:
         warnings.warn("unlearning leaves a degenerate single-class model",
                       stacklevel=2)
@@ -126,139 +146,92 @@ def unlearn_baseline(model: BaselineModel, data: DataBundle, class_id: int,
     return new_model, outcome
 
 
-def _check_known(system: SisaSystem, class_id: int) -> None:
-    if class_id not in system.plan.metadata:
-        known = sorted(system.plan.metadata)
+def _unlearn_shard(strategy: str, system: SisaSystem, data: DataBundle,
+                   class_id: int, cfg: TrainConfig):
+    """Purge the class from its shard, restore a checkpoint that never saw
+    it, and retrain the slices after that checkpoint.
+
+    The restored head is rebuilt without the class (and without any class
+    removed earlier), and the class's samples leave every remaining slice
+    and every replay buffer drawn for them. A shard left without classes is
+    dropped from the ensemble. A gating router is left untouched.
+    """
+    rule = strategy_rule(strategy)
+    if rule.gated and system.ensemble.gating is None:
+        raise RuntimeError("system has no gating model")
+    if system.plan.policy != rule.policy:
+        raise ValueError(f"{_POLICY_PHRASES[rule.policy]}, got {system.plan.policy!r}")
+    metadata = system.plan.metadata
+    if class_id not in metadata:
         raise UnknownClassError(
             f"class {class_id} not in the current metadata table "
-            f"(known: {known}, removed: {sorted(system.removed_classes)})")
+            f"(known: {sorted(metadata)}, removed: {sorted(system.removed_classes)})")
+    if len(metadata) == 1:
+        raise ValueError(_last_class_message(data, class_id))
+    shard_id = metadata[class_id].shard_id
+    first = metadata[class_id].first_slice if rule.rollback else 0
+    purged = purge_class(system.plan, class_id, data.train.labels)
+    new_head = tuple(sorted(purged.assignments[shard_id].class_ids))
 
-
-def _rebuild_system(system: SisaSystem, purged_plan, shard_id: int,
-                    result: ShardTrainResult | None, class_id: int) -> SisaSystem:
-    """New system with shard `shard_id` replaced (or dropped when empty)."""
     shard_results = dict(system.shard_results)
-    new_constituents, new_shard_ids = [], []
-    for sid, params in zip(system.ensemble.shard_ids, system.ensemble.constituents):
-        if sid != shard_id:
-            new_constituents.append(params)
-            new_shard_ids.append(sid)
-        elif result is not None:
-            new_constituents.append(result.final.params)
-            new_shard_ids.append(sid)
-    if result is not None:
-        shard_results[shard_id] = result
+    if new_head:
+        old = shard_results[shard_id]
+        initial = None
+        if first > 0:
+            if len(old.checkpoints) < first:
+                raise IntegrityError(
+                    f"shard {shard_id} is missing the checkpoint after slice {first - 1}")
+            base = old.checkpoints[first - 1]
+            drop = set(base.params.output_classes) - set(new_head)
+            params, opt = drop_output_classes(base.params, base.opt_state, drop)
+            initial = Checkpoint(params=params, opt_state=opt,
+                                 shard_id=shard_id, slice_index=base.slice_index,
+                                 epoch=base.epoch, rng=base.rng)
+        result = train_shard(purged, shard_id, data.train, data.val, cfg,
+                             arch=system.arch, store=system.store,
+                             start_slice=first, initial=initial, head=new_head)
+        shard_results[shard_id] = replace(
+            result, checkpoints=old.checkpoints[:first] + result.checkpoints)
+        first_slice, retrained, seconds = first + 1, result.slices_trained, result.seconds
     else:
         shard_results.pop(shard_id, None)
+        first_slice, retrained, seconds = None, 0, 0.0
+
+    old_ensemble = system.ensemble
+    kept = [(sid, shard_results[sid].final.params if sid == shard_id else params)
+            for sid, params in zip(old_ensemble.shard_ids, old_ensemble.constituents)
+            if sid != shard_id or new_head]
     ensemble = EnsembleModel(
-        constituents=new_constituents, shard_ids=new_shard_ids,
-        num_classes=system.ensemble.num_classes, mode=system.ensemble.mode,
-        gating=system.ensemble.gating,
+        constituents=[params for _, params in kept], shard_ids=[sid for sid, _ in kept],
+        num_classes=old_ensemble.num_classes, mode=old_ensemble.mode,
+        gating=old_ensemble.gating,
     )
-    return SisaSystem(
-        plan=purged_plan, ensemble=ensemble, shard_results=shard_results,
-        cfg=system.cfg, arch=system.arch, store=system.store,
-        train_seconds=system.train_seconds,
-        removed_classes=system.removed_classes + (class_id,),
-    )
+    new_system = replace(system, plan=purged, ensemble=ensemble,
+                         shard_results=shard_results,
+                         removed_classes=system.removed_classes + (class_id,))
+    outcome = _outcome(strategy, data, ensemble, class_id, shard_id=shard_id,
+                       first_slice=first_slice, slices_retrained=retrained,
+                       seconds=seconds)
+    return new_system, outcome
 
 
 def unlearn_balanced(system: SisaSystem, data: DataBundle, class_id: int,
                      cfg: TrainConfig):
-    """Purge the class from all L slices and retrain its shard from scratch.
-
-    Restarting (rather than resuming a contaminated checkpoint) is what
-    keeps the removal exact under balanced slicing, where every slice held
-    samples of the class.
-    """
-    if system.plan.policy != BALANCED:
-        raise ValueError(
-            f"balanced unlearning requires a balanced plan, got {system.plan.policy!r}")
-    _check_known(system, class_id)
-    shard_id = system.plan.metadata[class_id].shard_id
-    purged = purge_class(system.plan, class_id, data.train.labels)
-    new_head = tuple(sorted(purged.assignments[shard_id].class_ids))
-
-    if not new_head:
-        new_system = _rebuild_system(system, purged, shard_id, None, class_id)
-        outcome = _outcome(SISA_BALANCED, data, new_system.ensemble, class_id,
-                           shard_id=shard_id, first_slice=None,
-                           slices_retrained=0, seconds=0.0)
-        return new_system, outcome
-
-    result = train_shard(purged, shard_id, data.train, data.val, cfg,
-                         arch=system.arch, store=system.store, head=new_head)
-    new_system = _rebuild_system(system, purged, shard_id, result, class_id)
-    outcome = _outcome(SISA_BALANCED, data, new_system.ensemble, class_id,
-                       shard_id=shard_id, first_slice=1,
-                       slices_retrained=result.slices_trained,
-                       seconds=result.seconds)
-    return new_system, outcome
+    """Purge the class from all L slices and retrain its shard from scratch."""
+    return _unlearn_shard(SISA_BALANCED, system, data, class_id, cfg)
 
 
 def unlearn_scls(system: SisaSystem, data: DataBundle, class_id: int,
-                 cfg: TrainConfig, *, strategy_name: str = SISA_SCLS_REPLAY):
-    """Roll back to the checkpoint before the class's first slice and retrain.
-
-    The restored head is rebuilt without the class (and without any class
-    removed earlier), the class's samples are purged from the remaining
-    slices and every replay buffer drawn for them, and slices l*..L are
-    retrained -- L - l* + 1 of them.
-    """
-    if system.plan.policy != SEQUENTIAL_CLASS:
-        raise ValueError(
-            f"rollback unlearning requires sequential class slicing, "
-            f"got {system.plan.policy!r}")
-    _check_known(system, class_id)
-    loc = system.plan.metadata[class_id]
-    shard_id, first = loc.shard_id, loc.first_slice
-    purged = purge_class(system.plan, class_id, data.train.labels)
-    new_head = tuple(sorted(purged.assignments[shard_id].class_ids))
-
-    if not new_head:
-        new_system = _rebuild_system(system, purged, shard_id, None, class_id)
-        outcome = _outcome(strategy_name, data, new_system.ensemble, class_id,
-                           shard_id=shard_id, first_slice=None,
-                           slices_retrained=0, seconds=0.0)
-        return new_system, outcome
-
-    old = system.shard_results[shard_id]
-    initial = None
-    if first > 0:
-        if len(old.checkpoints) < first:
-            raise IntegrityError(
-                f"shard {shard_id} is missing the checkpoint after slice {first - 1}")
-        base = old.checkpoints[first - 1]
-        drop = set(base.params.output_classes) - set(new_head)
-        params, opt = drop_output_classes(base.params, base.opt_state, drop)
-        initial = Checkpoint(params=params, opt_state=opt,
-                             shard_id=shard_id, slice_index=base.slice_index,
-                             epoch=base.epoch, rng=base.rng)
-
-    result = train_shard(purged, shard_id, data.train, data.val, cfg,
-                         arch=system.arch, store=system.store,
-                         start_slice=first, initial=initial, head=new_head)
-    merged = ShardTrainResult(
-        shard_id=shard_id, head=new_head,
-        checkpoints=old.checkpoints[:first] + result.checkpoints,
-        replays=result.replays,
-        seconds_per_slice=result.seconds_per_slice,
-        slices_trained=result.slices_trained,
-    )
-    new_system = _rebuild_system(system, purged, shard_id, merged, class_id)
-    outcome = _outcome(strategy_name, data, new_system.ensemble, class_id,
-                       shard_id=shard_id, first_slice=first + 1,
-                       slices_retrained=result.slices_trained,
-                       seconds=result.seconds)
-    return new_system, outcome
+                 cfg: TrainConfig):
+    """Roll back to the checkpoint before the class's first slice l* and
+    retrain slices l*..L -- L - l* + 1 of them."""
+    return _unlearn_shard(SISA_SCLS_REPLAY, system, data, class_id, cfg)
 
 
 def unlearn_gated(system: SisaSystem, data: DataBundle, class_id: int,
                   cfg: TrainConfig):
     """SCLS unlearning on the affected shard; the gating model is untouched."""
-    if system.ensemble.gating is None:
-        raise RuntimeError("system has no gating model")
-    return unlearn_scls(system, data, class_id, cfg, strategy_name=SISA_GATED)
+    return _unlearn_shard(SISA_GATED, system, data, class_id, cfg)
 
 
 def run_unlearning(strategy: str, target, data: DataBundle, class_id: int,
@@ -266,10 +239,4 @@ def run_unlearning(strategy: str, target, data: DataBundle, class_id: int,
     """Dispatch a request to its strategy implementation."""
     if strategy == BASELINE_FULL:
         return unlearn_baseline(target, data, class_id, cfg)
-    if strategy == SISA_BALANCED:
-        return unlearn_balanced(target, data, class_id, cfg)
-    if strategy == SISA_SCLS_REPLAY:
-        return unlearn_scls(target, data, class_id, cfg)
-    if strategy == SISA_GATED:
-        return unlearn_gated(target, data, class_id, cfg)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    return _unlearn_shard(strategy, target, data, class_id, cfg)

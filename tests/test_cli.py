@@ -173,6 +173,26 @@ class TestUnlearn:
         assert outcome["shard"] is None
 
 
+    def test_last_class_refused(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dataset={
+            "kind": "synthetic", "n_per_class": 30, "num_classes": 2,
+            "shape": [8], "separation": 4.0})
+        run(["train", "--config", cfg])
+        run_dir = tmp_path / "run"
+        assert run(["unlearn", run_dir, "--class", "class_0"]) == 0
+        before = {name: (run_dir / name).read_bytes()
+                  for name in ("manifest.json", "plan.json")}
+        capsys.readouterr()
+        assert run(["unlearn", run_dir, "--class", "class_1"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["type"] == "ValueError"
+        assert "'class_1'" in err["message"] and "last class" in err["message"]
+        for name, raw in before.items():
+            assert (run_dir / name).read_bytes() == raw
+
+
 class TestCifarPipeline:
     def test_cnn_run_from_binary_batches(self, tmp_path):
         data_dir = write_cifar_dir(tmp_path)

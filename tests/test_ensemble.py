@@ -206,3 +206,12 @@ class TestGating:
         partial = {c: loc for c, loc in plan.metadata.items() if c != 2}
         with pytest.raises(InvalidLabelError):
             shard_targets(bundle.train.labels, partial)
+
+    def test_shard_targets_follow_metadata(self, routed_system):
+        bundle, plan, cfg, system = routed_system
+        labels = bundle.train.labels
+        want = [plan.metadata[int(c)].shard_id for c in labels]
+        assert shard_targets(labels, plan.metadata).tolist() == want
+        partial = {c: loc for c, loc in plan.metadata.items() if c != 2}
+        with pytest.raises(InvalidLabelError, match="class 2 missing"):
+            shard_targets(labels, partial)

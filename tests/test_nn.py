@@ -81,6 +81,29 @@ class TestForward:
             nn.forward(params, np.zeros((2, 7), np.float32))
 
 
+class TestChunkedInference:
+    @pytest.mark.parametrize("factory", [tiny_mlp, tiny_cnn])
+    def test_chunks_match_one_pass(self, factory):
+        params = factory()
+        x = np.random.default_rng(3).standard_normal(
+            (7, *params.arch.input_shape)).astype(np.float32)
+        y = np.arange(7) % 3
+        whole = nn.forward(params, x)
+        assert np.array_equal(nn.forward_batched(params, x, batch_size=3), whole)
+        assert np.array_equal(nn.predict_local(params, x, batch_size=3),
+                              whole.argmax(axis=1))
+        assert nn.mean_loss(params, x, y, batch_size=3) == pytest.approx(
+            nn.mean_loss(params, x, y, batch_size=7), rel=1e-6)
+
+    @pytest.mark.parametrize("factory", [tiny_mlp, tiny_cnn])
+    def test_empty_input(self, factory):
+        params = factory()
+        x = np.zeros((0, *params.arch.input_shape), np.float32)
+        assert nn.forward_batched(params, x).shape == (0, 3)
+        out = nn.predict_local(params, x)
+        assert out.shape == (0,) and out.dtype == np.int64
+
+
 class TestLossAndGrad:
     def test_uniform_loss_is_log_c(self):
         params = tiny_mlp(n_out=5)

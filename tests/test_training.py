@@ -5,9 +5,10 @@ from hypothesis import given, settings, strategies as st
 import sisa_unlearn as su
 import sisa_unlearn.nn as nn
 from sisa_unlearn.checkpoint import CheckpointStore
-from sisa_unlearn.errors import NumericFault
+from sisa_unlearn.errors import InvalidLabelError, NumericFault
 from sisa_unlearn.rng import RngState
-from sisa_unlearn.training import early_stop_monitor, fit, sample_replay
+from sisa_unlearn.training import (_local_labels, early_stop_monitor, fit, lookup,
+                                   sample_replay)
 
 from conftest import make_labels
 
@@ -62,6 +63,22 @@ class TestSampleReplay:
         labels, layout = sequential_layout({0: 10, 1: 10}, L=2)
         with pytest.raises(ValueError):
             sample_replay(layout, 1, 1.5, RngState(0), labels)
+
+
+class TestLocalLabels:
+    def test_maps_global_to_head_position(self):
+        labels = np.array([7, 2, 7, 5], dtype=np.int32)
+        assert _local_labels(labels, (2, 5, 7)).tolist() == [2, 0, 2, 1]
+
+    def test_label_outside_head(self):
+        with pytest.raises(InvalidLabelError, match=r"label 9 outside shard head \(2, 5\)"):
+            _local_labels(np.array([2, 9, 3]), (2, 5))
+
+    def test_lookup_marks_missing(self):
+        out = lookup({2: 0, 5: 1}, np.array([5, 2, 7, -1, 0]))
+        assert out.dtype == np.int64
+        assert out.tolist() == [1, 0, -1, -1, -1]
+        assert lookup({}, np.array([0, 3])).tolist() == [-1, -1]
 
 
 class TestEarlyStop:

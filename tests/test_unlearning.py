@@ -233,6 +233,40 @@ class TestPolicyPreconditions:
             su.unlearn_scls(balanced_system, bundle, 0, cfg)
 
 
+class TestLastClass:
+    """Removing the only class left is refused before any purge or training."""
+
+    @pytest.fixture(scope="class")
+    def two(self):
+        return su.synthetic_bundle(n_per_class=30, num_classes=2, shape=(8,),
+                                   separation=3.0, seed=4)
+
+    def test_baseline_refuses(self, two, cfg):
+        model = su.train_baseline(two, cfg)
+        with pytest.warns(UserWarning, match="degenerate"):
+            model, _ = su.unlearn_baseline(model, two, 0, cfg)
+        with pytest.raises(ValueError, match=r"class 1 \('class_1'\) is the last class"):
+            su.unlearn_baseline(model, two, 1, cfg)
+
+    @pytest.mark.parametrize("strategy,policy,gated", [
+        ("sisa_balanced", su.BALANCED, False),
+        ("sisa_scls_replay", su.SEQUENTIAL_CLASS, False),
+        ("sisa_gated", su.SEQUENTIAL_CLASS, True),
+    ])
+    def test_sisa_refuses(self, two, cfg, tmp_path, strategy, policy, gated):
+        store = CheckpointStore(tmp_path)
+        plan = su.make_plan(two.train.labels, K=2, L=2, policy=policy)
+        system = su.train_sisa(two, plan, cfg, gated=gated, store=store)
+        system, outcome = su.run_unlearning(strategy, system, two, 0, cfg)
+        assert outcome.slices_retrained == 0      # shard 0 decommissioned
+        survivor = system.ensemble.shard_ids[0]
+        before = store.shard_digests(survivor)
+        with pytest.raises(ValueError, match=r"class 1 \('class_1'\) is the last class"):
+            su.run_unlearning(strategy, system, two, 1, cfg)
+        assert store.shard_digests(survivor) == before
+        assert 1 in system.plan.metadata
+
+
 class TestDispatcher:
     def test_roundtrip_each_strategy(self, bundle, cfg, scls_system,
                                      balanced_system):
@@ -249,3 +283,7 @@ class TestDispatcher:
             doc = outcome.to_json_dict()
             assert doc["verdict"] == "pass"
             assert len(doc["confusion_matrix"]) == bundle.num_classes
+
+    def test_unknown_strategy(self, bundle, cfg, scls_system):
+        with pytest.raises(ValueError, match="unknown strategy"):
+            su.run_unlearning("sisa_magic", scls_system, bundle, 1, cfg)
