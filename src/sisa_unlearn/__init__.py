@@ -3,7 +3,7 @@
 from .data import (CIFAR10_CLASSES, LabeledDataset, SplitSpec,
                    generate_synthetic, load_cifar10, load_dataset,
                    save_dataset, split)
-from .ensemble import MAX_CONFIDENCE, SUM, EnsembleModel, train_gating
+from .ensemble import EnsembleModel, train_gating
 from .evaluation import EvaluationReport, evaluate
 from .nn import (Architecture, ModelParameters, adam_init, adam_step,
                  cnn_architecture, forward, init_params, loss_and_grad,

@@ -4,15 +4,14 @@ failing cell records its error and the grid moves on.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from .data import SplitSpec
-from .ensemble import MAX_CONFIDENCE
 from .evaluation import evaluate
+from .files import write_atomic, write_json
 from .partition import SEQUENTIAL_CLASS, make_plan
 from .pipeline import (DataBundle, cifar_bundle, synthetic_bundle, train_baseline,
                        train_sisa)
@@ -20,13 +19,15 @@ from .training import TrainConfig
 from .unlearning import (BASELINE_FULL, SISA_SCLS_REPLAY, STRATEGIES,
                          STRATEGY_RULES, run_unlearning)
 
+# (K, L) of the replay-ratio study
+REPLAY_SETUP = (2, 5)
+
 
 @dataclass
 class BenchConfig:
     setups: tuple[tuple[int, int], ...] = ((2, 3), (2, 5), (3, 3), (3, 5))
     strategies: tuple[str, ...] = STRATEGIES
     replay_ratios: tuple[float, ...] = (0.2, 0.3, 0.4)
-    replay_setup: tuple[int, int] = (2, 5)
     scls_replay_ratio: float = 0.3
     seeds: tuple[int, ...] = (0,)
     # synthetic dataset knobs (ignored when cifar_dir is given)
@@ -110,8 +111,7 @@ def _run_strategy_cell(cfg: BenchConfig, data: DataBundle, setup: tuple[int, int
         target = model
     else:
         plan = make_plan(data.train.labels, K, L, rule.policy)
-        system = train_sisa(data, plan, tcfg, mode=MAX_CONFIDENCE,
-                            gated=rule.gated)
+        system = train_sisa(data, plan, tcfg, gated=rule.gated)
         cell.accuracy_before = evaluate(system.ensemble, data.test).accuracy
         cell.train_seconds = system.train_seconds
         target = system
@@ -129,7 +129,7 @@ def _run_strategy_cell(cfg: BenchConfig, data: DataBundle, setup: tuple[int, int
 def _run_replay_cell(cfg: BenchConfig, data: DataBundle, ratio: float,
                      seed: int) -> ReplayCell:
     cell = ReplayCell(ratio=ratio, seed=seed)
-    K, L = cfg.replay_setup
+    K, L = REPLAY_SETUP
     tcfg = replace(cfg.train, replay_ratio=ratio, seed=seed)
     plan = make_plan(data.train.labels, K, L, SEQUENTIAL_CLASS)
     system = train_sisa(data, plan, tcfg)
@@ -144,13 +144,8 @@ def _run_replay_cell(cfg: BenchConfig, data: DataBundle, ratio: float,
 
 
 def _write_cell(out_dir: Path | None, name: str, payload: dict) -> None:
-    if out_dir is None:
-        return
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True))
-    tmp.replace(path)
+    if out_dir is not None:
+        write_json(out_dir / name, payload)
 
 
 def run_benchmark_grid(cfg: BenchConfig, out_dir=None) -> GridReport:
@@ -195,10 +190,7 @@ def run_benchmark_grid(cfg: BenchConfig, out_dir=None) -> GridReport:
     report = GridReport(cells=cells, replay_cells=replay_cells)
     if out_dir is not None:
         _write_cell(out_dir, "grid.json", grid_json(report))
-        path = out_dir / "grid.txt"
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(format_grid_table(report))
-        tmp.replace(path)
+        write_atomic(out_dir / "grid.txt", format_grid_table(report))
     return report
 
 

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, IntegrityError, UnsupportedVersionError
+from .files import write_atomic, write_json
 from .nn import AdamConfig, Architecture, ModelParameters, OptimizerState
 from .rng import RngState
 
@@ -51,10 +52,6 @@ class Checkpoint:
     epoch: int
     rng: RngState
 
-    def copy(self) -> "Checkpoint":
-        return Checkpoint(self.params.copy(), self.opt_state.copy(),
-                          self.shard_id, self.slice_index, self.epoch, self.rng)
-
 
 def _serialize_tensors(named: list[tuple[str, np.ndarray]]) -> bytes:
     buf = bytearray(MAGIC)
@@ -72,16 +69,12 @@ def _serialize_tensors(named: list[tuple[str, np.ndarray]]) -> bytes:
 
 def save_checkpoint(ckpt: Checkpoint, path) -> int:
     """Write the binary plus its sidecar manifest; returns the digest."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     named = list(ckpt.params.tensors.items())
     named += [(f"m.{k}", t) for k, t in ckpt.opt_state.m.items()]
     named += [(f"v.{k}", t) for k, t in ckpt.opt_state.v.items()]
     body = _serialize_tensors(named)
     digest = fnv1a64(body)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(body + struct.pack("<Q", digest))
-    tmp.replace(path)
+    write_atomic(path, body + struct.pack("<Q", digest))
 
     cfg = ckpt.opt_state.config
     manifest = {
@@ -97,11 +90,19 @@ def save_checkpoint(ckpt: Checkpoint, path) -> int:
         "digest": f"{digest:016x}",
         "created_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
-    mpath = Path(str(path) + ".json")
-    mtmp = mpath.with_name(mpath.name + ".tmp")
-    mtmp.write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    mtmp.replace(mpath)
+    write_json(str(path) + ".json", manifest)
     return digest
+
+
+def save_params(params: ModelParameters, path, adam: AdamConfig,
+                rng: RngState) -> int:
+    """Save a model that is never trained further, with no Adam moments:
+    the gating router and the full-retraining baseline, which retrains
+    from a fresh initialization."""
+    no_moments = OptimizerState(config=adam, step=0, m={}, v={})
+    return save_checkpoint(Checkpoint(params=params, opt_state=no_moments,
+                                      shard_id=-1, slice_index=-1, epoch=0,
+                                      rng=rng), path)
 
 
 def _parse_tensors(body: bytes) -> dict[str, np.ndarray]:

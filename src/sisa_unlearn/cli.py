@@ -14,13 +14,13 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .bench import BenchConfig, format_grid_table, run_benchmark_grid
-from .checkpoint import Checkpoint, CheckpointStore, load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointStore, load_checkpoint, save_params
 from .data import SplitSpec
-from .ensemble import MAX_CONFIDENCE, EnsembleModel
 from .errors import SisaError, UnknownClassError
 from .evaluation import evaluate
+from .files import write_json
 from .partition import PartitionPlan, make_plan, SEQUENTIAL_CLASS, POLICIES
-from .pipeline import (BaselineModel, DataBundle, SisaSystem, cifar_bundle,
+from .pipeline import (BaselineModel, DataBundle, SisaSystem, assemble, cifar_bundle,
                        synthetic_bundle, train_baseline, train_sisa)
 from .rng import RngState
 from .training import ShardTrainResult, TrainConfig
@@ -137,13 +137,6 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True))
-    tmp.replace(path)
-
-
 def _constituents(system: SisaSystem) -> list[dict]:
     """The manifest's per-shard head and checkpoint chain."""
     return [{"shard_id": k, "output_classes": list(r.head),
@@ -179,21 +172,18 @@ def cmd_train(args) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     store = CheckpointStore(out)
-    _write_json(out / "config.json", cfg.to_dict())
+    write_json(out / "config.json", cfg.to_dict())
 
     manifest: dict = {
         "strategy": cfg.strategy,
-        "mode": MAX_CONFIDENCE,
         "class_names": bundle.class_names,
         "removed_classes": [],
         "created_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
     if cfg.strategy == BASELINE_FULL:
         model = train_baseline(bundle, tcfg)
-        ckpt = Checkpoint(params=model.params, opt_state=model.opt_state,
-                          shard_id=-1, slice_index=-1, epoch=0,
-                          rng=RngState(tcfg.seed))
-        save_checkpoint(ckpt, store.baseline_path())
+        save_params(model.params, store.baseline_path(), tcfg.adam(),
+                    RngState(tcfg.seed))
         manifest["baseline"] = "baseline.ckpt"
         manifest["train_seconds"] = model.train_seconds
         target = model.params
@@ -207,12 +197,12 @@ def cmd_train(args) -> int:
         manifest["gating"] = "gating.ckpt" if system.ensemble.gating is not None else None
         manifest["train_seconds"] = system.train_seconds
         target = system.ensemble
-    _write_json(out / "manifest.json", manifest)
+    write_json(out / "manifest.json", manifest)
     report = evaluate(target, bundle.test,
                       config_tag={"K": cfg.K, "L": cfg.L, "strategy": cfg.strategy,
                                   "replay_ratio": cfg.replay_ratio})
     report.train_seconds = manifest["train_seconds"]
-    _write_json(out / "reports" / "before.json", report.to_json_dict())
+    write_json(out / "reports" / "before.json", report.to_json_dict())
     _say(args, f"trained {cfg.strategy} -> {out} "
                f"(test accuracy {report.accuracy:.4f})")
     return 0
@@ -227,8 +217,7 @@ def _load_run(run_dir: Path):
     if manifest["strategy"] == BASELINE_FULL:
         ckpt = load_checkpoint(store.baseline_path())
         target = BaselineModel(params=ckpt.params, train_seconds=0.0,
-                               removed_classes=tuple(manifest["removed_classes"]),
-                               opt_state=ckpt.opt_state)
+                               removed_classes=tuple(manifest["removed_classes"]))
         return cfg, manifest, bundle, tcfg, store, target
     plan = PartitionPlan.load(run_dir / "plan.json")
     shard_results: dict[int, ShardTrainResult] = {}
@@ -238,17 +227,12 @@ def _load_run(run_dir: Path):
         shard_results[k] = ShardTrainResult(
             shard_id=k, head=tuple(entry["output_classes"]), checkpoints=ckpts,
             replays=[], seconds_per_slice=[], slices_trained=len(ckpts))
-    shard_ids = sorted(shard_results)
     gating = None
     if manifest.get("gating"):
         gating = load_checkpoint(run_dir / manifest["gating"]).params
-    ensemble = EnsembleModel(
-        constituents=[shard_results[k].final.params for k in shard_ids],
-        shard_ids=shard_ids, num_classes=bundle.num_classes,
-        mode=manifest.get("mode", MAX_CONFIDENCE), gating=gating)
+    ensemble = assemble(shard_results, bundle.num_classes, gating)
     system = SisaSystem(plan=plan, ensemble=ensemble, shard_results=shard_results,
-                        arch=ensemble.constituents[0].arch, store=store,
-                        removed_classes=tuple(manifest["removed_classes"]))
+                        store=store, removed_classes=tuple(manifest["removed_classes"]))
     return cfg, manifest, bundle, tcfg, store, system
 
 
@@ -269,15 +253,14 @@ def cmd_unlearn(args) -> int:
                                          class_id, tcfg)
     manifest["removed_classes"] = sorted(manifest["removed_classes"] + [class_id])
     if manifest["strategy"] == BASELINE_FULL:
-        ckpt = Checkpoint(params=new_target.params, opt_state=new_target.opt_state,
-                          shard_id=-1, slice_index=-1, epoch=0, rng=RngState(tcfg.seed))
-        save_checkpoint(ckpt, store.baseline_path())
+        save_params(new_target.params, store.baseline_path(), tcfg.adam(),
+                    RngState(tcfg.seed))
     else:
         manifest["constituents"] = _constituents(new_target)
         new_target.plan.save(run_dir / "plan.json")
-    _write_json(run_dir / "manifest.json", manifest)   # atomic swap
-    _write_json(run_dir / "reports" / f"unlearn_{args.class_name}.json",
-                outcome.to_json_dict())
+    write_json(run_dir / "manifest.json", manifest)   # atomic swap
+    write_json(run_dir / "reports" / f"unlearn_{args.class_name}.json",
+               outcome.to_json_dict())
     _say(args, f"unlearned {args.class_name!r}: verdict "
                f"{'pass' if outcome.verdict else 'fail'}, "
                f"{outcome.slices_retrained} slice(s) retrained in "
@@ -291,7 +274,7 @@ def cmd_eval(args) -> int:
     model = target.params if isinstance(target, BaselineModel) else target.ensemble
     report = evaluate(model, bundle.test,
                       config_tag={"strategy": manifest["strategy"]})
-    _write_json(run_dir / "reports" / "eval.json", report.to_json_dict())
+    write_json(run_dir / "reports" / "eval.json", report.to_json_dict())
     _say(args, f"test accuracy {report.accuracy:.4f} "
                f"({len(bundle.test)} samples, "
                f"removed classes: {manifest['removed_classes']})")

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CorruptRecordError, FormatError, UnsupportedVersionError
+from .files import write_atomic
 from .rng import RngState
 
 CIFAR10_CLASSES = [
@@ -248,7 +249,6 @@ def _sdst_record(per_sample: int) -> np.dtype:
 
 def save_dataset(ds: LabeledDataset, path) -> None:
     """Write the SDST binary: magic, version, C, N, rank, dims, then records."""
-    path = Path(path)
     shape = ds.input_shape
     header = _SDST_MAGIC + struct.pack(
         "<IIIB", _SDST_VERSION, ds.num_classes, len(ds), len(shape)
@@ -256,9 +256,7 @@ def save_dataset(ds: LabeledDataset, path) -> None:
     records = np.empty(len(ds), dtype=_sdst_record(int(np.prod(shape))))
     records["label"] = ds.labels
     records["x"] = ds.inputs.reshape(records["x"].shape)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(header + records.tobytes())
-    tmp.replace(path)
+    write_atomic(path, header + records.tobytes())
 
 
 def load_dataset(path) -> LabeledDataset:

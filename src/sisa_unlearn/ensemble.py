@@ -1,10 +1,11 @@
-"""Ensemble inference: max-confidence / sum aggregation and gated routing.
+"""Ensemble inference: max-confidence aggregation and gated routing.
 
-Constituent heads cover disjoint global class sets. Aggregation evaluates
-every constituent; gated inference asks a lightweight router which single
-constituent to evaluate. An InferenceStats counter tracks forward passes
-so the cost contract (1 constituent per gated query vs K per aggregated
-query) is observable.
+Constituent heads cover disjoint global class sets, so each class gets its
+score from the one constituent whose head holds it. Aggregation evaluates
+every constituent and predicts the class with the highest score; gated
+inference asks a lightweight router which single constituent to evaluate.
+An InferenceStats counter tracks forward passes so the cost contract
+(1 constituent per gated query vs K per aggregated query) is observable.
 """
 from __future__ import annotations
 
@@ -20,10 +21,6 @@ from .partition import ClassLocation
 from .rng import RngState
 from .training import TrainConfig, fit, lookup
 from . import nn
-
-MAX_CONFIDENCE = "max_confidence"
-SUM = "sum"
-AGGREGATION_MODES = (MAX_CONFIDENCE, SUM)
 
 
 @dataclass
@@ -45,13 +42,10 @@ class EnsembleModel:
     constituents: list[ModelParameters]
     shard_ids: list[int]                # shard owning each constituent
     num_classes: int                    # size of the global class inventory
-    mode: str = MAX_CONFIDENCE
     gating: ModelParameters | None = None
     stats: InferenceStats = field(default_factory=InferenceStats)
 
     def __post_init__(self):
-        if self.mode not in AGGREGATION_MODES:
-            raise ValueError(f"unknown aggregation mode {self.mode!r}")
         if len(self.constituents) != len(self.shard_ids):
             raise ValueError("one shard id per constituent required")
 
@@ -66,35 +60,28 @@ class EnsembleModel:
 
 
 def combine_scores(prob_rows: list[np.ndarray], heads: list[tuple[int, ...]],
-                   num_classes: int, mode: str) -> np.ndarray:
+                   num_classes: int) -> np.ndarray:
     """Merge per-constituent probability rows into one (N, C) score grid.
 
-    max_confidence keeps the highest probability any constituent assigns to
-    a class; sum adds them, with constituents contributing 0 outside their
-    own head. Argmax ties later resolve to the lowest class id.
+    Each class keeps the highest probability any constituent assigns to it;
+    constituents contribute 0 outside their own head. Argmax ties later
+    resolve to the lowest class id.
     """
     n = prob_rows[0].shape[0]
     scores = np.zeros((n, num_classes), dtype=np.float64)
     for probs, head in zip(prob_rows, heads):
         cols = np.asarray(head, dtype=np.int64)
-        if mode == SUM:
-            scores[:, cols] += probs
-        else:
-            scores[:, cols] = np.maximum(scores[:, cols], probs)
+        scores[:, cols] = np.maximum(scores[:, cols], probs)
     return scores
 
 
-def aggregate_predict_batch(ensemble: EnsembleModel, x: np.ndarray,
-                            mode: str | None = None):
+def aggregate_predict_batch(ensemble: EnsembleModel, x: np.ndarray):
     """Predicted global class per input plus each constituent's probabilities."""
     if not ensemble.constituents:
         raise RuntimeError("ensemble has no constituent models")
-    mode = mode or ensemble.mode
-    if mode not in AGGREGATION_MODES:
-        raise ValueError(f"unknown aggregation mode {mode!r}")
     prob_rows = [forward_batched(c, x) for c in ensemble.constituents]
     heads = [c.output_classes for c in ensemble.constituents]
-    scores = combine_scores(prob_rows, heads, ensemble.num_classes, mode)
+    scores = combine_scores(prob_rows, heads, ensemble.num_classes)
     ensemble.stats.queries += len(x)
     ensemble.stats.constituent_forwards += len(x) * len(ensemble.constituents)
     return scores.argmax(axis=1), prob_rows

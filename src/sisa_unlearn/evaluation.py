@@ -37,12 +37,9 @@ def confusion_matrix(true_labels, predicted, num_classes: int) -> np.ndarray:
     return matrix
 
 
-def evaluate(model, ds: LabeledDataset, config_tag: dict | None = None) -> EvaluationReport:
-    """Deterministic metrics for a model, ensemble, or callable predictor."""
-    if len(ds) == 0:
-        raise ValueError("dataset must be nonempty")
-    pred = predict_labels(model, ds.inputs)
-    matrix = confusion_matrix(ds.labels, pred, ds.num_classes)
+def report_from_confusion(matrix: np.ndarray,
+                          config_tag: dict | None = None) -> EvaluationReport:
+    """Accuracy and per-class precision/recall read off a confusion matrix."""
     diag = np.diag(matrix).astype(np.float64)
     col = matrix.sum(axis=0).astype(np.float64)
     row = matrix.sum(axis=1).astype(np.float64)
@@ -50,7 +47,16 @@ def evaluate(model, ds: LabeledDataset, config_tag: dict | None = None) -> Evalu
         precision = np.where(col > 0, diag / col, 0.0)
         recall = np.where(row > 0, diag / row, 0.0)
     return EvaluationReport(
-        accuracy=float(diag.sum() / len(ds)),
+        accuracy=float(diag.sum() / matrix.sum()),
         precision=precision, recall=recall, confusion=matrix,
         config_tag=config_tag,
     )
+
+
+def evaluate(model, ds: LabeledDataset, config_tag: dict | None = None) -> EvaluationReport:
+    """Deterministic metrics for a model, ensemble, or callable predictor."""
+    if len(ds) == 0:
+        raise ValueError("dataset must be nonempty")
+    pred = predict_labels(model, ds.inputs)
+    return report_from_confusion(confusion_matrix(ds.labels, pred, ds.num_classes),
+                                 config_tag)

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MissingClassError
+from .files import write_atomic
 
 BALANCED = "balanced"
 SEQUENTIAL_CLASS = "sequential_class"
@@ -49,9 +50,6 @@ class PartitionPlan:
     layouts: list[SliceLayout]
     metadata: dict[int, ClassLocation]
     imbalance_ratio: float
-
-    def shard_of(self, class_id: int) -> int:
-        return self.metadata[class_id].shard_id
 
     def to_json(self) -> str:
         doc = {
@@ -98,10 +96,7 @@ class PartitionPlan:
                    metadata, doc["imbalance_ratio"])
 
     def save(self, path) -> None:
-        path = Path(path)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(self.to_json())
-        tmp.replace(path)
+        write_atomic(path, self.to_json())
 
     @classmethod
     def load(cls, path) -> "PartitionPlan":

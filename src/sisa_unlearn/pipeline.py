@@ -9,11 +9,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .checkpoint import Checkpoint, CheckpointStore, save_checkpoint
+from .checkpoint import CheckpointStore, save_params
 from .data import (LabeledDataset, SplitSpec, channel_stats, generate_synthetic,
                    load_cifar10, normalize, split)
-from .ensemble import MAX_CONFIDENCE, EnsembleModel, train_gating
-from .nn import Architecture, ModelParameters, OptimizerState
+from .ensemble import EnsembleModel, train_gating
+from .nn import Architecture, ModelParameters
 from .partition import PartitionPlan
 from .rng import RngState
 from .training import ShardTrainResult, TrainConfig, train_model, train_shard
@@ -60,35 +60,34 @@ class SisaSystem:
     plan: PartitionPlan
     ensemble: EnsembleModel
     shard_results: dict[int, ShardTrainResult]
-    arch: Architecture
     store: CheckpointStore | None = None
     train_seconds: float = 0.0
     removed_classes: tuple[int, ...] = ()
 
 
+def assemble(shard_results: dict[int, ShardTrainResult], num_classes: int,
+             gating: ModelParameters | None = None) -> EnsembleModel:
+    """The deployed ensemble: each shard's final parameters, in shard-id
+    order, plus the gating router if there is one."""
+    shard_ids = sorted(shard_results)
+    return EnsembleModel(
+        constituents=[shard_results[k].final.params for k in shard_ids],
+        shard_ids=shard_ids, num_classes=num_classes, gating=gating)
+
+
 def train_sisa(data: DataBundle, plan: PartitionPlan, cfg: TrainConfig, *,
                arch: Architecture | None = None,
-               mode: str = MAX_CONFIDENCE,
                gated: bool = False,
                store: CheckpointStore | None = None) -> SisaSystem:
     """Train every shard, one after another in plan order, and assemble the
     ensemble. Per-shard RNG streams derive from (seed, shard id), so each
     shard's parameters do not depend on the others."""
-    shard_ids = [a.shard_id for a in plan.assignments if a.class_ids]
-    shard_results = {k: train_shard(plan, k, data.train, data.val, cfg,
-                                    arch=arch, store=store)
-                     for k in shard_ids}
-
-    ensemble = EnsembleModel(
-        constituents=[shard_results[k].final.params for k in shard_ids],
-        shard_ids=list(shard_ids),
-        num_classes=data.num_classes,
-        mode=mode,
-    )
+    shard_results = {a.shard_id: train_shard(plan, a.shard_id, data.train,
+                                             data.val, cfg, arch=arch, store=store)
+                     for a in plan.assignments if a.class_ids}
+    ensemble = assemble(shard_results, data.num_classes)
     system = SisaSystem(
-        plan=plan, ensemble=ensemble, shard_results=shard_results,
-        arch=shard_results[shard_ids[0]].final.params.arch,
-        store=store,
+        plan=plan, ensemble=ensemble, shard_results=shard_results, store=store,
         train_seconds=sum(r.seconds for r in shard_results.values()),
     )
     if gated:
@@ -97,19 +96,10 @@ def train_sisa(data: DataBundle, plan: PartitionPlan, cfg: TrainConfig, *,
                                        plan.metadata, cfg)
         system.train_seconds += time.perf_counter() - t0
         if store is not None:
-            _save_gating(system, cfg)
+            # the router is never trained again, so no Adam moments are kept
+            save_params(ensemble.gating, store.gating_path(), cfg.adam(),
+                        RngState(cfg.seed).child("gating"))
     return system
-
-
-def _save_gating(system: SisaSystem, cfg: TrainConfig) -> None:
-    """Save the router's parameters only: it is never trained again, and
-    train_gating does not keep its Adam moments."""
-    gating = system.ensemble.gating
-    no_moments = OptimizerState(config=cfg.adam(), step=0, m={}, v={})
-    ckpt = Checkpoint(params=gating, opt_state=no_moments,
-                      shard_id=-1, slice_index=-1, epoch=0,
-                      rng=RngState(cfg.seed).child("gating"))
-    save_checkpoint(ckpt, system.store.gating_path())
 
 
 @dataclass
@@ -119,12 +109,11 @@ class BaselineModel:
     params: ModelParameters
     train_seconds: float
     removed_classes: tuple[int, ...] = ()
-    opt_state: object | None = None
 
 
 def train_baseline(data: DataBundle, cfg: TrainConfig, *,
                    arch: Architecture | None = None,
                    classes=None) -> BaselineModel:
     head = sorted(classes) if classes is not None else sorted(set(int(c) for c in data.train.labels))
-    params, opt, res = train_model(data.train, data.val, head, cfg, arch=arch)
-    return BaselineModel(params=params, train_seconds=res.seconds, opt_state=opt)
+    params, _opt, res = train_model(data.train, data.val, head, cfg, arch=arch)
+    return BaselineModel(params=params, train_seconds=res.seconds)

@@ -126,9 +126,7 @@ def sample_replay(layout: SliceLayout, slice_index: int, ratio: float,
 @dataclass
 class FitResult:
     epochs: int
-    steps: int
     history: list[float]
-    best_val: float | None
     seconds: float
 
 
@@ -142,12 +140,11 @@ def fit(params: ModelParameters, opt: OptimizerState,
     every `eval_every` epochs and drives the patience counter.
     """
     if len(x) == 0:
-        return FitResult(0, 0, [], None, 0.0)
+        return FitResult(0, [], 0.0)
     has_val = x_val is not None and len(x_val) > 0
     history: list[float] = []
     best_val = np.inf
     best_snapshot = None
-    steps = 0
     epochs_run = 0
     t0 = time.perf_counter()
     for epoch in range(cfg.max_epochs_per_slice):
@@ -158,7 +155,6 @@ def fit(params: ModelParameters, opt: OptimizerState,
             if not np.isfinite(loss):
                 raise NumericFault(f"non-finite loss at epoch {epoch}")
             adam_step(params, grads, opt)
-            steps += 1
         epochs_run = epoch + 1
         if has_val and (epoch + 1) % cfg.eval_every == 0:
             vloss = mean_loss(params, x_val, y_val)
@@ -178,8 +174,7 @@ def fit(params: ModelParameters, opt: OptimizerState,
             opt.v[k][...] = best_opt.v[k]
         opt.step = best_opt.step
     seconds = time.perf_counter() - t0
-    return FitResult(epochs_run, steps, history,
-                     None if not history else float(min(history)), seconds)
+    return FitResult(epochs_run, history, seconds)
 
 
 @dataclass

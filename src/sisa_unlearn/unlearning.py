@@ -16,12 +16,12 @@ import numpy as np
 
 from .checkpoint import Checkpoint
 from .data import LabeledDataset
-from .ensemble import EnsembleModel, predict_labels
+from .ensemble import predict_labels
 from .errors import IntegrityError, UnknownClassError
-from .evaluation import EvaluationReport, confusion_matrix, evaluate
+from .evaluation import EvaluationReport, confusion_matrix, report_from_confusion
 from .nn import drop_output_classes
 from .partition import BALANCED, SEQUENTIAL_CLASS, purge_class
-from .pipeline import BaselineModel, DataBundle, SisaSystem
+from .pipeline import BaselineModel, DataBundle, SisaSystem, assemble
 from .training import TrainConfig, train_model, train_shard
 
 BASELINE_FULL = "baseline_full"
@@ -108,14 +108,14 @@ def verify_exact(model, test_ds: LabeledDataset, class_id: int):
 
 def _outcome(strategy: str, data: DataBundle, model, class_id: int,
              shard_id, first_slice, slices_retrained, seconds) -> UnlearnOutcome:
+    # one inference pass: the report is read off the verification matrix
     verdict, matrix = verify_exact(model, data.test, class_id)
-    report = evaluate(model, data.test)
     return UnlearnOutcome(
         strategy=strategy, class_id=class_id,
         class_name=data.class_names[class_id],
         shard_id=shard_id, first_slice=first_slice,
         slices_retrained=slices_retrained, seconds=seconds,
-        verdict=verdict, confusion=matrix, report=report,
+        verdict=verdict, confusion=matrix, report=report_from_confusion(matrix),
     )
 
 
@@ -136,10 +136,9 @@ def unlearn_baseline(model: BaselineModel, data: DataBundle, class_id: int,
     if len(survivors) < 2:
         warnings.warn("unlearning leaves a degenerate single-class model",
                       stacklevel=2)
-    params, opt, res = train_model(data.train, data.val, survivors, cfg)
+    params, _opt, res = train_model(data.train, data.val, survivors, cfg)
     new_model = BaselineModel(params=params, train_seconds=res.seconds,
-                              removed_classes=model.removed_classes + (class_id,),
-                              opt_state=opt)
+                              removed_classes=model.removed_classes + (class_id,))
     outcome = _outcome(BASELINE_FULL, data, params, class_id,
                        shard_id=None, first_slice=None,
                        slices_retrained=0, seconds=res.seconds)
@@ -188,7 +187,7 @@ def _unlearn_shard(strategy: str, system: SisaSystem, data: DataBundle,
                                  shard_id=shard_id, slice_index=base.slice_index,
                                  epoch=base.epoch, rng=base.rng)
         result = train_shard(purged, shard_id, data.train, data.val, cfg,
-                             arch=system.arch, store=system.store,
+                             arch=old.final.params.arch, store=system.store,
                              start_slice=first, initial=initial, head=new_head)
         shard_results[shard_id] = replace(
             result, checkpoints=old.checkpoints[:first] + result.checkpoints)
@@ -197,15 +196,8 @@ def _unlearn_shard(strategy: str, system: SisaSystem, data: DataBundle,
         shard_results.pop(shard_id, None)
         first_slice, retrained, seconds = None, 0, 0.0
 
-    old_ensemble = system.ensemble
-    kept = [(sid, shard_results[sid].final.params if sid == shard_id else params)
-            for sid, params in zip(old_ensemble.shard_ids, old_ensemble.constituents)
-            if sid != shard_id or new_head]
-    ensemble = EnsembleModel(
-        constituents=[params for _, params in kept], shard_ids=[sid for sid, _ in kept],
-        num_classes=old_ensemble.num_classes, mode=old_ensemble.mode,
-        gating=old_ensemble.gating,
-    )
+    ensemble = assemble(shard_results, system.ensemble.num_classes,
+                        system.ensemble.gating)
     new_system = replace(system, plan=purged, ensemble=ensemble,
                          shard_results=shard_results,
                          removed_classes=system.removed_classes + (class_id,))

@@ -5,8 +5,10 @@ import pytest
 
 from sisa_unlearn import cli
 from sisa_unlearn.bench import BenchConfig, GridReport, _bundle
+from sisa_unlearn.checkpoint import load_checkpoint
 from sisa_unlearn.cli import RunConfig, build_bundle, main
 from sisa_unlearn.data import SplitSpec
+from sisa_unlearn.unlearning import STRATEGIES
 
 
 def base_config(out_dir, **overrides):
@@ -113,6 +115,19 @@ class TestTrain:
         assert run(["train", "--config", cfg]) == 0
         assert (tmp_path / "run" / "baseline.ckpt").exists()
 
+    def test_baseline_checkpoint_holds_parameters_only(self, tmp_path):
+        # the baseline retrains from a fresh init, so Adam moments are never read
+        cfg = write_config(tmp_path, strategy="baseline_full")
+        path = tmp_path / "run" / "baseline.ckpt"
+        assert run(["train", "--config", cfg]) == 0
+        ckpt = load_checkpoint(path)
+        assert ckpt.opt_state.m == {} and ckpt.opt_state.v == {}
+        assert ckpt.params.output_classes == (0, 1, 2, 3)
+        assert run(["unlearn", tmp_path / "run", "--class", "class_2"]) == 0
+        ckpt = load_checkpoint(path)
+        assert ckpt.opt_state.m == {} and ckpt.opt_state.v == {}
+        assert ckpt.params.output_classes == (0, 1, 3)
+
     def test_strategy_flag_sets_required_policy(self, tmp_path):
         cfg = write_config(tmp_path)      # sisa_scls_replay, sequential_class
         assert run(["train", "--config", cfg, "--strategy", "sisa_balanced"]) == 0
@@ -191,6 +206,30 @@ class TestUnlearn:
         assert "'class_1'" in err["message"] and "last class" in err["message"]
         for name, raw in before.items():
             assert (run_dir / name).read_bytes() == raw
+
+
+class TestEval:
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_reproduces_report_of_train(self, tmp_path, strategy):
+        # eval rebuilds the deployed model (and any router) from disk alone
+        cfg = write_config(tmp_path)
+        assert run(["train", "--config", cfg, "--strategy", strategy]) == 0
+        run_dir = tmp_path / "run"
+        assert run(["eval", run_dir]) == 0
+        before = json.loads((run_dir / "reports" / "before.json").read_text())
+        after = json.loads((run_dir / "reports" / "eval.json").read_text())
+        for key in ("accuracy", "precision", "recall", "confusion_matrix"):
+            assert after[key] == before[key]
+
+    def test_manifest_with_mode_key_loads(self, tmp_path):
+        # manifests written before the aggregation rule was fixed carry "mode"
+        cfg = write_config(tmp_path)
+        run(["train", "--config", cfg])
+        path = tmp_path / "run" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        path.write_text(json.dumps({**manifest, "mode": "max_confidence"}))
+        assert run(["eval", tmp_path / "run"]) == 0
+        assert run(["unlearn", tmp_path / "run", "--class", "class_1"]) == 0
 
 
 class TestCifarPipeline:

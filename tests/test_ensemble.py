@@ -54,9 +54,8 @@ class TestAggregation:
     def test_single_constituent_both_modes(self):
         ens = EnsembleModel(constituents=[fixed_model((0, 1, 2), [0.2, 0.5, 0.3])],
                             shard_ids=[0], num_classes=3)
-        for mode in (su.MAX_CONFIDENCE, su.SUM):
-            labels, _ = aggregate_predict_batch(ens, np.zeros((1, 2), np.float32), mode)
-            assert labels[0] == 1
+        labels, _ = aggregate_predict_batch(ens, np.zeros((1, 2), np.float32))
+        assert labels[0] == 1
 
     def test_modes_agree_on_disjoint_heads(self):
         # oracle: independent dense implementations of both rules, 1000 draws
@@ -70,17 +69,14 @@ class TestAggregation:
                 rows.append(p / p.sum())
             want_max = max_rule(rows, heads, 9)
             want_sum = sum_rule(rows, heads, 9)
-            scores_max = combine_scores([r[None] for r in rows], heads, 9,
-                                        su.MAX_CONFIDENCE)
-            scores_sum = combine_scores([r[None] for r in rows], heads, 9, su.SUM)
-            assert scores_max.argmax() == want_max
-            assert scores_sum.argmax() == want_sum
+            scores = combine_scores([r[None] for r in rows], heads, 9)
+            assert scores.argmax() == want_max == want_sum
             agreements += want_max == want_sum
         assert agreements == 1000   # disjoint heads make the rules coincide
 
     def test_tie_breaks_to_lowest_class(self):
         rows = [np.array([[0.5, 0.5]]), np.array([[0.5, 0.5]])]
-        scores = combine_scores(rows, [(2, 3), (0, 1)], 4, su.MAX_CONFIDENCE)
+        scores = combine_scores(rows, [(2, 3), (0, 1)], 4)
         assert scores.argmax() == 0
 
     def test_scaling_a_loser_never_changes_winner(self):
@@ -89,12 +85,10 @@ class TestAggregation:
         for _ in range(200):
             rows = [rng.random(2), rng.random(2)]
             rows = [r / r.sum() for r in rows]
-            base = combine_scores([r[None] for r in rows], heads, 4,
-                                  su.MAX_CONFIDENCE).argmax()
+            base = combine_scores([r[None] for r in rows], heads, 4).argmax()
             loser = 0 if base in heads[1] else 1
             rows[loser] = rows[loser] * 0.5
-            scaled = combine_scores([r[None] for r in rows], heads, 4,
-                                    su.MAX_CONFIDENCE).argmax()
+            scaled = combine_scores([r[None] for r in rows], heads, 4).argmax()
             assert scaled == base
 
     def test_empty_ensemble_rejected(self):

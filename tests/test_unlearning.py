@@ -267,6 +267,24 @@ class TestLastClass:
         assert 1 in system.plan.metadata
 
 
+class TestOutcomeReport:
+    @pytest.mark.parametrize("strategy", su.STRATEGIES)
+    def test_report_matches_evaluate(self, request, bundle, cfg, strategy):
+        target = {"baseline_full": lambda: su.train_baseline(bundle, cfg),
+                  "sisa_balanced": lambda: request.getfixturevalue("balanced_system"),
+                  "sisa_scls_replay": lambda: request.getfixturevalue("scls_system"),
+                  "sisa_gated": lambda: request.getfixturevalue("gated")[1]}[strategy]()
+        new, outcome = su.run_unlearning(strategy, target, bundle, 3, cfg)
+        model = new.params if strategy == "baseline_full" else new.ensemble
+        want = su.evaluate(model, bundle.test)
+        got = outcome.report
+        assert got.accuracy == want.accuracy
+        assert got.precision.tobytes() == want.precision.tobytes()
+        assert got.recall.tobytes() == want.recall.tobytes()
+        assert got.confusion.tobytes() == want.confusion.tobytes()
+        assert got.confusion is outcome.confusion
+
+
 class TestDispatcher:
     def test_roundtrip_each_strategy(self, bundle, cfg, scls_system,
                                      balanced_system):
