@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import struct
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,12 +33,82 @@ VERSION = 1
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
+_PRIME_LOW = np.uint8(_FNV_PRIME & 0xFF)
+_LANE = 64              # bytes per lane of the affine sum
+_BLOCK = 1 << 16        # bytes hashed per pass, a multiple of _LANE
 
 
-def fnv1a64(data: bytes) -> int:
+def _powers(base: int, n: int) -> np.ndarray:
+    """base**j mod 2**64 for j = 0..n."""
+    out = np.empty(n + 1, dtype=np.uint64)
+    power = 1
+    for j in range(n + 1):
+        out[j] = power
+        power = power * base & _MASK64
+    return out
+
+
+_POW = _powers(_FNV_PRIME, _LANE)                          # P**j
+_POW_LANE = _powers(int(_POW[_LANE]), _BLOCK // _LANE)     # P**(_LANE * j)
+_WORD_SHIFTS = [np.uint64(1 << i) for i in range(6)]
+
+
+def _prefix_xor(bits: np.ndarray) -> np.ndarray:
+    """Inclusive prefix XOR of an array of 0/1 bytes, 64 bits per word."""
+    n = len(bits)
+    packed = np.zeros(-(-n // 64) * 8, dtype=np.uint8)
+    packed[:(n + 7) // 8] = np.packbits(bits, bitorder="little")
+    words = packed.view("<u8")
+    for shift in _WORD_SHIFTS:
+        words ^= words << shift
+    # each word's top bit is now its parity; XOR in the parity of all before it
+    top = words >> np.uint64(63)
+    words ^= np.uint64(0) - (np.bitwise_xor.accumulate(top) ^ top)
+    return np.unpackbits(packed, count=n, bitorder="little")
+
+
+def _low_bytes(s0: int, data: np.ndarray) -> np.ndarray:
+    """Low byte of the FNV state before each byte of `data`, starting at s0.
+
+    The low byte evolves on its own: s' = ((s ^ b) * prime) & 0xFF. The prime
+    is odd, so bit k of a product x * prime is x_k XOR a function of x's bits
+    below k; with those bits known, bit k of every state is a prefix XOR.
+    """
+    s = np.zeros(len(data) + 1, dtype=np.uint8)
+    s[0] = s0
+    for k in range(8):
+        below = (s[:-1] ^ data) & np.uint8((1 << k) - 1)
+        step = ((below * _PRIME_LOW) ^ data) >> k & 1
+        s[1:] |= (_prefix_xor(step) ^ (s0 >> k & 1)) << k
+    return s[:-1]
+
+
+def fnv1a64(data: bytes | bytearray | memoryview) -> int:
+    """FNV-1a 64 of a bytes-like object, exact, vectorized with numpy.
+
+    h ^ b only changes h's low byte s, so h ^ b == h + d with
+    d = (s ^ b) - s. Once every s is known the hash is affine:
+    h_n = h_0 * P**n + sum(d_i * P**(n - i)) mod 2**64, which uint64
+    products and sums compute as they wrap. The sum runs over lanes of
+    _LANE bytes, P**(n - i) split into a power within the lane and one per
+    lane, so the power tables stay small.
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
     h = _FNV_OFFSET
-    for byte in data:
-        h = ((h ^ byte) * _FNV_PRIME) & _MASK64
+    for start in range(0, len(buf), _BLOCK):
+        block = buf[start:start + _BLOCK]
+        s = _low_bytes(h & 0xFF, block)
+        # d in lanes of _LANE; leading zeros fill the first lane and add nothing
+        lanes = -(-len(block) // _LANE)
+        d = np.zeros((lanes, _LANE), dtype=np.uint64)
+        tail = d.reshape(-1)[lanes * _LANE - len(block):]
+        tail += s ^ block
+        tail -= s                   # a negative d wraps to d mod 2**64
+        d *= _POW[_LANE:0:-1]
+        sums = d.sum(axis=1, dtype=np.uint64)
+        sums *= _POW_LANE[lanes - 1::-1]
+        h = (h * pow(_FNV_PRIME, len(block), 1 << 64)
+             + int(sums.sum(dtype=np.uint64))) & _MASK64
     return h
 
 
@@ -53,7 +124,7 @@ class Checkpoint:
     rng: RngState
 
 
-def _serialize_tensors(named: list[tuple[str, np.ndarray]]) -> bytes:
+def _serialize_tensors(named: list[tuple[str, np.ndarray]]) -> bytearray:
     buf = bytearray(MAGIC)
     buf += struct.pack("<II", VERSION, len(named))
     for name, arr in named:
@@ -64,7 +135,7 @@ def _serialize_tensors(named: list[tuple[str, np.ndarray]]) -> bytes:
         buf += struct.pack("<B", arr.ndim)
         buf += struct.pack(f"<{arr.ndim}I", *arr.shape)
         buf += np.ascontiguousarray(arr, dtype="<f4").tobytes()
-    return bytes(buf)
+    return buf
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> int:
@@ -72,9 +143,10 @@ def save_checkpoint(ckpt: Checkpoint, path) -> int:
     named = list(ckpt.params.tensors.items())
     named += [(f"m.{k}", t) for k, t in ckpt.opt_state.m.items()]
     named += [(f"v.{k}", t) for k, t in ckpt.opt_state.v.items()]
-    body = _serialize_tensors(named)
-    digest = fnv1a64(body)
-    write_atomic(path, body + struct.pack("<Q", digest))
+    buf = _serialize_tensors(named)
+    digest = fnv1a64(buf)
+    buf += struct.pack("<Q", digest)
+    write_atomic(path, buf)
 
     cfg = ckpt.opt_state.config
     manifest = {
@@ -105,7 +177,7 @@ def save_params(params: ModelParameters, path, adam: AdamConfig,
                                       rng=rng), path)
 
 
-def _parse_tensors(body: bytes) -> dict[str, np.ndarray]:
+def _parse_tensors(body: memoryview) -> dict[str, np.ndarray]:
     try:
         count = struct.unpack_from("<I", body, 8)[0]
         offset = 12
@@ -113,7 +185,7 @@ def _parse_tensors(body: bytes) -> dict[str, np.ndarray]:
         for _ in range(count):
             (name_len,) = struct.unpack_from("<H", body, offset)
             offset += 2
-            name = body[offset:offset + name_len].decode("utf-8")
+            name = str(body[offset:offset + name_len], "utf-8")
             offset += name_len
             (rank,) = struct.unpack_from("<B", body, offset)
             offset += 1
@@ -143,8 +215,8 @@ def load_checkpoint(path) -> Checkpoint:
     (version,) = struct.unpack_from("<I", raw, 4)
     if version != VERSION:
         raise UnsupportedVersionError(f"{path}: checkpoint version {version} unsupported")
-    body, footer = raw[:-8], raw[-8:]
-    (stored,) = struct.unpack("<Q", footer)
+    body = memoryview(raw)[:-8]
+    (stored,) = struct.unpack_from("<Q", raw, len(body))
     if fnv1a64(body) != stored:
         raise IntegrityError(f"{path}: digest mismatch, file corrupted or truncated")
     tensors = _parse_tensors(body)
@@ -176,13 +248,37 @@ def load_checkpoint(path) -> Checkpoint:
     )
 
 
+class LazyChain(Sequence):
+    """A shard's checkpoint chain in a run directory. Each entry is loaded,
+    digest checked, on first access and then kept; slicing and `+` build new
+    chains without loading anything."""
+
+    def __init__(self, entries) -> None:
+        self._entries = list(entries)   # a path until loaded, then its Checkpoint
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return LazyChain(self._entries[index])
+        entry = self._entries[index]
+        if not isinstance(entry, Checkpoint):
+            entry = self._entries[index] = load_checkpoint(entry)
+        return entry
+
+    def __add__(self, checkpoints: list[Checkpoint]) -> "LazyChain":
+        return LazyChain(self._entries + checkpoints)
+
+
 def stored_digest(path) -> int:
     """Digest from a checkpoint's footer, verified against its body."""
     raw = Path(path).read_bytes()
     if len(raw) < 8:
         raise IntegrityError(f"{path}: file too short")
-    (stored,) = struct.unpack("<Q", raw[-8:])
-    if fnv1a64(raw[:-8]) != stored:
+    body = memoryview(raw)[:-8]
+    (stored,) = struct.unpack_from("<Q", raw, len(body))
+    if fnv1a64(body) != stored:
         raise IntegrityError(f"{path}: digest mismatch")
     return stored
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .bench import BenchConfig, format_grid_table, run_benchmark_grid
-from .checkpoint import CheckpointStore, load_checkpoint, save_params
+from .checkpoint import CheckpointStore, LazyChain, load_checkpoint, save_params
 from .data import SplitSpec
 from .errors import SisaError, UnknownClassError
 from .evaluation import evaluate
@@ -223,7 +223,8 @@ def _load_run(run_dir: Path):
     shard_results: dict[int, ShardTrainResult] = {}
     for entry in manifest["constituents"]:
         k = entry["shard_id"]
-        ckpts = [load_checkpoint(run_dir / rel) for rel in entry["checkpoints"]]
+        # loaded as read: eval reads the finals, unlearn also the rollback point
+        ckpts = LazyChain(run_dir / rel for rel in entry["checkpoints"])
         shard_results[k] = ShardTrainResult(
             shard_id=k, head=tuple(entry["output_classes"]), checkpoints=ckpts,
             replays=[], seconds_per_slice=[], slices_trained=len(ckpts))

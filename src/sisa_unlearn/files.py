@@ -5,7 +5,7 @@ import json
 from pathlib import Path
 
 
-def write_atomic(path, data: bytes | str) -> None:
+def write_atomic(path, data: bytes | bytearray | str) -> None:
     """Write `data` to a sibling temp file, then rename it over `path`, so a
     reader sees the old file or the new one, never a partial write."""
     path = Path(path)

@@ -11,6 +11,7 @@ epoch) coordinates rather than consumed sequentially.
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,7 +182,8 @@ def fit(params: ModelParameters, opt: OptimizerState,
 class ShardTrainResult:
     shard_id: int
     head: tuple[int, ...]
-    checkpoints: list[Checkpoint]        # one per trained slice, in order
+    # one per trained slice, in order; a LazyChain when read from a run directory
+    checkpoints: Sequence[Checkpoint]
     replays: list[ReplayBuffer]
     seconds_per_slice: list[float]
     slices_trained: int

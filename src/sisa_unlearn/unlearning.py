@@ -189,6 +189,7 @@ def _unlearn_shard(strategy: str, system: SisaSystem, data: DataBundle,
         result = train_shard(purged, shard_id, data.train, data.val, cfg,
                              arch=old.final.params.arch, store=system.store,
                              start_slice=first, initial=initial, head=new_head)
+        # for a run read from disk, the kept prefix stays unread (LazyChain)
         shard_results[shard_id] = replace(
             result, checkpoints=old.checkpoints[:first] + result.checkpoints)
         first_slice, retrained, seconds = first + 1, result.slices_trained, result.seconds

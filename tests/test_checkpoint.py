@@ -1,11 +1,14 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import sisa_unlearn.checkpoint as checkpoint
 import sisa_unlearn.nn as nn
-from sisa_unlearn.checkpoint import (Checkpoint, fnv1a64, load_checkpoint,
-                                     save_checkpoint, stored_digest)
+from sisa_unlearn.checkpoint import (_BLOCK, _LANE, Checkpoint, LazyChain, fnv1a64,
+                                     load_checkpoint, save_checkpoint, stored_digest)
 from sisa_unlearn.errors import FormatError, IntegrityError, UnsupportedVersionError
 from sisa_unlearn.rng import RngState
 
@@ -20,11 +23,59 @@ def make_checkpoint(arch=None, n_out=10, seed=0):
                       slice_index=2, epoch=5, rng=RngState(seed, 4))
 
 
+def fnv1a64_loop(data) -> int:
+    """FNV-1a 64 one byte at a time, as defined: the oracle for the kernel."""
+    h = 0xCBF29CE484222325
+    for byte in data:
+        h = ((h ^ byte) * 0x100000001B3) & ((1 << 64) - 1)
+    return h
+
+
+def assert_matches_loop(data):
+    # a uint64 overflow warning from numpy would mean an unintended wrap
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = fnv1a64(data)
+    assert type(got) is int
+    assert got == fnv1a64_loop(bytes(data))
+
+
+BOUNDARY_LENGTHS = sorted({n for chunk in (_LANE, _BLOCK)
+                           for n in (0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5)})
+
+
 class TestFnv:
     def test_known_vectors(self):
         assert fnv1a64(b"") == 0xCBF29CE484222325
         assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
         assert fnv1a64(b"foobar") == 0x85944171F73967E8
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary())
+    def test_matches_loop(self, data):
+        assert_matches_loop(data)
+
+    @pytest.mark.parametrize("n", BOUNDARY_LENGTHS)
+    def test_chunk_boundaries(self, n):
+        assert_matches_loop(np.random.default_rng(n).bytes(n))
+
+    @pytest.mark.parametrize("fill", [0x00, 0xFF])
+    @pytest.mark.parametrize("n", [1, _LANE, _BLOCK + 1, 3 * _BLOCK + 5])
+    def test_constant_buffers(self, fill, n):
+        assert_matches_loop(bytes([fill]) * n)
+
+    @pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
+    def test_bytes_like_inputs(self, wrap):
+        raw = np.random.default_rng(1).bytes(_BLOCK + 77)
+        assert_matches_loop(wrap(raw))
+        assert_matches_loop(memoryview(raw)[5:-8])
+
+    def test_footer_is_digest_of_body(self, tmp_path):
+        path = tmp_path / "a.ckpt"
+        digest = save_checkpoint(make_checkpoint(), path)
+        raw = path.read_bytes()
+        assert raw[-8:] == struct.pack("<Q", fnv1a64_loop(raw[:-8]))
+        assert digest == fnv1a64_loop(raw[:-8])
 
 
 class TestRoundtrip:
@@ -114,3 +165,51 @@ class TestPayloadSize:
                           shard_id=0, slice_index=0, epoch=0, rng=RngState(0))
         with pytest.raises(ValueError, match="float32"):
             save_checkpoint(ckpt, tmp_path / "bad.ckpt")
+
+
+class TestLazyChain:
+    @pytest.fixture()
+    def saved(self, tmp_path, monkeypatch):
+        paths = []
+        for i in range(3):
+            paths.append(tmp_path / f"slice_{i}.ckpt")
+            save_checkpoint(make_checkpoint(seed=i), paths[-1])
+        loads = []
+        original = checkpoint.load_checkpoint
+
+        def counting(path):
+            loads.append(path)
+            return original(path)
+
+        monkeypatch.setattr(checkpoint, "load_checkpoint", counting)
+        return paths, loads
+
+    def test_loads_each_entry_once_on_access(self, saved):
+        paths, loads = saved
+        chain = LazyChain(paths)
+        assert len(chain) == 3 and loads == []
+        final = chain[-1]
+        assert chain[2] is final
+        assert loads == [paths[2]]
+        want = load_checkpoint(paths[2]).params.tensors["dense0.w"]
+        assert final.params.tensors["dense0.w"].tobytes() == want.tobytes()
+
+    def test_slice_and_concat_load_nothing(self, saved):
+        paths, loads = saved
+        extra = make_checkpoint(seed=9)
+        chain = LazyChain(paths)[:2] + [extra]
+        assert isinstance(chain, LazyChain) and len(chain) == 3
+        assert loads == []
+        assert chain[2] is extra
+        assert chain[1].rng == make_checkpoint(seed=1).rng
+        assert loads == [paths[1]]
+
+    def test_corrupt_entry_fails_when_read(self, saved):
+        paths, _ = saved
+        raw = bytearray(paths[0].read_bytes())
+        raw[len(raw) // 2] ^= 0xFF
+        paths[0].write_bytes(bytes(raw))
+        chain = LazyChain(paths)
+        chain[-1]
+        with pytest.raises(IntegrityError, match="digest mismatch"):
+            chain[0]

@@ -1,14 +1,16 @@
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sisa_unlearn import cli
+from sisa_unlearn import checkpoint, cli
 from sisa_unlearn.bench import BenchConfig, GridReport, _bundle
 from sisa_unlearn.checkpoint import load_checkpoint
 from sisa_unlearn.cli import RunConfig, build_bundle, main
 from sisa_unlearn.data import SplitSpec
-from sisa_unlearn.unlearning import STRATEGIES
+from sisa_unlearn.unlearning import STRATEGIES, strategy_rule
 
 
 def base_config(out_dir, **overrides):
@@ -230,6 +232,98 @@ class TestEval:
         path.write_text(json.dumps({**manifest, "mode": "max_confidence"}))
         assert run(["eval", tmp_path / "run"]) == 0
         assert run(["unlearn", tmp_path / "run", "--class", "class_1"]) == 0
+
+
+@pytest.fixture()
+def loads(monkeypatch):
+    """Paths passed to load_checkpoint, from every package module that
+    holds a reference to it."""
+    seen = []
+    original = checkpoint.load_checkpoint
+
+    def counting(path):
+        seen.append(Path(path))
+        return original(path)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sisa_unlearn") and \
+                getattr(module, "load_checkpoint", None) is original:
+            monkeypatch.setattr(module, "load_checkpoint", counting)
+    return seen
+
+
+def train_run(tmp_path, strategy):
+    assert run(["train", "--config", write_config(tmp_path),
+                "--strategy", strategy]) == 0
+    run_dir = tmp_path / "run"
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    meta = json.loads((run_dir / "plan.json").read_text())["metadata"]
+    return run_dir, manifest, meta
+
+
+def finals(manifest) -> set[str]:
+    return {e["checkpoints"][-1] for e in manifest["constituents"]}
+
+
+def rollback_point(meta, class_id: int) -> str:
+    loc = meta[str(class_id)]
+    return f"shards/{loc['shard_id']}/slice_{loc['first_slice'] - 1}.ckpt"
+
+
+class TestCheckpointLoads:
+    """The CLI reads a checkpoint only when the command uses it."""
+
+    @pytest.mark.parametrize("strategy", ["sisa_scls_replay", "sisa_gated"])
+    def test_eval_loads_finals_and_router(self, tmp_path, loads, strategy):
+        run_dir, manifest, _ = train_run(tmp_path, strategy)
+        loads.clear()
+        assert run(["eval", run_dir]) == 0
+        expected = finals(manifest) | ({"gating.ckpt"} if manifest["gating"] else set())
+        got = [p.relative_to(run_dir).as_posix() for p in loads]
+        assert sorted(got) == sorted(expected)
+
+    @pytest.mark.parametrize("class_id", [0, 2])
+    @pytest.mark.parametrize("strategy", ["sisa_balanced", "sisa_scls_replay",
+                                          "sisa_gated"])
+    def test_unlearn_loads_finals_and_rollback_point(self, tmp_path, loads,
+                                                     strategy, class_id):
+        run_dir, manifest, meta = train_run(tmp_path, strategy)
+        loads.clear()
+        assert run(["unlearn", run_dir, "--class", f"class_{class_id}"]) == 0
+        expected = finals(manifest)
+        if strategy_rule(strategy).rollback and meta[str(class_id)]["first_slice"] > 0:
+            expected.add(rollback_point(meta, class_id))
+        if manifest["gating"]:
+            expected.add("gating.ckpt")
+        got = [p.relative_to(run_dir).as_posix() for p in loads]
+        assert sorted(got) == sorted(expected)
+        shard_loads = [g for g in got if g.startswith("shards/")]
+        assert len(shard_loads) <= len(manifest["constituents"]) + 1
+
+    def test_corrupt_rollback_point_fails_only_unlearn(self, tmp_path, capsys):
+        run_dir, _, meta = train_run(tmp_path, "sisa_scls_replay")
+        class_id = next(int(c) for c, loc in meta.items() if loc["first_slice"] > 0)
+        assert run(["eval", run_dir]) == 0
+        report = (run_dir / "reports" / "eval.json").read_bytes()
+        target = run_dir / rollback_point(meta, class_id)
+        raw = bytearray(target.read_bytes())
+        raw[len(raw) // 2] ^= 0xFF
+        target.write_bytes(bytes(raw))
+
+        assert run(["eval", run_dir]) == 0
+        assert (run_dir / "reports" / "eval.json").read_bytes() == report
+
+        before = {name: (run_dir / name).read_bytes()
+                  for name in ("manifest.json", "plan.json")}
+        capsys.readouterr()
+        assert run(["unlearn", run_dir, "--class", f"class_{class_id}"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["type"] == "IntegrityError"
+        assert rollback_point(meta, class_id).split("/")[-1] in err["message"]
+        for name, raw_before in before.items():
+            assert (run_dir / name).read_bytes() == raw_before
 
 
 class TestCifarPipeline:
