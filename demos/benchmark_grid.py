@@ -4,18 +4,19 @@ study, on the synthetic benchmark. Writes cell files under bench_out/ and
 prints the aligned table.
 """
 from sisa_unlearn.bench import BenchConfig, format_grid_table, run_benchmark_grid
+from sisa_unlearn.pipeline import synthetic_bundle
 from sisa_unlearn.training import TrainConfig
 
 
 def main():
     cfg = BenchConfig(
         seeds=(0,),
-        n_per_class=300,
-        separation=3.0,
         train=TrainConfig(max_epochs_per_slice=6, patience=None,
-                          batch_size=64),
+                          batch_size=64, replay_ratio=0.3),
     )
-    report = run_benchmark_grid(cfg, out_dir="bench_out")
+    report = run_benchmark_grid(
+        cfg, lambda seed: synthetic_bundle(n_per_class=300, separation=3.0, seed=seed),
+        out_dir="bench_out")
     print(format_grid_table(report))
     print("cell files written to bench_out/")
 

@@ -1,8 +1,7 @@
 """Class-level machine unlearning over sharded, sliced, checkpointed ensembles."""
 
 from .data import (CIFAR10_CLASSES, LabeledDataset, SplitSpec,
-                   generate_synthetic, load_cifar10, load_dataset,
-                   save_dataset, split)
+                   generate_synthetic, load_cifar10, split)
 from .ensemble import EnsembleModel, train_gating
 from .evaluation import EvaluationReport, evaluate
 from .nn import (Architecture, ModelParameters, adam_init, adam_step,

@@ -6,18 +6,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .data import SplitSpec
 from .evaluation import evaluate
 from .files import write_atomic, write_json
 from .partition import SEQUENTIAL_CLASS, make_plan
-from .pipeline import (DataBundle, cifar_bundle, synthetic_bundle, train_baseline,
-                       train_sisa)
+from .pipeline import DataBundle, train_baseline, train_sisa
 from .training import TrainConfig
 from .unlearning import (BASELINE_FULL, SISA_SCLS_REPLAY, STRATEGIES,
-                         STRATEGY_RULES, run_unlearning)
+                         STRATEGY_RULES, run_unlearning, train_config_for)
 
 # (K, L) of the replay-ratio study
 REPLAY_SETUP = (2, 5)
@@ -28,16 +27,10 @@ class BenchConfig:
     setups: tuple[tuple[int, int], ...] = ((2, 3), (2, 5), (3, 3), (3, 5))
     strategies: tuple[str, ...] = STRATEGIES
     replay_ratios: tuple[float, ...] = (0.2, 0.3, 0.4)
-    scls_replay_ratio: float = 0.3
     seeds: tuple[int, ...] = (0,)
-    # synthetic dataset knobs (ignored when cifar_dir is given)
-    n_per_class: int = 200
-    num_classes: int = 10
-    shape: tuple[int, ...] = (16,)
-    separation: float = 3.0
-    cifar_dir: str | None = None
+    # replay strategies train with train.replay_ratio; the others without replay
     train: TrainConfig = field(default_factory=lambda: TrainConfig(
-        max_epochs_per_slice=8, patience=None, batch_size=64))
+        max_epochs_per_slice=8, patience=None, batch_size=64, replay_ratio=0.3))
 
 
 @dataclass
@@ -87,21 +80,13 @@ class GridReport:
         return rows
 
 
-def _bundle(cfg: BenchConfig, seed: int) -> DataBundle:
-    if cfg.cifar_dir:
-        return cifar_bundle(cfg.cifar_dir, SplitSpec(0.7, 0.1, 0.2, seed=seed))
-    return synthetic_bundle(cfg.n_per_class, cfg.num_classes, cfg.shape,
-                            cfg.separation, seed=seed)
-
-
 def _run_strategy_cell(cfg: BenchConfig, data: DataBundle, setup: tuple[int, int],
                        strategy: str, seed: int) -> GridCell:
     K, L = setup
     cell = GridCell(setup=f"{K}-{L}", model=STRATEGIES.index(strategy) + 1,
                     strategy=strategy, seed=seed)
     rule = STRATEGY_RULES[strategy]
-    tcfg = replace(cfg.train, seed=seed,
-                   replay_ratio=cfg.scls_replay_ratio if rule.replay else 0.0)
+    tcfg = train_config_for(strategy, replace(cfg.train, seed=seed))
     classes = sorted(set(int(c) for c in data.train.labels))
 
     if strategy == BASELINE_FULL:
@@ -148,17 +133,19 @@ def _write_cell(out_dir: Path | None, name: str, payload: dict) -> None:
         write_json(out_dir / name, payload)
 
 
-def run_benchmark_grid(cfg: BenchConfig, out_dir=None) -> GridReport:
+def run_benchmark_grid(cfg: BenchConfig, bundle_for: Callable[[int], DataBundle],
+                       out_dir=None) -> GridReport:
     """Train, unlearn every class, and tabulate each (setup, model) cell.
 
-    The baseline ignores the shard/slice setup, so its result per seed is
-    computed once and replicated across setups.
+    Seed row `s` trains and tests on `bundle_for(s)`. The baseline ignores
+    the shard/slice setup, so its result per seed is computed once and
+    replicated across setups.
     """
     out_dir = Path(out_dir) if out_dir is not None else None
     cells: list[GridCell] = []
     replay_cells: list[ReplayCell] = []
     for seed in cfg.seeds:
-        data = _bundle(cfg, seed)
+        data = bundle_for(seed)
         baseline_proto: GridCell | None = None
         for setup in cfg.setups:
             for strategy in cfg.strategies:

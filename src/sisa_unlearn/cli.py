@@ -1,8 +1,11 @@
 """Command-line entry point: plan -> train -> unlearn -> eval -> bench.
 
-Configuration is one JSON document; command-line flags override config
-keys (flag > config > default). Run directories are self-contained:
-config copy, plan, per-slice checkpoints, manifest, and reports.
+Configuration is one JSON document, read only by `RunConfig.from_file`,
+which applies the `--seed`, `--out` and `--strategy` flags; every key
+resolves as flag > config > default. Run directories are self-contained:
+config copy, plan, per-slice checkpoints, manifest, and reports, and
+`_write_run` is the one writer of the manifest, which lists every
+checkpoint path a command reads.
 """
 from __future__ import annotations
 
@@ -24,21 +27,35 @@ from .pipeline import (BaselineModel, DataBundle, SisaSystem, assemble, cifar_bu
                        synthetic_bundle, train_baseline, train_sisa)
 from .rng import RngState
 from .training import ShardTrainResult, TrainConfig
-from .unlearning import BASELINE_FULL, STRATEGIES, run_unlearning, strategy_rule
+from .unlearning import (BASELINE_FULL, STRATEGIES, run_unlearning, strategy_rule,
+                         train_config_for)
+
+
+def _int_or_null(value):
+    if value is None or type(value) is int:
+        return value
+    raise ValueError(value)
+
+
+def _int_list(value) -> tuple[int, ...]:
+    if type(value) is list and all(type(v) is int for v in value):
+        return tuple(value)
+    raise ValueError(value)
+
 
 _DATASET_KEYS = {
     "synthetic": {"kind", "n_per_class", "num_classes", "shape", "separation", "seed"},
     "cifar10": {"kind", "dir"},
 }
 _SPLIT_KEYS = {"train", "val", "test", "seed"}
-# train-section keys and how each value is read (patience may be null)
-_TRAIN_KEYS = {"max_epochs_per_slice": int, "patience": lambda v: v,
+# train-section keys and how each value is read
+_TRAIN_KEYS = {"max_epochs_per_slice": int, "patience": _int_or_null,
                "eval_every": int, "batch_size": int, "learning_rate": float}
 # TrainConfig fields the train section leaves out, for train/unlearn/eval
 _RUN_TRAIN_DEFAULTS = TrainConfig(max_epochs_per_slice=15)
 _TOP_KEYS = {"dataset", "split", "K", "L", "policy", "strategy", "replay_ratio",
              "train", "seed", "out", "bench"}
-_BENCH_KEYS = {"setups", "replay_ratios", "scls_replay_ratio", "seeds"}
+_BENCH_KEYS = {"setups", "replay_ratios"}
 
 
 def _reject_unknown(doc: dict, allowed, path: str) -> None:
@@ -47,9 +64,21 @@ def _reject_unknown(doc: dict, allowed, path: str) -> None:
         raise ValueError(f"unknown config key(s) at {path}: {sorted(unknown)}")
 
 
+def _read(doc: dict, key: str, parse, default, where: str = ""):
+    """`parse(doc[key])`, or `default` when the key is absent. A value that
+    `parse` refuses is a ValueError naming the key."""
+    if key not in doc:
+        return default
+    try:
+        return parse(doc[key])
+    except (TypeError, ValueError):
+        raise ValueError(f"bad value for config key {where}{key}: "
+                         f"{doc[key]!r}") from None
+
+
 def _train_config(train_doc: dict, defaults: TrainConfig, **fields) -> TrainConfig:
     """`defaults` overlaid with a config's train section, then with `fields`."""
-    parsed = {k: _TRAIN_KEYS[k](v) for k, v in train_doc.items()}
+    parsed = {k: _read(train_doc, k, _TRAIN_KEYS[k], None, "train.") for k in train_doc}
     return replace(defaults, **parsed, **fields)
 
 
@@ -68,7 +97,9 @@ class RunConfig:
     bench: dict = field(default_factory=dict)
 
     @classmethod
-    def from_file(cls, path, *, seed_override=None, out_override=None) -> "RunConfig":
+    def from_file(cls, path, *, seed=None, out=None, strategy=None) -> "RunConfig":
+        """The config at `path`, with each flag that is not None applied
+        over its key. A `strategy` flag also sets the policy it requires."""
         doc = json.loads(Path(path).read_text())
         _reject_unknown(doc, _TOP_KEYS, "top level")
         dataset = doc.get("dataset", {"kind": "synthetic"})
@@ -82,29 +113,37 @@ class RunConfig:
         _reject_unknown(train_doc, _TRAIN_KEYS, "train")
         bench_doc = doc.get("bench", {})
         _reject_unknown(bench_doc, _BENCH_KEYS, "bench")
-        seed = int(doc.get("seed", 0)) if seed_override is None else int(seed_override)
-        spec = SplitSpec(split_doc.get("train", 0.7), split_doc.get("val", 0.1),
-                         split_doc.get("test", 0.2), seed=split_doc.get("seed", seed))
-        strategy = doc.get("strategy", "sisa_scls_replay")
-        required = strategy_rule(strategy).policy
+        if seed is None:
+            seed = _read(doc, "seed", int, cls.seed)
+        spec = SplitSpec(_read(split_doc, "train", float, 0.7, "split."),
+                         _read(split_doc, "val", float, 0.1, "split."),
+                         _read(split_doc, "test", float, 0.2, "split."),
+                         seed=_read(split_doc, "seed", int, seed, "split."))
+        doc_strategy = doc.get("strategy", cls.strategy)
+        required = strategy_rule(doc_strategy).policy
         policy = doc.get("policy", required or SEQUENTIAL_CLASS)
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}")
         if required is not None and policy != required:
-            raise ValueError(f"strategy {strategy} requires policy {required!r}")
+            raise ValueError(f"strategy {doc_strategy} requires policy {required!r}")
+        if strategy is None:
+            strategy = doc_strategy
+        else:
+            policy = strategy_rule(strategy).policy or policy
         return cls(
             dataset={**dataset, "kind": kind}, split=spec,
-            K=int(doc.get("K", 2)), L=int(doc.get("L", 3)), policy=policy,
-            strategy=strategy, replay_ratio=float(doc.get("replay_ratio", 0.3)),
+            K=_read(doc, "K", int, cls.K), L=_read(doc, "L", int, cls.L),
+            policy=policy, strategy=strategy,
+            replay_ratio=_read(doc, "replay_ratio", float, cls.replay_ratio),
             train=train_doc, seed=seed,
-            out=str(out_override or doc.get("out", "run")),
+            out=str(out or doc.get("out", cls.out)),
             bench=bench_doc,
         )
 
     def train_config(self) -> TrainConfig:
-        ratio = self.replay_ratio if strategy_rule(self.strategy).replay else 0.0
-        return _train_config(self.train, _RUN_TRAIN_DEFAULTS,
-                             replay_ratio=ratio, seed=self.seed)
+        return train_config_for(self.strategy, _train_config(
+            self.train, _RUN_TRAIN_DEFAULTS, replay_ratio=self.replay_ratio,
+            seed=self.seed))
 
     def to_dict(self) -> dict:
         return {
@@ -119,15 +158,18 @@ class RunConfig:
 
 
 def build_bundle(cfg: RunConfig) -> DataBundle:
+    """The data every command that reads `cfg` trains and tests on."""
     ds_cfg = cfg.dataset
     if ds_cfg["kind"] == "cifar10":
+        if "dir" not in ds_cfg:
+            raise ValueError("config key dataset.dir is required by kind cifar10")
         return cifar_bundle(ds_cfg["dir"], cfg.split)
     return synthetic_bundle(
-        n_per_class=int(ds_cfg.get("n_per_class", 200)),
-        num_classes=int(ds_cfg.get("num_classes", 10)),
-        shape=tuple(ds_cfg.get("shape", [16])),
-        separation=float(ds_cfg.get("separation", 3.0)),
-        seed=int(ds_cfg.get("seed", cfg.seed)),
+        n_per_class=_read(ds_cfg, "n_per_class", int, 200, "dataset."),
+        num_classes=_read(ds_cfg, "num_classes", int, 10, "dataset."),
+        shape=_read(ds_cfg, "shape", _int_list, (16,), "dataset."),
+        separation=_read(ds_cfg, "separation", float, 3.0, "dataset."),
+        seed=_read(ds_cfg, "seed", int, cfg.seed, "dataset."),
         split_spec=cfg.split,
     )
 
@@ -137,19 +179,38 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-def _constituents(system: SisaSystem) -> list[dict]:
-    """The manifest's per-shard head and checkpoint chain."""
-    return [{"shard_id": k, "output_classes": list(r.head),
-             "checkpoints": [f"shards/{k}/slice_{i}.ckpt"
+def _write_run(store: CheckpointStore, manifest: dict, target,
+               tcfg: TrainConfig) -> None:
+    """Write the deployed target, then `manifest.json`, the run directory's
+    one pointer into its files. Every checkpoint path in it is the store's,
+    relative to the run directory.
+
+    A baseline target writes its checkpoint; a SISA system writes its plan,
+    its shard checkpoints having been written as the shards trained.
+    """
+    def rel(path: Path) -> str:
+        return path.relative_to(store.root).as_posix()
+
+    if isinstance(target, BaselineModel):
+        save_params(target.params, store.baseline_path(), tcfg.adam(),
+                    RngState(tcfg.seed))
+        manifest["baseline"] = rel(store.baseline_path())
+    else:
+        target.plan.save(store.root / "plan.json")
+        manifest["constituents"] = [
+            {"shard_id": k, "output_classes": list(r.head),
+             "checkpoints": [rel(store.slice_path(k, i))
                              for i in range(len(r.checkpoints))]}
-            for k, r in sorted(system.shard_results.items())]
+            for k, r in sorted(target.shard_results.items())]
+        manifest["gating"] = (rel(store.gating_path())
+                              if target.ensemble.gating is not None else None)
+    write_json(store.root / "manifest.json", manifest)   # atomic swap
 
 
 # --- commands ----------------------------------------------------------------
 
 def cmd_plan(args) -> int:
-    cfg = RunConfig.from_file(args.config, seed_override=args.seed,
-                              out_override=args.out)
+    cfg = RunConfig.from_file(args.config, seed=args.seed, out=args.out)
     bundle = build_bundle(cfg)
     plan = make_plan(bundle.train.labels, cfg.K, cfg.L, cfg.policy)
     out = Path(cfg.out)
@@ -161,12 +222,8 @@ def cmd_plan(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = RunConfig.from_file(args.config, seed_override=args.seed,
-                              out_override=args.out)
-    if args.strategy:
-        required = strategy_rule(args.strategy).policy
-        cfg.strategy = args.strategy
-        cfg.policy = required or cfg.policy
+    cfg = RunConfig.from_file(args.config, seed=args.seed, out=args.out,
+                              strategy=args.strategy)
     bundle = build_bundle(cfg)
     tcfg = cfg.train_config()
     out = Path(cfg.out)
@@ -181,27 +238,20 @@ def cmd_train(args) -> int:
         "created_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
     if cfg.strategy == BASELINE_FULL:
-        model = train_baseline(bundle, tcfg)
-        save_params(model.params, store.baseline_path(), tcfg.adam(),
-                    RngState(tcfg.seed))
-        manifest["baseline"] = "baseline.ckpt"
-        manifest["train_seconds"] = model.train_seconds
-        target = model.params
+        target = train_baseline(bundle, tcfg)
+        model = target.params
     else:
         plan = make_plan(bundle.train.labels, cfg.K, cfg.L, cfg.policy)
-        plan.save(out / "plan.json")
-        system = train_sisa(bundle, plan, tcfg, store=store,
+        target = train_sisa(bundle, plan, tcfg, store=store,
                             gated=strategy_rule(cfg.strategy).gated)
         manifest["K"], manifest["L"], manifest["policy"] = cfg.K, cfg.L, cfg.policy
-        manifest["constituents"] = _constituents(system)
-        manifest["gating"] = "gating.ckpt" if system.ensemble.gating is not None else None
-        manifest["train_seconds"] = system.train_seconds
-        target = system.ensemble
-    write_json(out / "manifest.json", manifest)
-    report = evaluate(target, bundle.test,
+        model = target.ensemble
+    manifest["train_seconds"] = target.train_seconds
+    _write_run(store, manifest, target, tcfg)
+    report = evaluate(model, bundle.test,
                       config_tag={"K": cfg.K, "L": cfg.L, "strategy": cfg.strategy,
                                   "replay_ratio": cfg.replay_ratio})
-    report.train_seconds = manifest["train_seconds"]
+    report.train_seconds = target.train_seconds
     write_json(out / "reports" / "before.json", report.to_json_dict())
     _say(args, f"trained {cfg.strategy} -> {out} "
                f"(test accuracy {report.accuracy:.4f})")
@@ -214,11 +264,11 @@ def _load_run(run_dir: Path):
     bundle = build_bundle(cfg)
     store = CheckpointStore(run_dir)
     tcfg = cfg.train_config()
+    removed = tuple(manifest["removed_classes"])
     if manifest["strategy"] == BASELINE_FULL:
-        ckpt = load_checkpoint(store.baseline_path())
-        target = BaselineModel(params=ckpt.params, train_seconds=0.0,
-                               removed_classes=tuple(manifest["removed_classes"]))
-        return cfg, manifest, bundle, tcfg, store, target
+        params = load_checkpoint(run_dir / manifest["baseline"]).params
+        target = BaselineModel(params=params, train_seconds=0.0, removed_classes=removed)
+        return manifest, bundle, tcfg, store, target
     plan = PartitionPlan.load(run_dir / "plan.json")
     shard_results: dict[int, ShardTrainResult] = {}
     for entry in manifest["constituents"]:
@@ -233,13 +283,13 @@ def _load_run(run_dir: Path):
         gating = load_checkpoint(run_dir / manifest["gating"]).params
     ensemble = assemble(shard_results, bundle.num_classes, gating)
     system = SisaSystem(plan=plan, ensemble=ensemble, shard_results=shard_results,
-                        store=store, removed_classes=tuple(manifest["removed_classes"]))
-    return cfg, manifest, bundle, tcfg, store, system
+                        store=store, removed_classes=removed)
+    return manifest, bundle, tcfg, store, system
 
 
 def cmd_unlearn(args) -> int:
     run_dir = Path(args.run_dir)
-    cfg, manifest, bundle, tcfg, store, target = _load_run(run_dir)
+    manifest, bundle, tcfg, store, target = _load_run(run_dir)
     names = manifest["class_names"]
     if args.class_name not in names:
         raise UnknownClassError(
@@ -253,13 +303,7 @@ def cmd_unlearn(args) -> int:
     new_target, outcome = run_unlearning(manifest["strategy"], target, bundle,
                                          class_id, tcfg)
     manifest["removed_classes"] = sorted(manifest["removed_classes"] + [class_id])
-    if manifest["strategy"] == BASELINE_FULL:
-        save_params(new_target.params, store.baseline_path(), tcfg.adam(),
-                    RngState(tcfg.seed))
-    else:
-        manifest["constituents"] = _constituents(new_target)
-        new_target.plan.save(run_dir / "plan.json")
-    write_json(run_dir / "manifest.json", manifest)   # atomic swap
+    _write_run(store, manifest, new_target, tcfg)
     write_json(run_dir / "reports" / f"unlearn_{args.class_name}.json",
                outcome.to_json_dict())
     _say(args, f"unlearned {args.class_name!r}: verdict "
@@ -271,7 +315,7 @@ def cmd_unlearn(args) -> int:
 
 def cmd_eval(args) -> int:
     run_dir = Path(args.run_dir)
-    cfg, manifest, bundle, _tcfg, _store, target = _load_run(run_dir)
+    manifest, bundle, _tcfg, _store, target = _load_run(run_dir)
     model = target.params if isinstance(target, BaselineModel) else target.ensemble
     report = evaluate(model, bundle.test,
                       config_tag={"strategy": manifest["strategy"]})
@@ -283,25 +327,21 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg = RunConfig.from_file(args.config, seed_override=args.seed,
-                              out_override=args.out)
-    seeds = tuple(cfg.seed + i for i in range(max(1, args.seeds)))
-    bench_doc = cfg.bench
+    cfg = RunConfig.from_file(args.config, seed=args.seed, out=args.out)
+    defaults = BenchConfig()
     bcfg = BenchConfig(
-        setups=tuple(tuple(s) for s in bench_doc.get("setups",
-                                                     [(2, 3), (2, 5), (3, 3), (3, 5)])),
-        replay_ratios=tuple(bench_doc.get("replay_ratios", (0.2, 0.3, 0.4))),
-        scls_replay_ratio=float(bench_doc.get("scls_replay_ratio", cfg.replay_ratio)),
-        seeds=seeds,
-        n_per_class=int(cfg.dataset.get("n_per_class", 200)),
-        num_classes=int(cfg.dataset.get("num_classes", 10)),
-        shape=tuple(cfg.dataset.get("shape", [16])),
-        separation=float(cfg.dataset.get("separation", 3.0)),
-        cifar_dir=cfg.dataset.get("dir"),
-        train=_train_config(cfg.train, BenchConfig().train),
+        setups=_read(cfg.bench, "setups", lambda v: tuple(tuple(s) for s in v),
+                     defaults.setups, "bench."),
+        replay_ratios=_read(cfg.bench, "replay_ratios", tuple,
+                            defaults.replay_ratios, "bench."),
+        seeds=tuple(range(cfg.seed, cfg.seed + max(1, args.seeds))),
+        train=_train_config(cfg.train, defaults.train, replay_ratio=cfg.replay_ratio),
     )
     out = Path(cfg.out)
-    report = run_benchmark_grid(bcfg, out_dir=out)
+    # seed row s trains and tests on exactly what `train --seed s` loads
+    report = run_benchmark_grid(
+        bcfg, lambda s: build_bundle(RunConfig.from_file(args.config, seed=s)),
+        out_dir=out)
     _say(args, format_grid_table(report))
     _say(args, f"grid written to {out}")
     return 0

@@ -6,14 +6,12 @@ sample order and bytes.
 """
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CorruptRecordError, FormatError, UnsupportedVersionError
-from .files import write_atomic
+from .errors import CorruptRecordError, FormatError
 from .rng import RngState
 
 CIFAR10_CLASSES = [
@@ -24,9 +22,6 @@ CIFAR10_CLASSES = [
 _CIFAR_RECORD_BYTES = 3073  # 1 label byte + 3 * 32 * 32 pixel bytes
 _CIFAR_TRAIN_BATCHES = [f"data_batch_{i}.bin" for i in range(1, 6)]
 _CIFAR_TEST_BATCH = "test_batch.bin"
-
-_SDST_MAGIC = b"SDST"
-_SDST_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -241,41 +236,3 @@ def normalize(ds: LabeledDataset, stats: Normalization) -> LabeledDataset:
         mean, std = stats.mean, stats.std
     return replace(ds, inputs=((x - mean) / std).astype(np.float32), normalization=stats)
 
-
-def _sdst_record(per_sample: int) -> np.dtype:
-    """One SDST record: a u32 LE label, then the raw float32 LE input."""
-    return np.dtype([("label", "<u4"), ("x", "<f4", (per_sample,))])
-
-
-def save_dataset(ds: LabeledDataset, path) -> None:
-    """Write the SDST binary: magic, version, C, N, rank, dims, then records."""
-    shape = ds.input_shape
-    header = _SDST_MAGIC + struct.pack(
-        "<IIIB", _SDST_VERSION, ds.num_classes, len(ds), len(shape)
-    ) + struct.pack(f"<{len(shape)}I", *shape)
-    records = np.empty(len(ds), dtype=_sdst_record(int(np.prod(shape))))
-    records["label"] = ds.labels
-    records["x"] = ds.inputs.reshape(records["x"].shape)
-    write_atomic(path, header + records.tobytes())
-
-
-def load_dataset(path) -> LabeledDataset:
-    """Read an SDST file written by :func:`save_dataset`."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 17 or raw[:4] != _SDST_MAGIC:
-        raise FormatError(f"{path}: not an SDST dataset file")
-    version, num_classes, n, rank = struct.unpack_from("<IIIB", raw, 4)
-    if version != _SDST_VERSION:
-        raise UnsupportedVersionError(f"{path}: SDST version {version} unsupported")
-    offset = 17
-    dims = struct.unpack_from(f"<{rank}I", raw, offset)
-    offset += 4 * rank
-    record = _sdst_record(int(np.prod(dims)))
-    if len(raw) - offset != n * record.itemsize:
-        raise FormatError(f"{path}: expected {n} records of {record.itemsize} bytes each")
-    records = np.frombuffer(raw, dtype=record, count=n, offset=offset)
-    return LabeledDataset(
-        inputs=records["x"].astype(np.float32).reshape(n, *dims),
-        labels=records["label"].astype(np.int64),
-        class_names=[f"class_{c}" for c in range(num_classes)],
-    )

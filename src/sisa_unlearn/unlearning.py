@@ -61,6 +61,12 @@ def strategy_rule(strategy: str) -> StrategyRule:
     return STRATEGY_RULES[strategy]
 
 
+def train_config_for(strategy: str, cfg: TrainConfig) -> TrainConfig:
+    """`cfg` as `strategy` trains with it: its replay ratio is kept only if
+    the strategy's rule trains with replay."""
+    return cfg if strategy_rule(strategy).replay else replace(cfg, replay_ratio=0.0)
+
+
 @dataclass
 class UnlearnOutcome:
     strategy: str

@@ -5,11 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sisa_unlearn import checkpoint, cli
-from sisa_unlearn.bench import BenchConfig, GridReport, _bundle
+from sisa_unlearn import bench, checkpoint, cli
+from sisa_unlearn.bench import GridReport
 from sisa_unlearn.checkpoint import load_checkpoint
 from sisa_unlearn.cli import RunConfig, build_bundle, main
-from sisa_unlearn.data import SplitSpec
 from sisa_unlearn.unlearning import STRATEGIES, strategy_rule
 
 
@@ -37,6 +36,13 @@ def write_config(tmp_path, **overrides):
 def run(argv, capsys=None):
     code = main([str(a) for a in argv])
     return code
+
+
+def assert_same_bundle(a, b):
+    for part in ("train", "val", "test"):
+        x, y = getattr(a, part), getattr(b, part)
+        assert x.inputs.tobytes() == y.inputs.tobytes()
+        assert x.labels.tobytes() == y.labels.tobytes()
 
 
 def write_cifar_dir(tmp_path, per_class=30):
@@ -148,6 +154,26 @@ class TestTrain:
         assert err["error"]["message"] == \
             f"strategy {strategy} requires policy '{required}'"
 
+    @pytest.mark.parametrize("overrides, key", [
+        ({"train": {"patience": "3"}}, "train.patience"),
+        ({"train": {"patience": 2.5}}, "train.patience"),
+        ({"train": {"batch_size": [32]}}, "train.batch_size"),
+        ({"dataset": {"kind": "synthetic", "shape": 5}}, "dataset.shape"),
+        ({"dataset": {"kind": "synthetic", "shape": [8, "8"]}}, "dataset.shape"),
+        ({"dataset": {"kind": "cifar10"}}, "dataset.dir"),
+        ({"K": None}, "K"),
+    ])
+    def test_malformed_value_is_one_json_line(self, tmp_path, capsys, overrides,
+                                              key):
+        cfg = write_config(tmp_path, **overrides)
+        assert run(["train", "--config", cfg]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["type"] == "ValueError"
+        assert f"config key {key}" in err["message"]
+        assert not (tmp_path / "run").exists()
+
 
 class TestUnlearn:
     @pytest.fixture()
@@ -222,6 +248,19 @@ class TestEval:
         after = json.loads((run_dir / "reports" / "eval.json").read_text())
         for key in ("accuracy", "precision", "recall", "confusion_matrix"):
             assert after[key] == before[key]
+
+    def test_baseline_checkpoint_read_through_manifest(self, tmp_path, loads):
+        cfg = write_config(tmp_path, strategy="baseline_full")
+        assert run(["train", "--config", cfg]) == 0
+        run_dir = tmp_path / "run"
+        for suffix in ("", ".json"):
+            (run_dir / f"baseline.ckpt{suffix}").rename(run_dir / f"moved.ckpt{suffix}")
+        path = run_dir / "manifest.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()),
+                                    "baseline": "moved.ckpt"}))
+        loads.clear()
+        assert run(["eval", run_dir]) == 0
+        assert loads == [run_dir / "moved.ckpt"]
 
     def test_manifest_with_mode_key_loads(self, tmp_path):
         # manifests written before the aggregation rule was fixed carry "mode"
@@ -346,32 +385,104 @@ class TestCifarPipeline:
         assert run(["eval", run_dir]) == 0
 
 
+@pytest.fixture()
+def bench_cells(monkeypatch):
+    """(seed, bundle) of every grid cell that bench trains."""
+    seen = []
+    original = bench._run_strategy_cell
+
+    def spy(cfg, data, setup, strategy, seed):
+        seen.append((seed, data))
+        return original(cfg, data, setup, strategy, seed)
+
+    monkeypatch.setattr(bench, "_run_strategy_cell", spy)
+    return seen
+
+
+def bench_config(tmp_path, dataset_seed=None, split_seed=None):
+    """A small one-setup grid on a 0.5/0.1/0.4 split."""
+    dataset = {"kind": "synthetic", "n_per_class": 24, "num_classes": 4,
+               "shape": [8], "separation": 4.0}
+    split = {"train": 0.5, "val": 0.1, "test": 0.4}
+    if dataset_seed is not None:
+        dataset["seed"] = dataset_seed
+    if split_seed is not None:
+        split["seed"] = split_seed
+    return write_config(
+        tmp_path, dataset=dataset, split=split,
+        train={"max_epochs_per_slice": 1, "patience": None, "batch_size": 32},
+        bench={"setups": [[2, 3]], "replay_ratios": []},
+        out=str(tmp_path / "bench"))
+
+
 class TestBench:
-    def test_cifar_bundle_matches_cli(self, tmp_path):
+    def test_cifar_bundle_matches_cli(self, tmp_path, monkeypatch):
+        # bench's CIFAR row is what the CLI loads: normalized by train-split stats
         data_dir = write_cifar_dir(tmp_path, per_class=6)
-        spec = SplitSpec(0.7, 0.1, 0.2, seed=3)
-        from_cli = build_bundle(RunConfig(
-            dataset={"kind": "cifar10", "dir": str(data_dir)}, split=spec))
-        from_bench = _bundle(BenchConfig(cifar_dir=str(data_dir)), seed=3)
-        for part in ("train", "val", "test"):
-            a, b = getattr(from_cli, part), getattr(from_bench, part)
-            assert a.inputs.tobytes() == b.inputs.tobytes()
-            assert a.labels.tobytes() == b.labels.tobytes()
-        mean = from_bench.train.inputs.mean(axis=(0, 2, 3))
+        cfg = write_config(tmp_path, dataset={"kind": "cifar10", "dir": str(data_dir)})
+        rows = {}
+
+        def fake_grid(bcfg, bundle_for, out_dir=None):
+            rows.update((s, bundle_for(s)) for s in bcfg.seeds)
+            return GridReport(cells=[], replay_cells=[])
+
+        monkeypatch.setattr(cli, "run_benchmark_grid", fake_grid)
+        assert run(["--quiet", "bench", "--config", cfg, "--seed", "3"]) == 0
+        assert_same_bundle(rows[3], build_bundle(RunConfig.from_file(cfg, seed=3)))
+        mean = rows[3].train.inputs.mean(axis=(0, 2, 3))
         assert np.allclose(mean, 0.0, atol=1e-4)
+
+    def test_cells_load_the_config_data(self, tmp_path, bench_cells):
+        cfg = bench_config(tmp_path, dataset_seed=99, split_seed=42)
+        assert run(["--quiet", "bench", "--config", cfg]) == 0
+        expected = build_bundle(RunConfig.from_file(cfg))
+        assert len(expected.train) == 48 and len(expected.test) == 40
+        assert len(bench_cells) == 4
+        for _seed, data in bench_cells:
+            assert_same_bundle(data, expected)
+
+    def test_seed_rows_load_what_train_loads(self, tmp_path, bench_cells,
+                                             monkeypatch):
+        cfg = bench_config(tmp_path)
+        assert run(["--quiet", "bench", "--config", cfg, "--seeds", "2"]) == 0
+        assert sorted({seed for seed, _ in bench_cells}) == [5, 6]
+        loaded = []
+        original = cli.build_bundle
+        monkeypatch.setattr(cli, "build_bundle",
+                            lambda c: loaded.append(original(c)) or loaded[-1])
+        for s in (5, 6):
+            loaded.clear()
+            assert run(["--quiet", "train", "--config", cfg, "--seed", s,
+                        "--out", tmp_path / f"run_{s}"]) == 0
+            rows = [data for seed, data in bench_cells if seed == s]
+            assert len(rows) == 4
+            for data in rows:
+                assert_same_bundle(data, loaded[0])
+        row_5 = next(data for seed, data in bench_cells if seed == 5)
+        row_6 = next(data for seed, data in bench_cells if seed == 6)
+        assert row_5.train.inputs.tobytes() != row_6.train.inputs.tobytes()
+
+    @pytest.mark.parametrize("key, value", [("seeds", 3), ("scls_replay_ratio", 0.3)])
+    def test_removed_bench_keys_rejected(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, bench={key: value})
+        assert run(["bench", "--config", cfg]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ValueError"
+        assert err["message"] == f"unknown config key(s) at bench: ['{key}']"
 
     def test_train_section_reaches_bench(self, tmp_path, monkeypatch):
         seen = []
 
-        def fake_grid(bcfg, out_dir=None):
+        def fake_grid(bcfg, bundle_for, out_dir=None):
             seen.append(bcfg)
             return GridReport(cells=[], replay_cells=[])
 
         monkeypatch.setattr(cli, "run_benchmark_grid", fake_grid)
-        cfg = write_config(tmp_path, train={"eval_every": 3})
+        cfg = write_config(tmp_path, train={"eval_every": 3}, replay_ratio=0.25)
         assert run(["--quiet", "bench", "--config", cfg]) == 0
         train = seen[0].train
         assert train.eval_every == 3
+        assert train.replay_ratio == 0.25
         # keys the config leaves out keep the bench's own defaults
         assert (train.max_epochs_per_slice, train.patience, train.batch_size,
                 train.learning_rate) == (8, None, 64, 1e-3)

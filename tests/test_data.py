@@ -1,12 +1,10 @@
-import struct
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import sisa_unlearn as su
-from sisa_unlearn.data import channel_stats, load_dataset, normalize, save_dataset
-from sisa_unlearn.errors import CorruptRecordError, FormatError, UnsupportedVersionError
+from sisa_unlearn.data import channel_stats, normalize
+from sisa_unlearn.errors import CorruptRecordError, FormatError
 
 RECORD = 3073
 
@@ -169,51 +167,6 @@ class TestSplit:
                                class_names=["a", "b"])
         with pytest.raises(ValueError, match="at least 3"):
             su.split(ds, su.SplitSpec(0.7, 0.1, 0.2))
-
-
-class TestSerialization:
-    def test_roundtrip(self, tmp_path):
-        ds = su.generate_synthetic(20, 3, shape=(2, 4), separation=2.0, seed=8)
-        path = tmp_path / "ds.sdst"
-        save_dataset(ds, path)
-        back = load_dataset(path)
-        assert back.inputs.tobytes() == ds.inputs.tobytes()
-        assert np.array_equal(back.labels, ds.labels)
-        assert back.input_shape == (2, 4)
-
-    def test_bytes_match_documented_layout(self, tmp_path):
-        inputs = np.array([[1.5, -2.0, 0.25], [3.0, 0.0, -1.0]], np.float32)
-        ds = su.LabeledDataset(inputs=inputs, labels=np.array([2, 0]),
-                               class_names=["a", "b", "c"])
-        path = tmp_path / "ds.sdst"
-        save_dataset(ds, path)
-        want = b"SDST" + struct.pack("<IIIB", 1, 3, 2, 1) + struct.pack("<I", 3)
-        for label, row in zip((2, 0), inputs):
-            want += struct.pack("<I", label) + struct.pack("<3f", *row)
-        assert path.read_bytes() == want
-
-    def test_empty_roundtrip(self, tmp_path):
-        ds = su.generate_synthetic(4, 2, shape=(2, 3), seed=0).subset([])
-        path = tmp_path / "empty.sdst"
-        save_dataset(ds, path)
-        back = load_dataset(path)
-        assert back.inputs.shape == (0, 2, 3) and len(back.labels) == 0
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.sdst"
-        path.write_bytes(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(FormatError):
-            load_dataset(path)
-
-    def test_bad_version(self, tmp_path):
-        ds = su.generate_synthetic(5, 2, shape=(3,), seed=0)
-        path = tmp_path / "ds.sdst"
-        save_dataset(ds, path)
-        raw = bytearray(path.read_bytes())
-        raw[4] = 9
-        path.write_bytes(bytes(raw))
-        with pytest.raises(UnsupportedVersionError):
-            load_dataset(path)
 
 
 class TestNormalization:

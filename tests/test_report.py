@@ -52,20 +52,24 @@ class TestEvaluate:
 
 def tiny_bench(**overrides) -> BenchConfig:
     base = dict(
-        seeds=(0,), n_per_class=30, num_classes=4, shape=(8,),
-        separation=4.0,
+        seeds=(0,),
         train=su.TrainConfig(max_epochs_per_slice=2, patience=None,
-                             batch_size=32),
+                             batch_size=32, replay_ratio=0.3),
         setups=((2, 3), (2, 5), (3, 3), (3, 5)),
     )
     base.update(overrides)
     return BenchConfig(**base)
 
 
+def tiny_data(seed: int) -> su.DataBundle:
+    return su.synthetic_bundle(n_per_class=30, num_classes=4, shape=(8,),
+                               separation=4.0, seed=seed)
+
+
 @pytest.fixture(scope="module")
 def grid_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("grid")
-    report = run_benchmark_grid(tiny_bench(), out_dir=out)
+    report = run_benchmark_grid(tiny_bench(), tiny_data, out_dir=out)
     return out, report
 
 
@@ -110,7 +114,7 @@ class TestBenchmarkGrid:
 
         monkeypatch.setattr(bench, "_run_strategy_cell", sabotage)
         report = run_benchmark_grid(tiny_bench(setups=((2, 3), (2, 5)),
-                                               replay_ratios=(0.3,)))
+                                               replay_ratios=(0.3,)), tiny_data)
         failed = [c for c in report.cells if c.error]
         assert len(failed) == 1
         assert "injected fault" in failed[0].error
@@ -120,7 +124,7 @@ class TestBenchmarkGrid:
         report = run_benchmark_grid(tiny_bench(
             seeds=(0, 1), setups=((2, 3),),
             strategies=("baseline_full", "sisa_scls_replay"),
-            replay_ratios=()))
+            replay_ratios=()), tiny_data)
         assert len(report.cells) == 4          # 2 strategies x 2 seeds
         means = report.mean_rows()
         assert len(means) == 2
