@@ -3,9 +3,9 @@
 #
 # usage: scripts/compare_digests.sh REV
 #
-# Runs the gated_serve and cnn_cli benchmark workloads once (seed 1, no
-# timing window, no tracing) on REV, unpacked with `git archive` into a
-# temporary directory, and on the working tree. Then it compares every
+# Runs the gated_serve, cnn_cli and mlp_rollback benchmark workloads once
+# (seed 1, no timing window, no tracing) on REV, unpacked with `git archive`
+# into a temporary directory, and on the working tree. Then it compares every
 # `digest` line (trained parameters and unlearning outcomes) and the
 # accuracy_before/accuracy_after lines. Exits nonzero on any difference.
 set -euo pipefail
@@ -19,7 +19,7 @@ mkdir "$tmp/base"
 git -C "$root" archive "$rev" | tar -x -C "$tmp/base"
 
 status=0
-for workload in gated_serve cnn_cli; do
+for workload in gated_serve cnn_cli mlp_rollback; do
   for tree in base work; do
     dir=$root
     [ "$tree" = base ] && dir=$tmp/base

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import FormatError, IntegrityError, UnsupportedVersionError
 from .files import write_atomic, write_json
-from .nn import AdamConfig, Architecture, ModelParameters, OptimizerState
+from .nn import AdamConfig, Architecture, FlatTensors, ModelParameters, OptimizerState
 from .rng import RngState
 
 MAGIC = b"SISA"
@@ -171,13 +171,15 @@ def save_params(params: ModelParameters, path, adam: AdamConfig,
     """Save a model that is never trained further, with no Adam moments:
     the gating router and the full-retraining baseline, which retrains
     from a fresh initialization."""
-    no_moments = OptimizerState(config=adam, step=0, m={}, v={})
+    empty = FlatTensors.stack({}, np.float32)
+    no_moments = OptimizerState(config=adam, step=0, m=empty, v=empty)
     return save_checkpoint(Checkpoint(params=params, opt_state=no_moments,
                                       shard_id=-1, slice_index=-1, epoch=0,
                                       rng=rng), path)
 
 
 def _parse_tensors(body: memoryview) -> dict[str, np.ndarray]:
+    """Each tensor as a read-only view of `body`."""
     try:
         count = struct.unpack_from("<I", body, 8)[0]
         offset = 12
@@ -196,7 +198,7 @@ def _parse_tensors(body: memoryview) -> dict[str, np.ndarray]:
             if end > len(body):
                 raise IntegrityError("checkpoint truncated inside tensor payload")
             tensors[name] = np.frombuffer(body, dtype="<f4", count=size,
-                                          offset=offset).reshape(dims).copy()
+                                          offset=offset).reshape(dims)
             offset = end
         if offset != len(body):
             raise IntegrityError("checkpoint has trailing bytes after tensors")
@@ -232,13 +234,14 @@ def load_checkpoint(path) -> Checkpoint:
     params = ModelParameters(
         arch=Architecture.from_dict(manifest["arch"]),
         output_classes=tuple(manifest["output_classes"]),
-        tensors=params_t,
+        tensors=FlatTensors.stack(params_t, np.float32),
     )
     adam = manifest["adam"]
     opt = OptimizerState(
         config=AdamConfig(lr=adam["lr"], beta1=adam["beta1"],
                           beta2=adam["beta2"], eps=adam["eps"]),
-        step=adam["step"], m=m, v=v,
+        step=adam["step"], m=FlatTensors.stack(m, np.float32),
+        v=FlatTensors.stack(v, np.float32),
     )
     return Checkpoint(
         params=params, opt_state=opt,

@@ -37,6 +37,18 @@ def _int_or_null(value):
     raise ValueError(value)
 
 
+def _object(value) -> dict:
+    if type(value) is dict:
+        return value
+    raise ValueError(value)
+
+
+def _string(value) -> str:
+    if type(value) is str:
+        return value
+    raise ValueError(value)
+
+
 def _int_list(value) -> tuple[int, ...]:
     if type(value) is list and all(type(v) is int for v in value):
         return tuple(value)
@@ -102,16 +114,16 @@ class RunConfig:
         over its key. A `strategy` flag also sets the policy it requires."""
         doc = json.loads(Path(path).read_text())
         _reject_unknown(doc, _TOP_KEYS, "top level")
-        dataset = doc.get("dataset", {"kind": "synthetic"})
-        kind = dataset.get("kind", "synthetic")
+        dataset = _read(doc, "dataset", _object, {"kind": "synthetic"})
+        kind = _read(dataset, "kind", _string, "synthetic", "dataset.")
         if kind not in _DATASET_KEYS:
             raise ValueError(f"unknown dataset kind {kind!r}")
         _reject_unknown(dataset, _DATASET_KEYS[kind], "dataset")
-        split_doc = doc.get("split", {})
+        split_doc = _read(doc, "split", _object, {})
         _reject_unknown(split_doc, _SPLIT_KEYS, "split")
-        train_doc = doc.get("train", {})
+        train_doc = _read(doc, "train", _object, {})
         _reject_unknown(train_doc, _TRAIN_KEYS, "train")
-        bench_doc = doc.get("bench", {})
+        bench_doc = _read(doc, "bench", _object, {})
         _reject_unknown(bench_doc, _BENCH_KEYS, "bench")
         if seed is None:
             seed = _read(doc, "seed", int, cls.seed)
@@ -119,7 +131,7 @@ class RunConfig:
                          _read(split_doc, "val", float, 0.1, "split."),
                          _read(split_doc, "test", float, 0.2, "split."),
                          seed=_read(split_doc, "seed", int, seed, "split."))
-        doc_strategy = doc.get("strategy", cls.strategy)
+        doc_strategy = _read(doc, "strategy", _string, cls.strategy)
         required = strategy_rule(doc_strategy).policy
         policy = doc.get("policy", required or SEQUENTIAL_CLASS)
         if policy not in POLICIES:
@@ -136,7 +148,7 @@ class RunConfig:
             policy=policy, strategy=strategy,
             replay_ratio=_read(doc, "replay_ratio", float, cls.replay_ratio),
             train=train_doc, seed=seed,
-            out=str(out or doc.get("out", cls.out)),
+            out=str(out or _read(doc, "out", _string, cls.out)),
             bench=bench_doc,
         )
 

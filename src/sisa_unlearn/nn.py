@@ -5,10 +5,16 @@ vectors), softmax cross-entropy with hand-written backprop, Adam, and
 seeded He initialization. Everything is plain numpy so that training is
 bitwise deterministic given (seed, data, hyperparameters); a float64 mode
 exists for gradient verification.
+
+A model's parameters, its Adam moments and each gradient are one flat
+vector apiece, seen as named tensors through `FlatTensors`, so an optimizer
+step or a snapshot is a handful of whole-vector operations.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,6 +76,22 @@ class Architecture:
             shapes[f"dense{i}.b"] = (dims[i + 1],)
         return shapes
 
+    @cached_property
+    def layers(self) -> tuple[tuple[str, tuple[str, str] | None], ...]:
+        """The forward pass in order: (kind, (weight, bias) tensor names or None)."""
+        layers: list[tuple[str, tuple[str, str] | None]] = []
+        for i in range(len(self.conv_channels)):
+            layers += [("conv", (f"conv{i}.w", f"conv{i}.b")), ("relu", None),
+                       ("pool", None)]
+        if self.kind == CNN:
+            layers.append(("flatten", None))
+        n_dense = len(self.hidden) + 1
+        for i in range(n_dense):
+            layers.append(("dense", (f"dense{i}.w", f"dense{i}.b")))
+            if i < n_dense - 1:
+                layers.append(("relu", None))
+        return tuple(layers)
+
     def to_dict(self) -> dict:
         return {"kind": self.kind, "input_shape": list(self.input_shape),
                 "conv_channels": list(self.conv_channels), "hidden": list(self.hidden)}
@@ -91,28 +113,64 @@ def cnn_architecture(input_shape: tuple[int, int, int] = (3, 32, 32),
                         conv_channels=conv_channels, hidden=hidden)
 
 
+class FlatTensors(dict):
+    """Named tensors that are views of consecutive runs of one flat vector.
+
+    `layout` is the (name, shape) of each tensor in vector order. Update a
+    tensor in place (``t[...] = x``): rebinding a name would detach it from
+    the vector, so item assignment is refused.
+    """
+
+    def __init__(self, flat: np.ndarray,
+                 layout: tuple[tuple[str, tuple[int, ...]], ...]):
+        start = 0
+        for name, shape in layout:
+            stop = start + math.prod(shape)
+            dict.__setitem__(self, name, flat[start:stop].reshape(shape))
+            start = stop
+        if start != flat.size:
+            raise ValueError(f"layout holds {start} values, vector has {flat.size}")
+        self.flat = flat
+        self.layout = layout
+
+    @classmethod
+    def stack(cls, tensors: dict[str, np.ndarray], dtype) -> "FlatTensors":
+        """Copies of `tensors`, in their order, in one new vector."""
+        layout = tuple((name, t.shape) for name, t in tensors.items())
+        out = cls(np.empty(sum(t.size for t in tensors.values()), dtype), layout)
+        for name, t in tensors.items():
+            np.copyto(out[name], t)
+        return out
+
+    def __setitem__(self, name, value):
+        raise TypeError(f"assign tensor {name!r} in place: tensors[name][...] = value")
+
+    def copy(self) -> "FlatTensors":
+        return FlatTensors(self.flat.copy(), self.layout)
+
+
 @dataclass
 class ModelParameters:
-    """Named parameter tensors for one model plus its global class map."""
+    """Named parameter tensors, views of one flat vector, plus the model's
+    global class map."""
 
     arch: Architecture
     output_classes: tuple[int, ...]     # global class id per output unit
-    tensors: dict[str, np.ndarray]
+    tensors: FlatTensors
 
     @property
     def dtype(self):
-        return next(iter(self.tensors.values())).dtype
+        return self.tensors.flat.dtype
 
     @property
     def n_out(self) -> int:
         return len(self.output_classes)
 
     def param_count(self) -> int:
-        return int(sum(t.size for t in self.tensors.values()))
+        return self.tensors.flat.size
 
     def copy(self) -> "ModelParameters":
-        return ModelParameters(self.arch, tuple(self.output_classes),
-                               {k: v.copy() for k, v in self.tensors.items()})
+        return ModelParameters(self.arch, tuple(self.output_classes), self.tensors.copy())
 
 
 @dataclass(frozen=True)
@@ -125,17 +183,16 @@ class AdamConfig:
 
 @dataclass
 class OptimizerState:
-    """Adam moments mirroring the parameter tensors, plus the step counter."""
+    """Adam moments laid out like the parameter vector, plus the step
+    counter. A model that is never trained further has empty moments."""
 
     config: AdamConfig
     step: int
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: FlatTensors
+    v: FlatTensors
 
     def copy(self) -> "OptimizerState":
-        return OptimizerState(self.config, self.step,
-                              {k: x.copy() for k, x in self.m.items()},
-                              {k: x.copy() for k, x in self.v.items()})
+        return OptimizerState(self.config, self.step, self.m.copy(), self.v.copy())
 
 
 def init_params(arch: Architecture, output_classes, rng: RngState,
@@ -145,61 +202,73 @@ def init_params(arch: Architecture, output_classes, rng: RngState,
     if not output_classes:
         raise ValueError("output_classes must be nonempty")
     g = rng.generator()
-    tensors: dict[str, np.ndarray] = {}
-    for name, shape in arch.tensor_shapes(len(output_classes)).items():
-        if name.endswith(".b"):
-            tensors[name] = np.zeros(shape, dtype=dtype)
-        else:
+    layout = tuple(arch.tensor_shapes(len(output_classes)).items())
+    tensors = FlatTensors(np.zeros(sum(math.prod(s) for _, s in layout), dtype), layout)
+    for name, shape in layout:
+        if not name.endswith(".b"):
             fan_in = int(np.prod(shape[1:])) if name.startswith("conv") else shape[0]
-            w = g.standard_normal(shape, dtype=np.float64) * np.sqrt(2.0 / fan_in)
-            tensors[name] = w.astype(dtype)
+            tensors[name][...] = g.standard_normal(shape, dtype=np.float64) \
+                * np.sqrt(2.0 / fan_in)
     return ModelParameters(arch=arch, output_classes=output_classes, tensors=tensors)
 
 
 def adam_init(params: ModelParameters, config: AdamConfig | None = None) -> OptimizerState:
     config = config or AdamConfig()
-    zeros = lambda: {k: np.zeros_like(t) for k, t in params.tensors.items()}
+    zeros = lambda: FlatTensors(np.zeros_like(params.tensors.flat), params.tensors.layout)
     return OptimizerState(config=config, step=0, m=zeros(), v=zeros())
+
+
+def _gradient_vector(tensors: FlatTensors, grads) -> tuple[np.ndarray, np.ndarray | bool]:
+    """`grads` as one vector laid out like `tensors`, and where it applies:
+    everywhere for a full gradient such as `loss_and_grad` returns, else on
+    the tensors named in `grads` only."""
+    if isinstance(grads, FlatTensors) and grads.layout == tensors.layout:
+        return grads.flat, True
+    g = FlatTensors(np.zeros_like(tensors.flat), tensors.layout)
+    covered = FlatTensors(np.zeros(g.flat.shape, dtype=bool), tensors.layout)
+    for name, grad in grads.items():
+        g[name][...] = grad
+        covered[name][...] = True
+    return g.flat, covered.flat
 
 
 def adam_step(params: ModelParameters, grads: dict[str, np.ndarray],
               state: OptimizerState) -> tuple[ModelParameters, OptimizerState]:
-    """Standard Adam update with bias correction, applied in place."""
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise NumericFault(f"non-finite gradient in tensor {name!r}")
+    """Standard Adam update with bias correction, applied in place to the
+    whole parameter and moment vectors. A tensor with no entry in `grads`
+    is left untouched, and so are its moments."""
+    g, where = _gradient_vector(params.tensors, grads)
+    if not np.isfinite(g).all():
+        bad = next(name for name, t in grads.items() if not np.isfinite(t).all())
+        raise NumericFault(f"non-finite gradient in tensor {bad!r}")
     cfg = state.config
     state.step += 1
     t = state.step
     c1 = 1.0 - cfg.beta1 ** t
     c2 = 1.0 - cfg.beta2 ** t
-    for name, g in grads.items():
-        m = state.m[name]
-        v = state.v[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * np.square(g)
-        update = (cfg.lr * (m / c1)) / (np.sqrt(v / c2) + cfg.eps)
-        params.tensors[name] -= update.astype(params.tensors[name].dtype, copy=False)
+    p, m, v = params.tensors.flat, state.m.flat, state.v.flat
+    tmp = np.empty_like(g)
+    update = np.empty_like(g)
+    # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g**2
+    np.multiply(m, cfg.beta1, out=m, where=where)
+    np.multiply(g, 1.0 - cfg.beta1, out=tmp, where=where)
+    np.add(m, tmp, out=m, where=where)
+    np.multiply(v, cfg.beta2, out=v, where=where)
+    np.square(g, out=tmp, where=where)
+    np.multiply(tmp, 1.0 - cfg.beta2, out=tmp, where=where)
+    np.add(v, tmp, out=v, where=where)
+    # p -= (lr * (m / c1)) / (sqrt(v / c2) + eps)
+    np.divide(m, c1, out=update, where=where)
+    np.multiply(update, cfg.lr, out=update, where=where)
+    np.divide(v, c2, out=tmp, where=where)
+    np.sqrt(tmp, out=tmp, where=where)
+    np.add(tmp, cfg.eps, out=tmp, where=where)
+    np.divide(update, tmp, out=update, where=where)
+    np.subtract(p, update, out=p, where=where)
     return params, state
 
 
 # --- forward / backward -----------------------------------------------------
-
-def _layer_sequence(arch: Architecture) -> list[tuple[str, str | None]]:
-    layers: list[tuple[str, str | None]] = []
-    for i in range(len(arch.conv_channels)):
-        layers += [("conv", f"conv{i}"), ("relu", None), ("pool", None)]
-    if arch.kind == CNN:
-        layers.append(("flatten", None))
-    n_dense = len(arch.hidden) + 1
-    for i in range(n_dense):
-        layers.append(("dense", f"dense{i}"))
-        if i < n_dense - 1:
-            layers.append(("relu", None))
-    return layers
-
 
 def _conv_forward(x, w, b):
     n, c, h, wd = x.shape
@@ -215,13 +284,20 @@ def _conv_forward(x, w, b):
     return out.reshape(n, o, h, wd), (x.shape, cols)
 
 
-def _conv_backward(dy, w, cache):
+def _conv_param_grads(dy, cache, dw, db):
+    """Write the conv weight and bias gradients into dw and db."""
     x_shape, cols = cache
+    n, _, h, wd = x_shape
+    dy2 = dy.reshape(n, dw.shape[0], h * wd)
+    np.copyto(dw, np.tensordot(dy2, cols, axes=([0, 2], [0, 2])).reshape(dw.shape))
+    dy2.sum(axis=(0, 2), out=db)
+
+
+def _conv_input_grad(dy, w, cache):
+    x_shape, _ = cache
     n, c, h, wd = x_shape
     o, _, kh, kw = w.shape
     dy2 = dy.reshape(n, o, h * wd)
-    dw = np.tensordot(dy2, cols, axes=([0, 2], [0, 2])).reshape(w.shape)
-    db = dy2.sum(axis=(0, 2))
     dcols = np.matmul(w.reshape(o, -1).T, dy2)       # (n, c*kh*kw, h*wd)
     dcols = dcols.reshape(n, c, kh, kw, h, wd)
     dxp = np.zeros((n, c, h + kh - 1, wd + kw - 1), dtype=dy.dtype)
@@ -229,7 +305,7 @@ def _conv_backward(dy, w, cache):
         for dj in range(kw):
             dxp[:, :, di:di + h, dj:dj + wd] += dcols[:, :, di, dj]
     ph, pw = kh // 2, kw // 2
-    return dxp[:, :, ph:ph + h, pw:pw + wd], dw, db
+    return dxp[:, :, ph:ph + h, pw:pw + wd]
 
 
 def _pool_forward(x):
@@ -258,24 +334,25 @@ def _run_forward(params: ModelParameters, x: np.ndarray, keep_cache: bool):
             f"input {arch.input_shape}"
         )
     a = x.astype(params.dtype, copy=False)
+    tensors = params.tensors
     caches = []
-    for kind, name in _layer_sequence(arch):
+    for kind, names in arch.layers:
         if kind == "conv":
-            a, cache = _conv_forward(a, params.tensors[f"{name}.w"], params.tensors[f"{name}.b"])
-            caches.append((kind, name, cache))
+            a, cache = _conv_forward(a, tensors[names[0]], tensors[names[1]])
+            caches.append((kind, names, cache))
         elif kind == "pool":
             a, cache = _pool_forward(a)
-            caches.append((kind, name, cache))
+            caches.append((kind, names, cache))
         elif kind == "relu":
             mask = a > 0
             a = a * mask
-            caches.append((kind, name, mask))
+            caches.append((kind, names, mask))
         elif kind == "flatten":
-            caches.append((kind, name, a.shape))
+            caches.append((kind, names, a.shape))
             a = a.reshape(a.shape[0], int(np.prod(a.shape[1:])))  # -1 fails on 0 rows
         else:  # dense
-            caches.append((kind, name, a))
-            a = a @ params.tensors[f"{name}.w"] + params.tensors[f"{name}.b"]
+            caches.append((kind, names, a))
+            a = a @ tensors[names[0]] + tensors[names[1]]
     return a, (caches if keep_cache else None)
 
 
@@ -319,23 +396,29 @@ def _check_labels(params: ModelParameters, y: np.ndarray) -> np.ndarray:
 
 
 def loss_and_grad(params: ModelParameters, x: np.ndarray, y: np.ndarray):
-    """Mean cross-entropy over the batch and gradients for every tensor."""
+    """Mean cross-entropy over the batch and gradients for every tensor, as
+    views of one new vector laid out like the parameters."""
     y = _check_labels(params, y)
     logits, caches = _run_forward(params, x, keep_cache=True)
     logp = _log_softmax(logits)
     n = x.shape[0]
-    loss = float(-logp[np.arange(n), y].mean())
+    rows = np.arange(n)
+    loss = float(-logp[rows, y].sum() / n)     # .mean(), bit for bit
+    # backpropagation stops at the first layer: nothing reads d(loss)/d(input)
+    lowest = "conv0.w" if params.arch.conv_channels else "dense0.w"
 
-    grads: dict[str, np.ndarray] = {}
+    grads = FlatTensors(np.empty_like(params.tensors.flat), params.tensors.layout)
     da = np.exp(logp)
-    da[np.arange(n), y] -= 1.0
+    da[rows, y] -= 1.0
     da /= n
-    for kind, name, cache in reversed(caches):
+    for kind, names, cache in reversed(caches):
         if kind == "dense":
-            w = params.tensors[f"{name}.w"]
-            grads[f"{name}.w"] = cache.T @ da
-            grads[f"{name}.b"] = da.sum(axis=0)
-            da = da @ w.T
+            w_name, b_name = names
+            np.matmul(cache.T, da, out=grads[w_name])
+            da.sum(axis=0, out=grads[b_name])
+            if w_name == lowest:
+                break
+            da = da @ params.tensors[w_name].T
         elif kind == "relu":
             da = da * cache
         elif kind == "flatten":
@@ -343,10 +426,11 @@ def loss_and_grad(params: ModelParameters, x: np.ndarray, y: np.ndarray):
         elif kind == "pool":
             da = _pool_backward(da, cache)
         else:  # conv
-            w = params.tensors[f"{name}.w"]
-            da, dw, db = _conv_backward(da, w, cache)
-            grads[f"{name}.w"] = dw
-            grads[f"{name}.b"] = db
+            w_name, b_name = names
+            _conv_param_grads(da, cache, grads[w_name], grads[b_name])
+            if w_name == lowest:
+                break
+            da = _conv_input_grad(da, params.tensors[w_name], cache)
     return loss, grads
 
 
@@ -390,14 +474,16 @@ def drop_output_classes(params: ModelParameters, state: OptimizerState | None,
     if not keep:
         raise ValueError("cannot drop every output class")
     head = f"dense{len(params.arch.hidden)}"
-    new_params = params.copy()
-    new_params.output_classes = tuple(params.output_classes[i] for i in keep)
-    new_params.tensors[f"{head}.w"] = new_params.tensors[f"{head}.w"][:, keep].copy()
-    new_params.tensors[f"{head}.b"] = new_params.tensors[f"{head}.b"][keep].copy()
+    cut = {f"{head}.w": np.s_[:, keep], f"{head}.b": np.s_[keep]}
+
+    def without(tensors: FlatTensors) -> FlatTensors:
+        return FlatTensors.stack({k: t[cut[k]] if k in cut else t
+                                  for k, t in tensors.items()}, tensors.flat.dtype)
+    new_params = ModelParameters(params.arch,
+                                 tuple(params.output_classes[i] for i in keep),
+                                 without(params.tensors))
     new_state = None
     if state is not None:
-        new_state = state.copy()
-        for moments in (new_state.m, new_state.v):
-            moments[f"{head}.w"] = moments[f"{head}.w"][:, keep].copy()
-            moments[f"{head}.b"] = moments[f"{head}.b"][keep].copy()
+        new_state = OptimizerState(state.config, state.step,
+                                   without(state.m), without(state.v))
     return new_params, new_state

@@ -10,6 +10,7 @@ epoch) coordinates rather than consumed sequentially.
 """
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -145,7 +146,9 @@ def fit(params: ModelParameters, opt: OptimizerState,
     has_val = x_val is not None and len(x_val) > 0
     history: list[float] = []
     best_val = np.inf
-    best_snapshot = None
+    live = (params.tensors.flat, opt.m.flat, opt.v.flat)
+    saved = None    # copies of `live` at the best validation loss so far
+    saved_step = 0
     epochs_run = 0
     t0 = time.perf_counter()
     for epoch in range(cfg.max_epochs_per_slice):
@@ -153,7 +156,7 @@ def fit(params: ModelParameters, opt: OptimizerState,
         for start in range(0, len(x), cfg.batch_size):
             take = perm[start:start + cfg.batch_size]
             loss, grads = loss_and_grad(params, x[take], y[take])
-            if not np.isfinite(loss):
+            if not math.isfinite(loss):
                 raise NumericFault(f"non-finite loss at epoch {epoch}")
             adam_step(params, grads, opt)
         epochs_run = epoch + 1
@@ -163,17 +166,17 @@ def fit(params: ModelParameters, opt: OptimizerState,
             if cfg.patience is not None:
                 if vloss < best_val:
                     best_val = vloss
-                    best_snapshot = (params.copy(), opt.copy())
+                    if saved is None:
+                        saved = [np.empty_like(vec) for vec in live]
+                    for copy, vec in zip(saved, live):
+                        np.copyto(copy, vec)
+                    saved_step = opt.step
                 if early_stop_monitor(history, cfg.patience):
                     break
-    if cfg.patience is not None and best_snapshot is not None:
-        best_params, best_opt = best_snapshot
-        for k in params.tensors:
-            params.tensors[k][...] = best_params.tensors[k]
-        for k in opt.m:
-            opt.m[k][...] = best_opt.m[k]
-            opt.v[k][...] = best_opt.v[k]
-        opt.step = best_opt.step
+    if saved is not None:
+        for vec, copy in zip(live, saved):
+            np.copyto(vec, copy)
+        opt.step = saved_step
     seconds = time.perf_counter() - t0
     return FitResult(epochs_run, history, seconds)
 

@@ -162,6 +162,13 @@ class TestTrain:
         ({"dataset": {"kind": "synthetic", "shape": [8, "8"]}}, "dataset.shape"),
         ({"dataset": {"kind": "cifar10"}}, "dataset.dir"),
         ({"K": None}, "K"),
+        ({"dataset": 5}, "dataset"),
+        ({"split": [0.7, 0.1, 0.2]}, "split"),
+        ({"train": 5}, "train"),
+        ({"bench": "seeds"}, "bench"),
+        ({"strategy": ["sisa_gated"]}, "strategy"),
+        ({"dataset": {"kind": ["cifar10"]}}, "dataset.kind"),
+        ({"out": ["run"]}, "out"),
     ])
     def test_malformed_value_is_one_json_line(self, tmp_path, capsys, overrides,
                                               key):

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 import sisa_unlearn.nn as nn
+from sisa_unlearn.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from sisa_unlearn.errors import InvalidLabelError, NumericFault
 from sisa_unlearn.rng import RngState
+from sisa_unlearn.training import TrainConfig, fit
 
 
 def finite_diff_grads(params, x, y, h=1e-5):
@@ -199,6 +201,136 @@ class TestAdam:
         grads["dense0.w"][0, 0] = np.nan
         with pytest.raises(NumericFault):
             nn.adam_step(params, grads, state)
+
+
+def reference_adam_step(tensors, m, v, step, grads, cfg):
+    """The per-tensor Adam loop, on plain dicts: the oracle for the fused
+    step. Returns the new step count."""
+    step += 1
+    c1 = 1.0 - cfg.beta1 ** step
+    c2 = 1.0 - cfg.beta2 ** step
+    for name, g in grads.items():
+        m[name] *= cfg.beta1
+        m[name] += (1.0 - cfg.beta1) * g
+        v[name] *= cfg.beta2
+        v[name] += (1.0 - cfg.beta2) * np.square(g)
+        update = (cfg.lr * (m[name] / c1)) / (np.sqrt(v[name] / c2) + cfg.eps)
+        tensors[name] -= update.astype(tensors[name].dtype, copy=False)
+    return step
+
+
+def assert_views_of_flat(tensors):
+    """Each named tensor is the next run of `tensors.flat`, in order."""
+    def address(a):
+        return a.__array_interface__["data"][0]
+    start = 0
+    for name, t in tensors.items():
+        assert t.flags.c_contiguous, name
+        assert address(t) == address(tensors.flat) + start * t.itemsize, name
+        start += t.size
+    assert start == tensors.flat.size
+
+
+def assert_flat_model(params, state):
+    for tensors in (params.tensors, state.m, state.v):
+        assert_views_of_flat(tensors)
+        assert tensors.layout == params.tensors.layout
+        assert tensors.flat.dtype == params.dtype
+
+
+def batch_for(params, rng, n=8):
+    x = rng.standard_normal((n, *params.arch.input_shape)).astype(params.dtype)
+    return x, rng.integers(0, params.n_out, size=n)
+
+
+class TestFlatBuffers:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("factory", [tiny_mlp, tiny_cnn], ids=["mlp", "cnn"])
+    @pytest.mark.parametrize("subset", [False, True], ids=["all", "subset"])
+    def test_fused_step_matches_per_tensor_loop(self, factory, dtype, subset):
+        params = factory(dtype=dtype, seed=20)
+        state = nn.adam_init(params, nn.AdamConfig(lr=0.01))
+        ref = {k: t.copy() for k, t in params.tensors.items()}
+        ref_m = {k: np.zeros_like(t) for k, t in ref.items()}
+        ref_v = {k: np.zeros_like(t) for k, t in ref.items()}
+        ref_step = 0
+        rng = np.random.default_rng(21)
+        for step in range(30):
+            _, grads = nn.loss_and_grad(params, *batch_for(params, rng))
+            if subset and step % 2:     # tensors left out keep value and moments
+                grads = {k: grads[k] for k in list(grads)[1::2]}
+            ref_step = reference_adam_step(ref, ref_m, ref_v, ref_step, grads,
+                                           state.config)
+            nn.adam_step(params, grads, state)
+            assert state.step == ref_step
+            for k in ref:
+                assert params.tensors[k].tobytes() == ref[k].tobytes(), k
+                assert state.m[k].tobytes() == ref_m[k].tobytes(), k
+                assert state.v[k].tobytes() == ref_v[k].tobytes(), k
+
+    @pytest.mark.parametrize("bad", ["dense0.b", "dense1.w"])
+    def test_non_finite_gradient_names_tensor_and_changes_nothing(self, bad):
+        params = tiny_mlp(seed=22)
+        state = nn.adam_init(params)
+        rng = np.random.default_rng(23)
+        for _ in range(3):
+            nn.adam_step(params, nn.loss_and_grad(params, *batch_for(params, rng))[1],
+                         state)
+        before = [params.tensors.flat.copy(), state.m.flat.copy(), state.v.flat.copy()]
+        _, grads = nn.loss_and_grad(params, *batch_for(params, rng))
+        grads[bad].reshape(-1)[1] = np.nan
+        with pytest.raises(NumericFault, match=repr(bad)):
+            nn.adam_step(params, grads, state)
+        assert state.step == 3
+        after = [params.tensors.flat, state.m.flat, state.v.flat]
+        for old, new in zip(before, after):
+            assert old.tobytes() == new.tobytes()
+
+    @pytest.mark.parametrize("factory", [tiny_mlp, tiny_cnn], ids=["mlp", "cnn"])
+    def test_every_tensor_is_a_view_of_its_model_buffer(self, factory, tmp_path):
+        params = factory(n_out=4, seed=24)
+        state = nn.adam_init(params)
+        assert_flat_model(params, state)
+        _, grads = nn.loss_and_grad(params, *batch_for(params, np.random.default_rng(25)))
+        assert_views_of_flat(grads)
+        assert_flat_model(params.copy(), state.copy())
+        dropped, dropped_state = nn.drop_output_classes(params, state, {1})
+        assert_flat_model(dropped, dropped_state)
+        assert dropped.param_count() < params.param_count()
+
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(Checkpoint(params=dropped, opt_state=dropped_state, shard_id=0,
+                                   slice_index=0, epoch=0, rng=RngState(0)), path)
+        loaded = load_checkpoint(path)
+        assert_flat_model(loaded.params, loaded.opt_state)
+        x, y = batch_for(loaded.params, np.random.default_rng(26), n=16)
+        start = loaded.params.tensors.flat.copy()
+        fit(loaded.params, loaded.opt_state, x, y % 3, x, y % 3,
+            TrainConfig(max_epochs_per_slice=3, patience=1, batch_size=8), RngState(1))
+        assert loaded.opt_state.step > 0
+        assert not np.array_equal(loaded.params.tensors.flat, start)
+        assert_flat_model(loaded.params, loaded.opt_state)
+
+    def test_copy_never_aliases_its_source(self):
+        params = tiny_cnn(seed=27)
+        state = nn.adam_init(params)
+        same, same_state = nn.drop_output_classes(params, state, {99})
+        dropped, dropped_state = nn.drop_output_classes(params, state, {0})
+        copied = state.copy()
+        pairs = [(params.tensors, params.copy().tensors), (params.tensors, same.tensors),
+                 (params.tensors, dropped.tensors), (state.m, state.v),
+                 (state.m, copied.m), (state.v, copied.v),
+                 (state.m, same_state.m), (state.v, dropped_state.v)]
+        for a, b in pairs:
+            assert not np.shares_memory(a.flat, b.flat)
+        copy = params.copy()
+        copy.tensors["conv0.w"][...] = 7.0
+        assert not np.any(params.tensors["conv0.w"] == 7.0)
+
+    def test_rebinding_a_tensor_is_refused(self):
+        params = tiny_mlp()
+        with pytest.raises(TypeError, match="in place"):
+            params.tensors["dense0.b"] = np.ones(5, np.float32)
 
 
 class TestInit:
