@@ -207,6 +207,13 @@ def _parse_tensors(body: memoryview) -> dict[str, np.ndarray]:
         raise IntegrityError(f"checkpoint truncated: {exc}") from exc
 
 
+def _read_sidecar(path) -> dict:
+    mpath = Path(str(path) + ".json")
+    if not mpath.exists():
+        raise IntegrityError(f"{path}: sidecar manifest {mpath.name} is missing")
+    return json.loads(mpath.read_text())
+
+
 def load_checkpoint(path) -> Checkpoint:
     path = Path(path)
     raw = path.read_bytes()
@@ -222,11 +229,7 @@ def load_checkpoint(path) -> Checkpoint:
     if fnv1a64(body) != stored:
         raise IntegrityError(f"{path}: digest mismatch, file corrupted or truncated")
     tensors = _parse_tensors(body)
-
-    mpath = Path(str(path) + ".json")
-    if not mpath.exists():
-        raise IntegrityError(f"{path}: sidecar manifest {mpath.name} is missing")
-    manifest = json.loads(mpath.read_text())
+    manifest = _read_sidecar(path)
 
     params_t = {k: t for k, t in tensors.items() if not k.startswith(("m.", "v."))}
     m = {k[2:]: t for k, t in tensors.items() if k.startswith("m.")}
@@ -272,6 +275,14 @@ class LazyChain(Sequence):
 
     def __add__(self, checkpoints: list[Checkpoint]) -> "LazyChain":
         return LazyChain(self._entries + checkpoints)
+
+    def final_arch(self) -> Architecture:
+        """The final checkpoint's architecture, from its sidecar manifest
+        while the checkpoint itself is unread."""
+        entry = self._entries[-1]
+        if isinstance(entry, Checkpoint):
+            return entry.params.arch
+        return Architecture.from_dict(_read_sidecar(entry)["arch"])
 
 
 def stored_digest(path) -> int:

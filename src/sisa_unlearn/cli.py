@@ -285,7 +285,8 @@ def _load_run(run_dir: Path):
     shard_results: dict[int, ShardTrainResult] = {}
     for entry in manifest["constituents"]:
         k = entry["shard_id"]
-        # loaded as read: eval reads the finals, unlearn also the rollback point
+        # loaded as read: eval reads the finals; unlearn reads the rollback
+        # point and the finals of the other shards, not the owner's
         ckpts = LazyChain(run_dir / rel for rel in entry["checkpoints"])
         shard_results[k] = ShardTrainResult(
             shard_id=k, head=tuple(entry["output_classes"]), checkpoints=ckpts,

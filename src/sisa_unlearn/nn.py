@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidLabelError, NumericFault
 from .rng import RngState
@@ -273,12 +274,12 @@ def adam_step(params: ModelParameters, grads: dict[str, np.ndarray],
 def _conv_forward(x, w, b):
     n, c, h, wd = x.shape
     o, _, kh, kw = w.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)))
-    cols = np.empty((n, c, kh, kw, h, wd), dtype=x.dtype)
-    for di in range(kh):
-        for dj in range(kw):
-            cols[:, :, di, dj] = xp[:, :, di:di + h, dj:dj + wd]
-    cols = cols.reshape(n, c * kh * kw, h * wd)
+    ph, pw = kh // 2, kw // 2
+    xp = np.zeros((n, c, h + 2 * ph, wd + 2 * pw), dtype=x.dtype)
+    xp[:, :, ph:ph + h, pw:pw + wd] = x
+    # one copy of the (n, c, kh, kw, h, wd) patch view: im2col
+    patches = sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    cols = patches.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, h * wd)
     out = np.matmul(w.reshape(o, -1), cols)          # (n, o, h*wd)
     out += b[:, None]
     return out.reshape(n, o, h, wd), (x.shape, cols)
@@ -308,22 +309,55 @@ def _conv_input_grad(dy, w, cache):
     return dxp[:, :, ph:ph + h, pw:pw + wd]
 
 
+# 2x2 window positions in np.argmax order over the flattened window
+_WINDOW = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def _later_wins(a, b):
+    """Where np.argmax over (a, b) picks b: b is greater, or b is NaN and a
+    is not. Equal values, +0.0 and -0.0 included, keep a."""
+    take = b <= a
+    take |= np.isnan(a)
+    return np.logical_not(take, out=take)
+
+
+def _pick(take, a, b):
+    """b where `take`, else a, as a copy of the chosen element's bits
+    (integer arithmetic, so every NaN, inf and signed zero is kept)."""
+    bits = f"u{a.itemsize}"
+    ai, bi = a.view(bits), b.view(bits)
+    out = np.subtract(bi, ai)
+    out *= take
+    out += ai
+    return out.view(a.dtype)
+
+
 def _pool_forward(x):
-    n, c, h, w = x.shape
-    xr = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    windows = xr.reshape(n, c, h // 2, w // 2, 4)
-    arg = windows.argmax(axis=-1)
-    out = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
-    return out, (x.shape, arg)
+    """2x2 max-pool keeping np.argmax's choice in every window: the first
+    maximum in window order wins, and the first NaN wins over any number.
+    Compares the column pair of each row, then the two row winners; the
+    cache is the window position of each output, as uint8."""
+    left, right = x[..., 0::2], x[..., 1::2]
+    col = _later_wins(left, right)
+    pairs = _pick(col, left, right)                 # (n, c, h, w/2)
+    top, bottom = pairs[:, :, 0::2], pairs[:, :, 1::2]
+    row = _later_wins(top, bottom)
+    out = _pick(row, top, bottom)
+    column = col.view(np.uint8)
+    index = _pick(row, column[:, :, 0::2], column[:, :, 1::2])
+    index += row.view(np.uint8) << 1
+    return out, index
 
 
-def _pool_backward(dy, cache):
-    x_shape, arg = cache
-    n, c, h, w = x_shape
-    dwin = np.zeros((n, c, h // 2, w // 2, 4), dtype=dy.dtype)
-    np.put_along_axis(dwin, arg[..., None], dy[..., None], axis=-1)
-    dx = dwin.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    return dx.reshape(n, c, h, w)
+def _pool_backward(dy, index):
+    """dy to each window's chosen position, +0.0 elsewhere."""
+    n, c, h, w = index.shape
+    bits = f"u{dy.itemsize}"
+    dx = np.empty((n, c, 2 * h, 2 * w), dtype=dy.dtype)
+    # the four strided views tile dx, so every element is written once
+    for k, (i, j) in enumerate(_WINDOW):
+        np.multiply(dy.view(bits), index == k, out=dx[:, :, i::2, j::2].view(bits))
+    return dx
 
 
 def _run_forward(params: ModelParameters, x: np.ndarray, keep_cache: bool):
@@ -343,9 +377,9 @@ def _run_forward(params: ModelParameters, x: np.ndarray, keep_cache: bool):
         elif kind == "pool":
             a, cache = _pool_forward(a)
             caches.append((kind, names, cache))
-        elif kind == "relu":
+        elif kind == "relu":   # a is the fresh output of a conv or dense layer
             mask = a > 0
-            a = a * mask
+            np.multiply(a, mask, out=a)
             caches.append((kind, names, mask))
         elif kind == "flatten":
             caches.append((kind, names, a.shape))
@@ -420,7 +454,7 @@ def loss_and_grad(params: ModelParameters, x: np.ndarray, y: np.ndarray):
                 break
             da = da @ params.tensors[w_name].T
         elif kind == "relu":
-            da = da * cache
+            np.multiply(da, cache, out=da)
         elif kind == "flatten":
             da = da.reshape(cache)
         elif kind == "pool":

@@ -7,9 +7,10 @@ on; they return fresh systems rather than mutating in place.
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .checkpoint import CheckpointStore, save_params
+from .checkpoint import Checkpoint, CheckpointStore, LazyChain, save_params
 from .data import (LabeledDataset, SplitSpec, channel_stats, generate_synthetic,
                    load_cifar10, normalize, split)
 from .ensemble import EnsembleModel, train_gating
@@ -65,14 +66,38 @@ class SisaSystem:
     removed_classes: tuple[int, ...] = ()
 
 
+class LazyFinals(Sequence):
+    """The final parameters of each checkpoint chain, all resolved when
+    any is first used. Chains read from a run directory (`LazyChain`) then
+    load and digest-check every deployed final together, even one a gating
+    router never picks; an ensemble that is never used reads none."""
+
+    def __init__(self, chains: list[Sequence[Checkpoint]]) -> None:
+        self._chains = chains
+        self._params: list[ModelParameters] | None = None
+
+    def __len__(self) -> int:
+        return len(self._chains)
+
+    def __getitem__(self, index):
+        if self._params is None:
+            self._params = [chain[-1].params for chain in self._chains]
+        return self._params[index]
+
+
 def assemble(shard_results: dict[int, ShardTrainResult], num_classes: int,
              gating: ModelParameters | None = None) -> EnsembleModel:
     """The deployed ensemble: each shard's final parameters, in shard-id
-    order, plus the gating router if there is one."""
+    order, plus the gating router if there is one. Finals not yet read from
+    disk stay unread until used; in-memory finals form a plain list."""
     shard_ids = sorted(shard_results)
-    return EnsembleModel(
-        constituents=[shard_results[k].final.params for k in shard_ids],
-        shard_ids=shard_ids, num_classes=num_classes, gating=gating)
+    chains = [shard_results[k].checkpoints for k in shard_ids]
+    if any(isinstance(chain, LazyChain) for chain in chains):
+        constituents = LazyFinals(chains)
+    else:
+        constituents = [chain[-1].params for chain in chains]
+    return EnsembleModel(constituents=constituents, shard_ids=shard_ids,
+                         num_classes=num_classes, gating=gating)
 
 
 def train_sisa(data: DataBundle, plan: PartitionPlan, cfg: TrainConfig, *,

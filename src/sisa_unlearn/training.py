@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import Checkpoint, CheckpointStore
+from .checkpoint import Checkpoint, CheckpointStore, LazyChain
 from .data import LabeledDataset
 from .errors import InvalidLabelError, NumericFault
 from .nn import (AdamConfig, Architecture, ModelParameters, OptimizerState,
@@ -194,6 +194,14 @@ class ShardTrainResult:
     @property
     def final(self) -> Checkpoint:
         return self.checkpoints[-1]
+
+    @property
+    def arch(self) -> Architecture:
+        """The shard model's architecture. A chain read from a run
+        directory gives it without loading the final checkpoint."""
+        if isinstance(self.checkpoints, LazyChain):
+            return self.checkpoints.final_arch()
+        return self.final.params.arch
 
     @property
     def seconds(self) -> float:

@@ -307,8 +307,10 @@ def train_run(tmp_path, strategy):
     return run_dir, manifest, meta
 
 
-def finals(manifest) -> set[str]:
-    return {e["checkpoints"][-1] for e in manifest["constituents"]}
+def finals(manifest, skip=None) -> set[str]:
+    """The final checkpoint of every constituent except shard `skip`."""
+    return {e["checkpoints"][-1] for e in manifest["constituents"]
+            if e["shard_id"] != skip}
 
 
 def rollback_point(meta, class_id: int) -> str:
@@ -336,7 +338,8 @@ class TestCheckpointLoads:
         run_dir, manifest, meta = train_run(tmp_path, strategy)
         loads.clear()
         assert run(["unlearn", run_dir, "--class", f"class_{class_id}"]) == 0
-        expected = finals(manifest)
+        # the owning shard's final is replaced, so it is never read
+        expected = finals(manifest, skip=meta[str(class_id)]["shard_id"])
         if strategy_rule(strategy).rollback and meta[str(class_id)]["first_slice"] > 0:
             expected.add(rollback_point(meta, class_id))
         if manifest["gating"]:
@@ -344,7 +347,27 @@ class TestCheckpointLoads:
         got = [p.relative_to(run_dir).as_posix() for p in loads]
         assert sorted(got) == sorted(expected)
         shard_loads = [g for g in got if g.startswith("shards/")]
-        assert len(shard_loads) <= len(manifest["constituents"]) + 1
+        assert len(shard_loads) <= len(manifest["constituents"])
+
+    @pytest.mark.parametrize("strategy", ["sisa_balanced", "sisa_scls_replay",
+                                          "sisa_gated"])
+    def test_unlearn_emptying_a_shard_reads_none_of_its_checkpoints(
+            self, tmp_path, loads, strategy):
+        run_dir, _, meta = train_run(tmp_path, strategy)
+        shard = meta["0"]["shard_id"]
+        first, last = sorted(int(c) for c, loc in meta.items()
+                             if loc["shard_id"] == shard)
+        assert run(["unlearn", run_dir, "--class", f"class_{first}"]) == 0
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        loads.clear()
+        assert run(["unlearn", run_dir, "--class", f"class_{last}"]) == 0
+        expected = finals(manifest, skip=shard)
+        if manifest["gating"]:
+            expected.add("gating.ckpt")
+        got = [p.relative_to(run_dir).as_posix() for p in loads]
+        assert sorted(got) == sorted(expected)
+        after = json.loads((run_dir / "manifest.json").read_text())
+        assert shard not in [e["shard_id"] for e in after["constituents"]]
 
     def test_corrupt_rollback_point_fails_only_unlearn(self, tmp_path, capsys):
         run_dir, _, meta = train_run(tmp_path, "sisa_scls_replay")

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+import sisa_unlearn as su
 import sisa_unlearn.nn as nn
 from sisa_unlearn.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from sisa_unlearn.errors import InvalidLabelError, NumericFault
 from sisa_unlearn.rng import RngState
 from sisa_unlearn.training import TrainConfig, fit
+
+from conftest import make_labels
 
 
 def finite_diff_grads(params, x, y, h=1e-5):
@@ -394,3 +397,158 @@ class TestTrainingDynamics:
             nn.adam_step(params, grads, state)
         last, _ = nn.loss_and_grad(params, x, y)
         assert last <= 0.1 * first
+
+
+# --- conv and max-pool kernels -------------------------------------------------
+
+def reference_conv_forward(x, w, b):
+    """im2col from np.pad and nine window copies: the oracle for the
+    one-copy patch view."""
+    n, c, h, wd = x.shape
+    o, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)))
+    cols = np.empty((n, c, kh, kw, h, wd), dtype=x.dtype)
+    for di in range(kh):
+        for dj in range(kw):
+            cols[:, :, di, dj] = xp[:, :, di:di + h, dj:dj + wd]
+    cols = cols.reshape(n, c * kh * kw, h * wd)
+    out = np.matmul(w.reshape(o, -1), cols)
+    out += b[:, None]
+    return out.reshape(n, o, h, wd), (x.shape, cols)
+
+
+def reference_pool_forward(x):
+    """The argmax/take_along_axis pool: the oracle for the strided kernel."""
+    n, c, h, w = x.shape
+    xr = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    windows = xr.reshape(n, c, h // 2, w // 2, 4)
+    arg = windows.argmax(axis=-1)
+    out = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
+    return out, (x.shape, arg)
+
+
+def reference_pool_backward(dy, cache):
+    x_shape, arg = cache
+    n, c, h, w = x_shape
+    dwin = np.zeros((n, c, h // 2, w // 2, 4), dtype=dy.dtype)
+    np.put_along_axis(dwin, arg[..., None], dy[..., None], axis=-1)
+    dx = dwin.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    return dx.reshape(n, c, h, w)
+
+
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 2.5]
+
+
+def awkward_array(rng, shape, dtype):
+    """Normal draws with a third of the entries replaced by ties, signed
+    zeros, infinities and NaN; every other array holds special values only."""
+    special = np.array(SPECIAL, dtype=dtype)
+    x = rng.standard_normal(shape).astype(dtype)
+    swap = rng.random(shape) < (1.0 if rng.random() < 0.5 else 0.33)
+    x[swap] = special[rng.integers(0, len(special), int(swap.sum()))]
+    return x
+
+
+def with_reference_kernels(monkeypatch):
+    monkeypatch.setattr(nn, "_conv_forward", reference_conv_forward)
+    monkeypatch.setattr(nn, "_pool_forward", reference_pool_forward)
+    monkeypatch.setattr(nn, "_pool_backward", reference_pool_backward)
+
+
+def sweep_arch(name):
+    return {
+        "default": nn.cnn_architecture(),
+        "three_conv": nn.cnn_architecture((3, 16, 16), (4, 6, 5), (12,)),
+        "one_channel": nn.cnn_architecture((1, 12, 12), (6,), (10,)),
+        "small_8x8": nn.cnn_architecture((2, 8, 8), (5, 7), (9,)),
+    }[name]
+
+
+def training_run(params, batches):
+    """Loss, gradient bytes and forward bytes of the first batch, then the
+    parameter bytes after one Adam step per batch."""
+    x, y = batches[0]
+    given = x.tobytes()
+    loss, grads = nn.loss_and_grad(params, x, y)
+    probs = nn.forward_batched(params, x, batch_size=16)
+    assert x.tobytes() == given      # in-place ReLU never writes the input
+    state = nn.adam_init(params)
+    for xb, yb in batches:
+        nn.adam_step(params, nn.loss_and_grad(params, xb, yb)[1], state)
+    return loss, grads.flat.tobytes(), probs.tobytes(), params.tensors.flat.tobytes()
+
+
+class TestKernels:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [0, 1, 5])
+    def test_conv_matches_reference_bitwise(self, dtype, batch):
+        rng = np.random.default_rng([7, batch])
+        x = rng.standard_normal((batch, 3, 6, 8)).astype(dtype)
+        x[x < -1] = -0.0
+        w = rng.standard_normal((4, 3, 3, 3)).astype(dtype)
+        b = rng.standard_normal(4).astype(dtype)
+        got, (shape, cols) = nn._conv_forward(x, w, b)
+        want, (want_shape, want_cols) = reference_conv_forward(x, w, b)
+        assert shape == want_shape and cols.tobytes() == want_cols.tobytes()
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [0, 1, 5])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_argmax_pool_bitwise(self, dtype, batch, seed):
+        rng = np.random.default_rng([seed, batch])
+        for _ in range(10):
+            shape = (batch, int(rng.integers(1, 4)), 2 * int(rng.integers(1, 5)),
+                     2 * int(rng.integers(1, 5)))
+            x = awkward_array(rng, shape, dtype)
+            want, cache = reference_pool_forward(x)
+            got, index = nn._pool_forward(x)
+            assert got.dtype == dtype and got.tobytes() == want.tobytes()
+            assert index.dtype == np.uint8 and np.array_equal(index, cache[1])
+            dy = awkward_array(rng, want.shape, dtype)
+            assert nn._pool_backward(dy, index).tobytes() == \
+                reference_pool_backward(dy, cache).tobytes()
+
+    @pytest.mark.parametrize("arch_name", ["default", "three_conv", "one_channel",
+                                           "small_8x8"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_training_steps_match_reference_kernels(self, monkeypatch, arch_name,
+                                                    dtype):
+        # loss, gradients, forward and Adam trajectories across batch sizes;
+        # also guards that every GEMM keeps its operand shapes and layout
+        arch = sweep_arch(arch_name)
+        for batch in (1, 2, 5, 8, 17, 33, 64):
+            rng = np.random.default_rng([batch, len(arch.conv_channels)])
+            batches = [(rng.standard_normal((batch, *arch.input_shape)).astype(dtype),
+                        rng.integers(0, 4, size=batch)) for _ in range(5)]
+            fresh = lambda: nn.init_params(arch, (0, 1, 2, 3), RngState(batch),
+                                           dtype=dtype)
+            got = training_run(fresh(), batches)
+            with monkeypatch.context() as patch:
+                with_reference_kernels(patch)
+                want = training_run(fresh(), batches)
+            assert got == want, (arch_name, batch)
+
+    @pytest.mark.parametrize("position", range(4))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_nan_anywhere_in_window_wins(self, position, dtype):
+        window = np.array([3.0, np.inf, -0.0, 7.0], dtype=dtype)
+        window[position] = np.nan
+        out, index = nn._pool_forward(window.reshape(1, 1, 2, 2))
+        assert np.isnan(out[0, 0, 0, 0]) and index[0, 0, 0, 0] == position
+
+    def test_nan_input_row_faults_training(self):
+        arch = nn.cnn_architecture((2, 8, 8), (4,), (6,))
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal((24, *arch.input_shape)).astype(np.float32)
+        x[5, 1, 6, 3] = np.nan
+        params = nn.init_params(arch, (0, 1), RngState(32))
+        loss, _ = nn.loss_and_grad(params, x, np.arange(24) % 2)
+        assert not np.isfinite(loss)
+
+        labels = make_labels({0: 12, 1: 12})
+        train = su.LabeledDataset(inputs=x, labels=labels, class_names=["a", "b"])
+        cfg = su.TrainConfig(max_epochs_per_slice=1, patience=None, batch_size=24)
+        with pytest.raises(NumericFault, match="non-finite loss"):
+            su.train_shard(su.make_plan(labels, K=1, L=1, policy=su.BALANCED), 0,
+                           train, train.subset([]), cfg, arch=arch)
