@@ -12,7 +12,7 @@ import numpy as np
 
 from .evaluation import evaluate
 from .files import write_atomic, write_json
-from .partition import SEQUENTIAL_CLASS, make_plan
+from .partition import make_plan
 from .pipeline import DataBundle, train_baseline, train_sisa
 from .training import TrainConfig
 from .unlearning import (BASELINE_FULL, SISA_SCLS_REPLAY, STRATEGIES,
@@ -113,19 +113,12 @@ def _run_strategy_cell(cfg: BenchConfig, data: DataBundle, setup: tuple[int, int
 
 def _run_replay_cell(cfg: BenchConfig, data: DataBundle, ratio: float,
                      seed: int) -> ReplayCell:
-    cell = ReplayCell(ratio=ratio, seed=seed)
-    K, L = REPLAY_SETUP
-    tcfg = replace(cfg.train, replay_ratio=ratio, seed=seed)
-    plan = make_plan(data.train.labels, K, L, SEQUENTIAL_CLASS)
-    system = train_sisa(data, plan, tcfg)
-    cell.accuracy = evaluate(system.ensemble, data.test).accuracy
-    cell.train_seconds = system.train_seconds
-    after = []
-    for c in sorted(set(int(v) for v in data.train.labels)):
-        _new, outcome = run_unlearning(SISA_SCLS_REPLAY, system, data, c, tcfg)
-        after.append(outcome.report.accuracy)
-    cell.unlearn_accuracy = float(np.mean(after))
-    return cell
+    """The sisa_scls_replay cell at REPLAY_SETUP, trained with `ratio`."""
+    cfg = replace(cfg, train=replace(cfg.train, replay_ratio=ratio))
+    cell = _run_strategy_cell(cfg, data, REPLAY_SETUP, SISA_SCLS_REPLAY, seed)
+    return ReplayCell(ratio=ratio, seed=seed, accuracy=cell.accuracy_before,
+                      unlearn_accuracy=cell.accuracy_after,
+                      train_seconds=cell.train_seconds)
 
 
 def _write_cell(out_dir: Path | None, name: str, payload: dict) -> None:

@@ -276,14 +276,6 @@ class LazyChain(Sequence):
     def __add__(self, checkpoints: list[Checkpoint]) -> "LazyChain":
         return LazyChain(self._entries + checkpoints)
 
-    def final_arch(self) -> Architecture:
-        """The final checkpoint's architecture, from its sidecar manifest
-        while the checkpoint itself is unread."""
-        entry = self._entries[-1]
-        if isinstance(entry, Checkpoint):
-            return entry.params.arch
-        return Architecture.from_dict(_read_sidecar(entry)["arch"])
-
 
 def stored_digest(path) -> int:
     """Digest from a checkpoint's footer, verified against its body."""

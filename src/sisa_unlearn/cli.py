@@ -31,9 +31,19 @@ from .unlearning import (BASELINE_FULL, STRATEGIES, run_unlearning, strategy_rul
                          train_config_for)
 
 
-def _int_or_null(value):
-    if value is None or type(value) is int:
+def _int(value) -> int:
+    if type(value) is int:          # a bool is not a JSON integer
         return value
+    raise ValueError(value)
+
+
+def _int_or_null(value):
+    return None if value is None else _int(value)
+
+
+def _number(value) -> float:
+    if type(value) in (int, float):
+        return float(value)
     raise ValueError(value)
 
 
@@ -49,10 +59,14 @@ def _string(value) -> str:
     raise ValueError(value)
 
 
-def _int_list(value) -> tuple[int, ...]:
-    if type(value) is list and all(type(v) is int for v in value):
-        return tuple(value)
-    raise ValueError(value)
+def _list_of(item, length=None):
+    """A reader of a JSON list, `length` items long if given, whose every
+    item `item` reads."""
+    def parse(value) -> tuple:
+        if type(value) is not list or length not in (None, len(value)):
+            raise ValueError(value)
+        return tuple(item(v) for v in value)
+    return parse
 
 
 _DATASET_KEYS = {
@@ -61,13 +75,15 @@ _DATASET_KEYS = {
 }
 _SPLIT_KEYS = {"train", "val", "test", "seed"}
 # train-section keys and how each value is read
-_TRAIN_KEYS = {"max_epochs_per_slice": int, "patience": _int_or_null,
-               "eval_every": int, "batch_size": int, "learning_rate": float}
+_TRAIN_KEYS = {"max_epochs_per_slice": _int, "patience": _int_or_null,
+               "batch_size": _int, "learning_rate": _number}
 # TrainConfig fields the train section leaves out, for train/unlearn/eval
 _RUN_TRAIN_DEFAULTS = TrainConfig(max_epochs_per_slice=15)
 _TOP_KEYS = {"dataset", "split", "K", "L", "policy", "strategy", "replay_ratio",
              "train", "seed", "out", "bench"}
-_BENCH_KEYS = {"setups", "replay_ratios"}
+# bench-section keys, each a BenchConfig field, and how each value is read
+_BENCH_KEYS = {"setups": _list_of(_list_of(_int, length=2)),
+               "replay_ratios": _list_of(_number)}
 
 
 def _reject_unknown(doc: dict, allowed, path: str) -> None:
@@ -125,12 +141,14 @@ class RunConfig:
         _reject_unknown(train_doc, _TRAIN_KEYS, "train")
         bench_doc = _read(doc, "bench", _object, {})
         _reject_unknown(bench_doc, _BENCH_KEYS, "bench")
+        bench = {k: _read(bench_doc, k, _BENCH_KEYS[k], None, "bench.")
+                 for k in bench_doc}
         if seed is None:
-            seed = _read(doc, "seed", int, cls.seed)
-        spec = SplitSpec(_read(split_doc, "train", float, 0.7, "split."),
-                         _read(split_doc, "val", float, 0.1, "split."),
-                         _read(split_doc, "test", float, 0.2, "split."),
-                         seed=_read(split_doc, "seed", int, seed, "split."))
+            seed = _read(doc, "seed", _int, cls.seed)
+        spec = SplitSpec(_read(split_doc, "train", _number, 0.7, "split."),
+                         _read(split_doc, "val", _number, 0.1, "split."),
+                         _read(split_doc, "test", _number, 0.2, "split."),
+                         seed=_read(split_doc, "seed", _int, seed, "split."))
         doc_strategy = _read(doc, "strategy", _string, cls.strategy)
         required = strategy_rule(doc_strategy).policy
         policy = doc.get("policy", required or SEQUENTIAL_CLASS)
@@ -144,12 +162,12 @@ class RunConfig:
             policy = strategy_rule(strategy).policy or policy
         return cls(
             dataset={**dataset, "kind": kind}, split=spec,
-            K=_read(doc, "K", int, cls.K), L=_read(doc, "L", int, cls.L),
+            K=_read(doc, "K", _int, cls.K), L=_read(doc, "L", _int, cls.L),
             policy=policy, strategy=strategy,
-            replay_ratio=_read(doc, "replay_ratio", float, cls.replay_ratio),
+            replay_ratio=_read(doc, "replay_ratio", _number, cls.replay_ratio),
             train=train_doc, seed=seed,
             out=str(out or _read(doc, "out", _string, cls.out)),
-            bench=bench_doc,
+            bench=bench,
         )
 
     def train_config(self) -> TrainConfig:
@@ -177,11 +195,11 @@ def build_bundle(cfg: RunConfig) -> DataBundle:
             raise ValueError("config key dataset.dir is required by kind cifar10")
         return cifar_bundle(ds_cfg["dir"], cfg.split)
     return synthetic_bundle(
-        n_per_class=_read(ds_cfg, "n_per_class", int, 200, "dataset."),
-        num_classes=_read(ds_cfg, "num_classes", int, 10, "dataset."),
-        shape=_read(ds_cfg, "shape", _int_list, (16,), "dataset."),
-        separation=_read(ds_cfg, "separation", float, 3.0, "dataset."),
-        seed=_read(ds_cfg, "seed", int, cfg.seed, "dataset."),
+        n_per_class=_read(ds_cfg, "n_per_class", _int, 200, "dataset."),
+        num_classes=_read(ds_cfg, "num_classes", _int, 10, "dataset."),
+        shape=_read(ds_cfg, "shape", _list_of(_int), (16,), "dataset."),
+        separation=_read(ds_cfg, "separation", _number, 3.0, "dataset."),
+        seed=_read(ds_cfg, "seed", _int, cfg.seed, "dataset."),
         split_spec=cfg.split,
     )
 
@@ -340,16 +358,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.seeds < 1:
+        raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
     cfg = RunConfig.from_file(args.config, seed=args.seed, out=args.out)
-    defaults = BenchConfig()
-    bcfg = BenchConfig(
-        setups=_read(cfg.bench, "setups", lambda v: tuple(tuple(s) for s in v),
-                     defaults.setups, "bench."),
-        replay_ratios=_read(cfg.bench, "replay_ratios", tuple,
-                            defaults.replay_ratios, "bench."),
-        seeds=tuple(range(cfg.seed, cfg.seed + max(1, args.seeds))),
-        train=_train_config(cfg.train, defaults.train, replay_ratio=cfg.replay_ratio),
-    )
+    bcfg = BenchConfig(**cfg.bench, seeds=tuple(range(cfg.seed, cfg.seed + args.seeds)))
+    bcfg = replace(bcfg, train=_train_config(cfg.train, bcfg.train,
+                                             replay_ratio=cfg.replay_ratio))
     out = Path(cfg.out)
     # seed row s trains and tests on exactly what `train --seed s` loads
     report = run_benchmark_grid(

@@ -16,11 +16,10 @@ import numpy as np
 
 from .data import LabeledDataset
 from .errors import InvalidLabelError
-from .nn import (Architecture, ModelParameters, cnn_architecture,
-                 forward_batched, mlp_architecture)
+from .nn import Architecture, ModelParameters, forward_batched
 from .partition import ClassLocation
 from .rng import RngState
-from .training import TrainConfig, fit, lookup
+from .training import TrainConfig, default_architecture, fit, lookup
 from . import nn
 
 
@@ -172,14 +171,12 @@ def shard_targets(labels: np.ndarray,
 
 def train_gating(ensemble: EnsembleModel, train_ds: LabeledDataset,
                  val_ds: LabeledDataset, metadata: dict[int, ClassLocation],
-                 cfg: TrainConfig, *, arch: Architecture | None = None) -> ModelParameters:
+                 cfg: TrainConfig) -> ModelParameters:
     """Train the router on shard ids only; class labels never reach it."""
     total = sum(c.param_count() for c in ensemble.constituents)
     shard_ids = tuple(sorted(ensemble.shard_ids))
-    if arch is None:
-        base = mlp_architecture(train_ds.input_shape[0]) \
-            if len(train_ds.input_shape) == 1 else cnn_architecture(train_ds.input_shape)
-        arch = gating_architecture(base, total, len(shard_ids))
+    arch = gating_architecture(default_architecture(train_ds.input_shape),
+                               total, len(shard_ids))
     root = RngState(cfg.seed).child("gating")
     params = nn.init_params(arch, shard_ids, root.child("init"))
     opt = nn.adam_init(params, cfg.adam())

@@ -14,7 +14,7 @@ from .checkpoint import Checkpoint, CheckpointStore, LazyChain, save_params
 from .data import (LabeledDataset, SplitSpec, channel_stats, generate_synthetic,
                    load_cifar10, normalize, split)
 from .ensemble import EnsembleModel, train_gating
-from .nn import Architecture, ModelParameters
+from .nn import ModelParameters
 from .partition import PartitionPlan
 from .rng import RngState
 from .training import ShardTrainResult, TrainConfig, train_model, train_shard
@@ -101,14 +101,13 @@ def assemble(shard_results: dict[int, ShardTrainResult], num_classes: int,
 
 
 def train_sisa(data: DataBundle, plan: PartitionPlan, cfg: TrainConfig, *,
-               arch: Architecture | None = None,
                gated: bool = False,
                store: CheckpointStore | None = None) -> SisaSystem:
     """Train every shard, one after another in plan order, and assemble the
     ensemble. Per-shard RNG streams derive from (seed, shard id), so each
     shard's parameters do not depend on the others."""
     shard_results = {a.shard_id: train_shard(plan, a.shard_id, data.train,
-                                             data.val, cfg, arch=arch, store=store)
+                                             data.val, cfg, store=store)
                      for a in plan.assignments if a.class_ids}
     ensemble = assemble(shard_results, data.num_classes)
     system = SisaSystem(
@@ -136,9 +135,8 @@ class BaselineModel:
     removed_classes: tuple[int, ...] = ()
 
 
-def train_baseline(data: DataBundle, cfg: TrainConfig, *,
-                   arch: Architecture | None = None,
-                   classes=None) -> BaselineModel:
-    head = sorted(classes) if classes is not None else sorted(set(int(c) for c in data.train.labels))
-    params, _opt, res = train_model(data.train, data.val, head, cfg, arch=arch)
+def train_baseline(data: DataBundle, cfg: TrainConfig) -> BaselineModel:
+    """One model over every class in the train split."""
+    params, _opt, res = train_model(data.train, data.val,
+                                    set(data.train.labels.tolist()), cfg)
     return BaselineModel(params=params, train_seconds=res.seconds)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import Checkpoint, CheckpointStore, LazyChain
+from .checkpoint import Checkpoint, CheckpointStore
 from .data import LabeledDataset
 from .errors import InvalidLabelError, NumericFault
 from .nn import (AdamConfig, Architecture, ModelParameters, OptimizerState,
@@ -38,7 +38,6 @@ class TrainConfig:
 
     max_epochs_per_slice: int = 20
     patience: int | None = 7
-    eval_every: int = 1            # epochs between validation checks
     replay_ratio: float = 0.0
     batch_size: int = 64
     seed: int = 0
@@ -49,8 +48,12 @@ class TrainConfig:
             raise ValueError("patience must be >= 1 (or None to disable)")
         if not 0.0 <= self.replay_ratio <= 1.0:
             raise ValueError("replay_ratio must lie in [0, 1]")
-        if self.eval_every < 1:
-            raise ValueError("eval_every must be >= 1")
+        if self.max_epochs_per_slice < 1:
+            raise ValueError("max_epochs_per_slice must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and > 0")
 
     def adam(self) -> AdamConfig:
         return AdamConfig(lr=self.learning_rate)
@@ -139,7 +142,7 @@ def fit(params: ModelParameters, opt: OptimizerState,
     """Train in place for up to max_epochs_per_slice epochs.
 
     One deterministic permutation per epoch; validation loss is checked
-    every `eval_every` epochs and drives the patience counter.
+    after every epoch and drives the patience counter.
     """
     if len(x) == 0:
         return FitResult(0, [], 0.0)
@@ -160,7 +163,7 @@ def fit(params: ModelParameters, opt: OptimizerState,
                 raise NumericFault(f"non-finite loss at epoch {epoch}")
             adam_step(params, grads, opt)
         epochs_run = epoch + 1
-        if has_val and (epoch + 1) % cfg.eval_every == 0:
+        if has_val:
             vloss = mean_loss(params, x_val, y_val)
             history.append(vloss)
             if cfg.patience is not None:
@@ -196,19 +199,13 @@ class ShardTrainResult:
         return self.checkpoints[-1]
 
     @property
-    def arch(self) -> Architecture:
-        """The shard model's architecture. A chain read from a run
-        directory gives it without loading the final checkpoint."""
-        if isinstance(self.checkpoints, LazyChain):
-            return self.checkpoints.final_arch()
-        return self.final.params.arch
-
-    @property
     def seconds(self) -> float:
         return float(sum(self.seconds_per_slice))
 
 
 def default_architecture(input_shape: tuple[int, ...]) -> Architecture:
+    """The architecture of every model trained on inputs of this shape:
+    shard models, the baseline and the gating router's base."""
     if len(input_shape) == 1:
         return mlp_architecture(input_shape[0])
     return cnn_architecture(input_shape)
@@ -234,7 +231,6 @@ def _local_labels(labels: np.ndarray, head: tuple[int, ...]) -> np.ndarray:
 def train_shard(plan: PartitionPlan, shard_id: int,
                 train_ds: LabeledDataset, val_ds: LabeledDataset,
                 cfg: TrainConfig, *,
-                arch: Architecture | None = None,
                 store: CheckpointStore | None = None,
                 start_slice: int = 0,
                 initial: Checkpoint | None = None,
@@ -243,8 +239,9 @@ def train_shard(plan: PartitionPlan, shard_id: int,
 
     With `initial` given, training resumes from that checkpoint's exact
     parameter/optimizer state; otherwise the model is freshly initialized
-    from the shard's seed. Validation is the global split filtered to the
-    shard's classes. One checkpoint is produced per trained slice.
+    from the shard's seed, with `default_architecture`. Validation is the
+    global split filtered to the shard's classes. One checkpoint is produced
+    per trained slice.
     """
     assignment = plan.assignments[shard_id]
     layout = plan.layouts[shard_id]
@@ -259,9 +256,8 @@ def train_shard(plan: PartitionPlan, shard_id: int,
         if params.output_classes != tuple(head):
             raise ValueError("initial checkpoint head does not match requested head")
     else:
-        if arch is None:
-            arch = default_architecture(train_ds.input_shape)
-        params = init_params(arch, head, root.child("init"))
+        params = init_params(default_architecture(train_ds.input_shape), head,
+                             root.child("init"))
         opt = adam_init(params, cfg.adam())
 
     val_part = val_ds.restricted_to(head)
@@ -299,15 +295,12 @@ def train_shard(plan: PartitionPlan, shard_id: int,
 
 
 def train_model(train_ds: LabeledDataset, val_ds: LabeledDataset,
-                classes, cfg: TrainConfig, *,
-                arch: Architecture | None = None,
-                rng: RngState | None = None):
+                classes, cfg: TrainConfig):
     """Plain (non-sliced) training of one model over the given classes."""
     head = tuple(sorted(int(c) for c in classes))
-    if arch is None:
-        arch = default_architecture(train_ds.input_shape)
-    root = rng if rng is not None else RngState(cfg.seed).child("model")
-    params = init_params(arch, head, root.child("init"))
+    root = RngState(cfg.seed).child("model")
+    params = init_params(default_architecture(train_ds.input_shape), head,
+                         root.child("init"))
     opt = adam_init(params, cfg.adam())
     train_part = train_ds.restricted_to(head)
     val_part = val_ds.restricted_to(head)

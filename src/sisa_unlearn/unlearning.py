@@ -193,7 +193,7 @@ def _unlearn_shard(strategy: str, system: SisaSystem, data: DataBundle,
                                  shard_id=shard_id, slice_index=base.slice_index,
                                  epoch=base.epoch, rng=base.rng)
         result = train_shard(purged, shard_id, data.train, data.val, cfg,
-                             arch=old.arch, store=system.store,
+                             store=system.store,
                              start_slice=first, initial=initial, head=new_head)
         # for a run read from disk, the kept prefix stays unread (LazyChain)
         shard_results[shard_id] = replace(

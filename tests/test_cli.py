@@ -169,6 +169,21 @@ class TestTrain:
         ({"strategy": ["sisa_gated"]}, "strategy"),
         ({"dataset": {"kind": ["cifar10"]}}, "dataset.kind"),
         ({"out": ["run"]}, "out"),
+        ({"K": 2.7}, "K"),
+        ({"K": True}, "K"),
+        ({"seed": 1.9}, "seed"),
+        ({"replay_ratio": "0.3"}, "replay_ratio"),
+        ({"split": {"train": True, "val": 0.1, "test": 0.2}}, "split.train"),
+        ({"dataset": {"kind": "synthetic", "n_per_class": 40.0}},
+         "dataset.n_per_class"),
+        ({"train": {"batch_size": 8.9}}, "train.batch_size"),
+        ({"train": {"learning_rate": True}}, "train.learning_rate"),
+        ({"train": {"learning_rate": "0.01"}}, "train.learning_rate"),
+        ({"bench": {"setups": [[2, 3.0]]}}, "bench.setups"),
+        ({"bench": {"setups": [[2, 3, 4]]}}, "bench.setups"),
+        ({"bench": {"setups": [2, 3]}}, "bench.setups"),
+        ({"bench": {"replay_ratios": "abc"}}, "bench.replay_ratios"),
+        ({"bench": {"replay_ratios": [True]}}, "bench.replay_ratios"),
     ])
     def test_malformed_value_is_one_json_line(self, tmp_path, capsys, overrides,
                                               key):
@@ -179,6 +194,28 @@ class TestTrain:
         err = json.loads(lines[0])["error"]
         assert err["type"] == "ValueError"
         assert f"config key {key}" in err["message"]
+        assert not (tmp_path / "run").exists()
+
+    def test_integer_is_a_valid_float_value(self, tmp_path):
+        cfg = write_config(tmp_path, replay_ratio=0,
+                           train={"learning_rate": 1, "batch_size": 32})
+        train = RunConfig.from_file(cfg).train_config()
+        assert (train.replay_ratio, train.learning_rate) == (0.0, 1.0)
+
+    @pytest.mark.parametrize("train, field", [
+        ({"batch_size": 0}, "batch_size"),
+        ({"max_epochs_per_slice": 0}, "max_epochs_per_slice"),
+        ({"learning_rate": -1}, "learning_rate"),
+    ])
+    def test_untrainable_budget_is_one_json_line(self, tmp_path, capsys, train,
+                                                 field):
+        cfg = write_config(tmp_path, train=train)
+        assert run(["train", "--config", cfg]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["type"] == "ValueError"
+        assert err["message"].startswith(f"{field} must be")
         assert not (tmp_path / "run").exists()
 
 
@@ -369,6 +406,25 @@ class TestCheckpointLoads:
         after = json.loads((run_dir / "manifest.json").read_text())
         assert shard not in [e["shard_id"] for e in after["constituents"]]
 
+    @pytest.mark.parametrize("strategy", ["sisa_scls_replay", "sisa_gated"])
+    def test_restart_at_slice_0_reads_nothing_of_its_shard(
+            self, tmp_path, monkeypatch, strategy):
+        # the restart takes its architecture from the data, not from a sidecar
+        run_dir, _, meta = train_run(tmp_path, strategy)
+        class_id = next(int(c) for c, loc in meta.items() if loc["first_slice"] == 0)
+        shard_dir = run_dir / "shards" / str(meta[str(class_id)]["shard_id"])
+        reads = []
+        for name in ("read_bytes", "read_text"):
+            original = getattr(Path, name)
+
+            def spy(path, *args, _original=original, **kwargs):
+                reads.append(Path(path))
+                return _original(path, *args, **kwargs)
+            monkeypatch.setattr(Path, name, spy)
+        assert run(["unlearn", run_dir, "--class", f"class_{class_id}"]) == 0
+        assert any(p.suffix == ".ckpt" for p in reads)     # the spy sees loads
+        assert not [p for p in reads if p.is_relative_to(shard_dir)]
+
     def test_corrupt_rollback_point_fails_only_unlearn(self, tmp_path, capsys):
         run_dir, _, meta = train_run(tmp_path, "sisa_scls_replay")
         class_id = next(int(c) for c, loc in meta.items() if loc["first_slice"] > 0)
@@ -446,6 +502,17 @@ def bench_config(tmp_path, dataset_seed=None, split_seed=None):
 
 
 class TestBench:
+    @pytest.mark.parametrize("seeds", [0, -1])
+    def test_seeds_below_one_is_one_json_line(self, tmp_path, capsys, seeds):
+        cfg = bench_config(tmp_path)
+        assert run(["bench", "--config", cfg, "--seeds", seeds]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err == {"type": "ValueError",
+                       "message": f"--seeds must be >= 1, got {seeds}"}
+        assert not (tmp_path / "bench").exists()
+
     def test_cifar_bundle_matches_cli(self, tmp_path, monkeypatch):
         # bench's CIFAR row is what the CLI loads: normalized by train-split stats
         data_dir = write_cifar_dir(tmp_path, per_class=6)
@@ -508,14 +575,14 @@ class TestBench:
             return GridReport(cells=[], replay_cells=[])
 
         monkeypatch.setattr(cli, "run_benchmark_grid", fake_grid)
-        cfg = write_config(tmp_path, train={"eval_every": 3}, replay_ratio=0.25)
+        cfg = write_config(tmp_path, train={"batch_size": 3}, replay_ratio=0.25)
         assert run(["--quiet", "bench", "--config", cfg]) == 0
         train = seen[0].train
-        assert train.eval_every == 3
+        assert train.batch_size == 3
         assert train.replay_ratio == 0.25
         # keys the config leaves out keep the bench's own defaults
-        assert (train.max_epochs_per_slice, train.patience, train.batch_size,
-                train.learning_rate) == (8, None, 64, 1e-3)
+        assert (train.max_epochs_per_slice, train.patience,
+                train.learning_rate) == (8, None, 1e-3)
 
     def test_grid_files(self, tmp_path):
         cfg = write_config(

@@ -551,4 +551,4 @@ class TestKernels:
         cfg = su.TrainConfig(max_epochs_per_slice=1, patience=None, batch_size=24)
         with pytest.raises(NumericFault, match="non-finite loss"):
             su.train_shard(su.make_plan(labels, K=1, L=1, policy=su.BALANCED), 0,
-                           train, train.subset([]), cfg, arch=arch)
+                           train, train.subset([]), cfg)

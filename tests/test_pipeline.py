@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
+import pytest
 
 import sisa_unlearn as su
 from sisa_unlearn.checkpoint import CheckpointStore, load_checkpoint
 from sisa_unlearn.ensemble import gated_predict_batch
+from sisa_unlearn.training import default_architecture
 
 
 class TestTrainSisa:
@@ -29,6 +33,30 @@ class TestTrainSisa:
         assert sorted(ckpt.params.tensors) == sorted(gating.tensors)
         for name, t in gating.tensors.items():
             assert ckpt.params.tensors[name].tobytes() == t.tobytes()
+
+    @pytest.mark.parametrize("shape", [(16,), (3, 8, 8)])
+    def test_every_model_has_the_default_architecture(self, shape):
+        data = su.synthetic_bundle(n_per_class=12, num_classes=3, shape=shape,
+                                   separation=4.0, seed=2)
+        cfg = su.TrainConfig(max_epochs_per_slice=1, patience=None,
+                             replay_ratio=0.3, batch_size=16, seed=3)
+        arch = default_architecture(shape)
+        plan = su.make_plan(data.train.labels, K=2, L=2,
+                            policy=su.SEQUENTIAL_CLASS)
+        system = su.train_sisa(data, plan, cfg, gated=True)
+        assert su.train_baseline(data, cfg).params.arch == arch
+        # a removal restarting a shard at slice 0 builds the same architecture
+        class_id = next(c for c, loc in plan.metadata.items()
+                        if loc.first_slice == 0 and len(plan.assignments[
+                            loc.shard_id].class_ids) > 1)
+        after, _ = su.run_unlearning("sisa_gated", system, data, class_id, cfg)
+        for model in (system, after):
+            assert [c.arch for c in model.ensemble.constituents] == \
+                [arch] * len(model.ensemble.constituents)
+        # the router is the base architecture with its last hidden layer resized
+        router = system.ensemble.gating.arch
+        assert len(router.hidden) == len(arch.hidden)
+        assert replace(router, hidden=arch.hidden) == arch
 
     def test_bundle_determinism(self):
         a = su.synthetic_bundle(n_per_class=20, num_classes=3, seed=5)

@@ -8,7 +8,7 @@ from sisa_unlearn.checkpoint import CheckpointStore
 from sisa_unlearn.errors import InvalidLabelError, NumericFault
 from sisa_unlearn.rng import RngState
 from sisa_unlearn.training import (_local_labels, early_stop_monitor, fit, lookup,
-                                   sample_replay)
+                                   sample_replay, train_model)
 
 from conftest import make_labels
 
@@ -119,6 +119,25 @@ class TestEarlyStop:
                 best_i = i
         expected = (len(losses) - 1 - best_i) >= patience
         assert early_stop_monitor(losses, patience) == expected
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("batch_size", 0), ("batch_size", -5), ("max_epochs_per_slice", 0),
+        ("learning_rate", -1.0), ("learning_rate", 0.0),
+        ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+    ])
+    def test_budget_that_cannot_train_is_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            su.TrainConfig(**{field: value})
+
+    def test_smallest_budget_trains(self, small_bundle):
+        cfg = su.TrainConfig(max_epochs_per_slice=1, batch_size=1,
+                             learning_rate=1e-9)
+        _params, opt, res = train_model(small_bundle.train, small_bundle.val,
+                                        (0, 1), cfg)
+        assert res.epochs == 1
+        assert opt.step == (small_bundle.train.labels < 2).sum()
 
 
 class TestFit:
