@@ -23,7 +23,7 @@ from .errors import SisaError, UnknownClassError
 from .evaluation import evaluate
 from .files import write_json
 from .partition import PartitionPlan, make_plan, SEQUENTIAL_CLASS, POLICIES
-from .pipeline import (BaselineModel, DataBundle, SisaSystem, assemble, cifar_bundle,
+from .pipeline import (BaselineModel, DataBundle, SisaSystem, cifar_bundle,
                        synthetic_bundle, train_baseline, train_sisa)
 from .rng import RngState
 from .training import ShardTrainResult, TrainConfig
@@ -37,12 +37,24 @@ def _int(value) -> int:
     raise ValueError(value)
 
 
+def _positive_int(value) -> int:
+    if _int(value) >= 1:
+        return value
+    raise ValueError(value)
+
+
 def _int_or_null(value):
     return None if value is None else _int(value)
 
 
 def _number(value) -> float:
     if type(value) in (int, float):
+        return float(value)
+    raise ValueError(value)
+
+
+def _fraction(value) -> float:
+    if 0.0 <= _number(value) <= 1.0:
         return float(value)
     raise ValueError(value)
 
@@ -82,8 +94,8 @@ _RUN_TRAIN_DEFAULTS = TrainConfig(max_epochs_per_slice=15)
 _TOP_KEYS = {"dataset", "split", "K", "L", "policy", "strategy", "replay_ratio",
              "train", "seed", "out", "bench"}
 # bench-section keys, each a BenchConfig field, and how each value is read
-_BENCH_KEYS = {"setups": _list_of(_list_of(_int, length=2)),
-               "replay_ratios": _list_of(_number)}
+_BENCH_KEYS = {"setups": _list_of(_list_of(_positive_int, length=2)),
+               "replay_ratios": _list_of(_fraction)}
 
 
 def _reject_unknown(doc: dict, allowed, path: str) -> None:
@@ -197,7 +209,7 @@ def build_bundle(cfg: RunConfig) -> DataBundle:
     return synthetic_bundle(
         n_per_class=_read(ds_cfg, "n_per_class", _int, 200, "dataset."),
         num_classes=_read(ds_cfg, "num_classes", _int, 10, "dataset."),
-        shape=_read(ds_cfg, "shape", _list_of(_int), (16,), "dataset."),
+        shape=_read(ds_cfg, "shape", _list_of(_positive_int), (16,), "dataset."),
         separation=_read(ds_cfg, "separation", _number, 3.0, "dataset."),
         seed=_read(ds_cfg, "seed", _int, cfg.seed, "dataset."),
         split_spec=cfg.split,
@@ -233,7 +245,7 @@ def _write_run(store: CheckpointStore, manifest: dict, target,
                              for i in range(len(r.checkpoints))]}
             for k, r in sorted(target.shard_results.items())]
         manifest["gating"] = (rel(store.gating_path())
-                              if target.ensemble.gating is not None else None)
+                              if target.gating is not None else None)
     write_json(store.root / "manifest.json", manifest)   # atomic swap
 
 
@@ -312,8 +324,8 @@ def _load_run(run_dir: Path):
     gating = None
     if manifest.get("gating"):
         gating = load_checkpoint(run_dir / manifest["gating"]).params
-    ensemble = assemble(shard_results, bundle.num_classes, gating)
-    system = SisaSystem(plan=plan, ensemble=ensemble, shard_results=shard_results,
+    system = SisaSystem(plan=plan, shard_results=shard_results,
+                        num_classes=bundle.num_classes, gating=gating,
                         store=store, removed_classes=removed)
     return manifest, bundle, tcfg, store, system
 
@@ -328,12 +340,10 @@ def cmd_unlearn(args) -> int:
     class_id = names.index(args.class_name)
     if class_id in manifest["removed_classes"]:
         raise UnknownClassError(f"class {args.class_name!r} already removed")
-    if args.seed is not None:
-        tcfg = replace(tcfg, seed=int(args.seed))
 
     new_target, outcome = run_unlearning(manifest["strategy"], target, bundle,
                                          class_id, tcfg)
-    manifest["removed_classes"] = sorted(manifest["removed_classes"] + [class_id])
+    manifest["removed_classes"] = sorted(new_target.removed_classes)
     _write_run(store, manifest, new_target, tcfg)
     write_json(run_dir / "reports" / f"unlearn_{args.class_name}.json",
                outcome.to_json_dict())
@@ -406,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("run_dir", help="run directory produced by train")
     p.add_argument("--class", dest="class_name", required=True,
                    help="class name to remove")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_unlearn)
 
     p = sub.add_parser("eval", help="evaluate the current run on the test split")

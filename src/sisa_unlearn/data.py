@@ -150,6 +150,8 @@ def generate_synthetic(n_per_class: int, num_classes: int, shape=(16,),
     if n_per_class < 1:
         raise ValueError("n_per_class must be >= 1")
     shape = tuple(int(d) for d in shape)
+    if not shape or min(shape) < 1:
+        raise ValueError(f"shape must be nonempty with entries >= 1, got {list(shape)}")
     dim = int(np.prod(shape))
     root = RngState(seed)
 

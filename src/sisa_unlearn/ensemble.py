@@ -9,7 +9,6 @@ An InferenceStats counter tracks forward passes so the cost contract
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +38,7 @@ class InferenceStats:
 
 @dataclass
 class EnsembleModel:
-    constituents: Sequence[ModelParameters]
+    constituents: list[ModelParameters]
     shard_ids: list[int]                # shard owning each constituent
     num_classes: int                    # size of the global class inventory
     gating: ModelParameters | None = None

@@ -1,16 +1,17 @@
 """End-to-end orchestration: datasets -> plan -> trained system.
 
-A SisaSystem bundles the partition plan, the per-shard checkpoint chains,
-and the inference ensemble. It is the object unlearning strategies operate
-on; they return fresh systems rather than mutating in place.
+A SisaSystem bundles the partition plan, the per-shard checkpoint chains
+and the gating router; the inference ensemble is derived from them. It is
+the object unlearning strategies operate on; they return fresh systems
+rather than mutating in place.
 """
 from __future__ import annotations
 
 import time
-from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
-from .checkpoint import Checkpoint, CheckpointStore, LazyChain, save_params
+from .checkpoint import CheckpointStore, save_params
 from .data import (LabeledDataset, SplitSpec, channel_stats, generate_synthetic,
                    load_cifar10, normalize, split)
 from .ensemble import EnsembleModel, train_gating
@@ -56,74 +57,52 @@ def cifar_bundle(dir_path, spec: SplitSpec) -> DataBundle:
 
 @dataclass
 class SisaSystem:
-    """A trained sharded ensemble plus everything needed to unlearn from it."""
+    """A trained sharded ensemble's state: everything needed to serve and to
+    unlearn from it. The deployed ensemble is derived from it, not stored."""
 
     plan: PartitionPlan
-    ensemble: EnsembleModel
     shard_results: dict[int, ShardTrainResult]
+    num_classes: int
+    gating: ModelParameters | None = None
     store: CheckpointStore | None = None
     train_seconds: float = 0.0
     removed_classes: tuple[int, ...] = ()
 
-
-class LazyFinals(Sequence):
-    """The final parameters of each checkpoint chain, all resolved when
-    any is first used. Chains read from a run directory (`LazyChain`) then
-    load and digest-check every deployed final together, even one a gating
-    router never picks; an ensemble that is never used reads none."""
-
-    def __init__(self, chains: list[Sequence[Checkpoint]]) -> None:
-        self._chains = chains
-        self._params: list[ModelParameters] | None = None
-
-    def __len__(self) -> int:
-        return len(self._chains)
-
-    def __getitem__(self, index):
-        if self._params is None:
-            self._params = [chain[-1].params for chain in self._chains]
-        return self._params[index]
-
-
-def assemble(shard_results: dict[int, ShardTrainResult], num_classes: int,
-             gating: ModelParameters | None = None) -> EnsembleModel:
-    """The deployed ensemble: each shard's final parameters, in shard-id
-    order, plus the gating router if there is one. Finals not yet read from
-    disk stay unread until used; in-memory finals form a plain list."""
-    shard_ids = sorted(shard_results)
-    chains = [shard_results[k].checkpoints for k in shard_ids]
-    if any(isinstance(chain, LazyChain) for chain in chains):
-        constituents = LazyFinals(chains)
-    else:
-        constituents = [chain[-1].params for chain in chains]
-    return EnsembleModel(constituents=constituents, shard_ids=shard_ids,
-                         num_classes=num_classes, gating=gating)
+    @cached_property
+    def ensemble(self) -> EnsembleModel:
+        """Each shard's final parameters, in shard-id order, plus the router
+        if there is one. Built on first use: a system read from a run
+        directory then loads and digest-checks every deployed final together,
+        and one whose ensemble is never used reads none."""
+        shard_ids = sorted(self.shard_results)
+        return EnsembleModel(
+            constituents=[self.shard_results[k].final.params for k in shard_ids],
+            shard_ids=shard_ids, num_classes=self.num_classes, gating=self.gating)
 
 
 def train_sisa(data: DataBundle, plan: PartitionPlan, cfg: TrainConfig, *,
                gated: bool = False,
                store: CheckpointStore | None = None) -> SisaSystem:
-    """Train every shard, one after another in plan order, and assemble the
-    ensemble. Per-shard RNG streams derive from (seed, shard id), so each
+    """Train every shard, one after another in plan order, then the router
+    if `gated`. Per-shard RNG streams derive from (seed, shard id), so each
     shard's parameters do not depend on the others."""
     shard_results = {a.shard_id: train_shard(plan, a.shard_id, data.train,
                                              data.val, cfg, store=store)
                      for a in plan.assignments if a.class_ids}
-    ensemble = assemble(shard_results, data.num_classes)
     system = SisaSystem(
-        plan=plan, ensemble=ensemble, shard_results=shard_results, store=store,
-        train_seconds=sum(r.seconds for r in shard_results.values()),
+        plan=plan, shard_results=shard_results, num_classes=data.num_classes,
+        store=store, train_seconds=sum(r.seconds for r in shard_results.values()),
     )
-    if gated:
-        t0 = time.perf_counter()
-        ensemble.gating = train_gating(ensemble, data.train, data.val,
-                                       plan.metadata, cfg)
-        system.train_seconds += time.perf_counter() - t0
-        if store is not None:
-            # the router is never trained again, so no Adam moments are kept
-            save_params(ensemble.gating, store.gating_path(), cfg.adam(),
-                        RngState(cfg.seed).child("gating"))
-    return system
+    if not gated:
+        return system
+    t0 = time.perf_counter()
+    gating = train_gating(system.ensemble, data.train, data.val, plan.metadata, cfg)
+    seconds = time.perf_counter() - t0
+    if store is not None:
+        # the router is never trained again, so no Adam moments are kept
+        save_params(gating, store.gating_path(), cfg.adam(),
+                    RngState(cfg.seed).child("gating"))
+    return replace(system, gating=gating, train_seconds=system.train_seconds + seconds)
 
 
 @dataclass

@@ -233,9 +233,9 @@ def train_shard(plan: PartitionPlan, shard_id: int,
                 cfg: TrainConfig, *,
                 store: CheckpointStore | None = None,
                 start_slice: int = 0,
-                initial: Checkpoint | None = None,
-                head: tuple[int, ...] | None = None) -> ShardTrainResult:
-    """Train one shard's model over slices start_slice..L-1.
+                initial: Checkpoint | None = None) -> ShardTrainResult:
+    """Train one shard's model, its head the shard's classes in `plan`, over
+    slices start_slice..L-1.
 
     With `initial` given, training resumes from that checkpoint's exact
     parameter/optimizer state; otherwise the model is freshly initialized
@@ -243,18 +243,16 @@ def train_shard(plan: PartitionPlan, shard_id: int,
     global split filtered to the shard's classes. One checkpoint is produced
     per trained slice.
     """
-    assignment = plan.assignments[shard_id]
     layout = plan.layouts[shard_id]
-    if head is None:
-        head = tuple(sorted(assignment.class_ids))
+    head = tuple(sorted(plan.assignments[shard_id].class_ids))
     if not head:
         raise ValueError(f"shard {shard_id} has no classes to train on")
     root = RngState(cfg.seed).child("shard", shard_id)
     if initial is not None:
         params = initial.params.copy()
         opt = initial.opt_state.copy()
-        if params.output_classes != tuple(head):
-            raise ValueError("initial checkpoint head does not match requested head")
+        if params.output_classes != head:
+            raise ValueError("initial checkpoint head does not match the shard's classes")
     else:
         params = init_params(default_architecture(train_ds.input_shape), head,
                              root.child("init"))
@@ -288,7 +286,7 @@ def train_shard(plan: PartitionPlan, shard_id: int,
         checkpoints.append(ckpt)
         replays.append(replay)
         seconds.append(res.seconds)
-    return ShardTrainResult(shard_id=shard_id, head=tuple(head),
+    return ShardTrainResult(shard_id=shard_id, head=head,
                             checkpoints=checkpoints, replays=replays,
                             seconds_per_slice=seconds,
                             slices_trained=plan.L - start_slice)

@@ -21,7 +21,7 @@ from .errors import IntegrityError, UnknownClassError
 from .evaluation import EvaluationReport, confusion_matrix, report_from_confusion
 from .nn import drop_output_classes
 from .partition import BALANCED, SEQUENTIAL_CLASS, purge_class
-from .pipeline import BaselineModel, DataBundle, SisaSystem, assemble
+from .pipeline import BaselineModel, DataBundle, SisaSystem
 from .training import TrainConfig, train_model, train_shard
 
 BASELINE_FULL = "baseline_full"
@@ -162,7 +162,7 @@ def _unlearn_shard(strategy: str, system: SisaSystem, data: DataBundle,
     dropped from the ensemble. A gating router is left untouched.
     """
     rule = strategy_rule(strategy)
-    if rule.gated and system.ensemble.gating is None:
+    if rule.gated and system.gating is None:
         raise RuntimeError("system has no gating model")
     if system.plan.policy != rule.policy:
         raise ValueError(f"{_POLICY_PHRASES[rule.policy]}, got {system.plan.policy!r}")
@@ -194,7 +194,7 @@ def _unlearn_shard(strategy: str, system: SisaSystem, data: DataBundle,
                                  epoch=base.epoch, rng=base.rng)
         result = train_shard(purged, shard_id, data.train, data.val, cfg,
                              store=system.store,
-                             start_slice=first, initial=initial, head=new_head)
+                             start_slice=first, initial=initial)
         # for a run read from disk, the kept prefix stays unread (LazyChain)
         shard_results[shard_id] = replace(
             result, checkpoints=old.checkpoints[:first] + result.checkpoints)
@@ -203,14 +203,11 @@ def _unlearn_shard(strategy: str, system: SisaSystem, data: DataBundle,
         shard_results.pop(shard_id, None)
         first_slice, retrained, seconds = None, 0, 0.0
 
-    ensemble = assemble(shard_results, system.ensemble.num_classes,
-                        system.ensemble.gating)
-    new_system = replace(system, plan=purged, ensemble=ensemble,
-                         shard_results=shard_results,
+    new_system = replace(system, plan=purged, shard_results=shard_results,
                          removed_classes=system.removed_classes + (class_id,))
-    outcome = _outcome(strategy, data, ensemble, class_id, shard_id=shard_id,
-                       first_slice=first_slice, slices_retrained=retrained,
-                       seconds=seconds)
+    outcome = _outcome(strategy, data, new_system.ensemble, class_id,
+                       shard_id=shard_id, first_slice=first_slice,
+                       slices_retrained=retrained, seconds=seconds)
     return new_system, outcome
 
 

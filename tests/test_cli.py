@@ -184,6 +184,8 @@ class TestTrain:
         ({"bench": {"setups": [2, 3]}}, "bench.setups"),
         ({"bench": {"replay_ratios": "abc"}}, "bench.replay_ratios"),
         ({"bench": {"replay_ratios": [True]}}, "bench.replay_ratios"),
+        ({"dataset": {"kind": "synthetic", "shape": [0]}}, "dataset.shape"),
+        ({"dataset": {"kind": "synthetic", "shape": [4, 0]}}, "dataset.shape"),
     ])
     def test_malformed_value_is_one_json_line(self, tmp_path, capsys, overrides,
                                               key):
@@ -242,6 +244,15 @@ class TestUnlearn:
         assert run(["unlearn", trained, "--class", "class_1"]) == 1
         err = json.loads(capsys.readouterr().err)
         assert "already removed" in err["error"]["message"]
+
+    def test_seed_flag_rejected(self, trained, capsys):
+        # a retrained shard keeps the seed its kept checkpoints were trained with
+        before = (trained / "manifest.json").read_bytes()
+        with pytest.raises(SystemExit) as exc:
+            run(["unlearn", trained, "--class", "class_1", "--seed", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+        assert (trained / "manifest.json").read_bytes() == before
 
     def test_unknown_class_lists_names(self, trained, capsys):
         assert run(["unlearn", trained, "--class", "notaclass"]) == 1
@@ -558,6 +569,24 @@ class TestBench:
         row_5 = next(data for seed, data in bench_cells if seed == 5)
         row_6 = next(data for seed, data in bench_cells if seed == 6)
         assert row_5.train.inputs.tobytes() != row_6.train.inputs.tobytes()
+
+    @pytest.mark.parametrize("bench_doc, key", [
+        ({"setups": [[0, 3]]}, "bench.setups"),
+        ({"setups": [[2, 3], [2, 0]]}, "bench.setups"),
+        ({"setups": [[-1, 3]]}, "bench.setups"),
+        ({"replay_ratios": [1.5]}, "bench.replay_ratios"),
+        ({"replay_ratios": [0.3, -0.1]}, "bench.replay_ratios"),
+    ])
+    def test_out_of_range_grid_is_one_json_line(self, tmp_path, capsys, bench_doc,
+                                                key):
+        cfg = write_config(tmp_path, bench=bench_doc, out=str(tmp_path / "bench"))
+        assert run(["bench", "--config", cfg]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["type"] == "ValueError"
+        assert f"config key {key}" in err["message"]
+        assert not (tmp_path / "bench").exists()
 
     @pytest.mark.parametrize("key, value", [("seeds", 3), ("scls_replay_ratio", 0.3)])
     def test_removed_bench_keys_rejected(self, tmp_path, capsys, key, value):

@@ -108,6 +108,11 @@ class TestSynthetic:
         with pytest.raises(ValueError):
             su.generate_synthetic(10, 1)
 
+    @pytest.mark.parametrize("shape", [(0,), (4, 0), ()])
+    def test_shape_entries_below_one_rejected(self, shape):
+        with pytest.raises(ValueError, match="shape must be nonempty"):
+            su.generate_synthetic(10, 3, shape=shape)
+
 
 class TestSplit:
     def test_cifar_scale_fractions(self):

@@ -84,3 +84,36 @@ class TestGatedDecommission:
         assert (shards == 1).all()
         survivors = set(system.ensemble.covered_classes())
         assert set(np.unique(labels)) <= survivors
+
+
+class TestDerivedEnsemble:
+    """The deployed ensemble is derived from a system's state, once per system."""
+
+    @pytest.fixture(scope="class")
+    def system(self, small_bundle, quick_cfg):
+        plan = su.make_plan(small_bundle.train.labels, K=2, L=2,
+                            policy=su.SEQUENTIAL_CLASS)
+        return su.train_sisa(small_bundle, plan, quick_cfg, gated=True)
+
+    def test_one_ensemble_whose_stats_accumulate(self, small_bundle, system):
+        ens = system.ensemble
+        assert system.ensemble is ens
+        assert ens.gating is system.gating
+        ens.stats.reset()
+        x = small_bundle.test.inputs[:7]
+        gated_predict_batch(system.ensemble, x)
+        gated_predict_batch(system.ensemble, x)
+        assert system.ensemble.stats is ens.stats
+        assert ens.stats.queries == 14
+        assert ens.stats.gating_forwards == 14
+
+    def test_removal_derives_a_new_ensemble(self, small_bundle, quick_cfg,
+                                            system):
+        class_id = 0
+        new, outcome = su.run_unlearning("sisa_gated", system, small_bundle,
+                                         class_id, quick_cfg)
+        assert outcome.verdict
+        assert class_id in system.ensemble.covered_classes()
+        assert class_id not in new.ensemble.covered_classes()
+        assert new.ensemble is not system.ensemble
+        assert new.ensemble.gating is system.ensemble.gating
