@@ -8,8 +8,15 @@ Binary layout (all integers little-endian):
 
 Optimizer moments ride along as tensors named ``m.<name>`` / ``v.<name>``.
 A sidecar JSON manifest (<file>.json) carries the training cursor: shard id,
-slice index, epoch, seed, output classes, architecture, Adam scalars, and
+slice index, epoch, seed, output classes, architecture, Adam scalars, the
+digest (a load refuses a sidecar recording another digest: a torn save) and
 timestamps. Save -> load roundtrips are bitwise exact.
+
+The digest kernel (fnv1a64) is exact and bit-sliced: each block is
+transposed once into 8 bit planes, 64 byte positions per uint64 word, where
+the FNV state's low byte before every byte is a prefix XOR per plane plus
+the carries of the multiply, also bit planes. The rest of the hash is an
+exact float32 GEMM and uint64 arithmetic mod 2**64.
 """
 from __future__ import annotations
 
@@ -33,82 +40,152 @@ VERSION = 1
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
-_PRIME_LOW = np.uint8(_FNV_PRIME & 0xFF)
-_LANE = 64              # bytes per lane of the affine sum
+_PRIME_INV = pow(_FNV_PRIME, -1, 1 << 64)
+_PRIME_BITS = [j for j in range(1, 8) if _FNV_PRIME >> j & 1]   # 1, 4, 5, 7 of 0xB3
+_LANE = 64              # bit lanes per packed word; blocks are padded to a multiple
 _BLOCK = 1 << 16        # bytes hashed per pass, a multiple of _LANE
+_TRANSPOSE8 = [(np.uint64(shift), np.uint64(mask)) for shift, mask in
+               ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))]
 
 
 def _powers(base: int, n: int) -> np.ndarray:
     """base**j mod 2**64 for j = 0..n."""
-    out = np.empty(n + 1, dtype=np.uint64)
-    power = 1
-    for j in range(n + 1):
-        out[j] = power
-        power = power * base & _MASK64
-    return out
+    out = [1]
+    for _ in range(n):
+        out.append(out[-1] * base & _MASK64)
+    return np.array(out, dtype=np.uint64)
 
 
-_POW = _powers(_FNV_PRIME, _LANE)                          # P**j
-_POW_LANE = _powers(int(_POW[_LANE]), _BLOCK // _LANE)     # P**(_LANE * j)
-_WORD_SHIFTS = [np.uint64(1 << i) for i in range(6)]
+def _lane_limbs(words: int) -> np.ndarray:
+    """P**((63 - i) * words) for lane i, as 8-bit limbs, shape (_LANE, 8)."""
+    powers = _powers(pow(_FNV_PRIME, words, 1 << 64), _LANE - 1)[::-1]
+    return powers.astype("<u8").view(np.uint8).reshape(_LANE, 8).astype(np.float32)
 
 
-def _prefix_xor(bits: np.ndarray) -> np.ndarray:
-    """Inclusive prefix XOR of an array of 0/1 bytes, 64 bits per word."""
-    n = len(bits)
-    packed = np.zeros(-(-n // 64) * 8, dtype=np.uint8)
-    packed[:(n + 7) // 8] = np.packbits(bits, bitorder="little")
-    words = packed.view("<u8")
-    for shift in _WORD_SHIFTS:
-        words ^= words << shift
-    # each word's top bit is now its parity; XOR in the parity of all before it
-    top = words >> np.uint64(63)
-    words ^= np.uint64(0) - (np.bitwise_xor.accumulate(top) ^ top)
-    return np.unpackbits(packed, count=n, bitorder="little")
+_POW_WORD = _powers(_FNV_PRIME, _BLOCK // _LANE)          # P**w
+_BLOCK_LIMBS = _lane_limbs(_BLOCK // _LANE)
 
 
-def _low_bytes(s0: int, data: np.ndarray) -> np.ndarray:
-    """Low byte of the FNV state before each byte of `data`, starting at s0.
+def _transpose8(words: np.ndarray) -> np.ndarray:
+    """Transpose each uint64 in place as an 8x8 bit matrix: bit 8r+c <-> 8c+r."""
+    t = np.empty_like(words)
+    for shift, mask in _TRANSPOSE8:
+        np.right_shift(words, shift, out=t)
+        t ^= words
+        t &= mask
+        words ^= t
+        t <<= shift
+        words ^= t
+    return words
 
-    The low byte evolves on its own: s' = ((s ^ b) * prime) & 0xFF. The prime
-    is odd, so bit k of a product x * prime is x_k XOR a function of x's bits
-    below k; with those bits known, bit k of every state is a prefix XOR.
+
+def _add_bit(count: list, top: int, plane: np.ndarray) -> tuple[list, int]:
+    """Add a bit plane to a bit-sliced counter (planes LSB first) whose value
+    is at most `top`; a plane is added only when the new bound needs it."""
+    out = []
+    for c in count[:-1]:
+        out.append(c ^ plane)
+        plane = c & plane
+    if not count:
+        return [plane], top + 1
+    out.append(count[-1] ^ plane)
+    if (top + 1).bit_length() > len(count):
+        out.append(count[-1] & plane)
+    return out, top + 1
+
+
+def _low_bytes(s0: int, c: np.ndarray) -> np.ndarray:
+    """x = s ^ c for every byte c, where s is the FNV state's low byte before
+    it and s0 the first s; bit planes in, bit planes out.
+
+    The low byte evolves on its own: s' = x * 0xB3 mod 256. Bit k of that
+    product is x_k XOR g_k, where g_k is the parity of column k of the
+    multiply without x_k: the bits x_(k-j) for the prime's bits j = 1, 4, 5,
+    7 plus the carry into column k (at most 3, two planes). So bit k of s'
+    is bit k of s flipped by c_k ^ g_k: every s_k is a prefix XOR, and
+    x_k = s'_k ^ g_k once planes 0..k-1 are known.
     """
-    s = np.zeros(len(data) + 1, dtype=np.uint8)
-    s[0] = s0
+    x = np.empty_like(c)
+    carry, top = [], 0          # the carry into column k, and its bound
     for k in range(8):
-        below = (s[:-1] ^ data) & np.uint8((1 << k) - 1)
-        step = ((below * _PRIME_LOW) ^ data) >> k & 1
-        s[1:] |= (_prefix_xor(step) ^ (s0 >> k & 1)) << k
-    return s[:-1]
+        terms = [x[k - j] for j in _PRIME_BITS if j <= k]
+        if k == 7:              # no carry out of the byte: the parity is enough
+            g = carry[0].copy()
+            for t in terms:
+                g ^= t
+        else:
+            count, ctop = carry, top
+            for t in terms:
+                count, ctop = _add_bit(count, ctop, t)
+            g = count[0] if count else None
+        xk = x[k]
+        np.bitwise_xor.accumulate(c[k] if g is None else c[k] ^ g, out=xk)
+        # each lane holds a run of positions; XOR in the runs before it and s0
+        before = int(xk[-1])
+        for shift in (1, 2, 4, 8, 16, 32):
+            before ^= before << shift
+        xk ^= np.uint64((before << 1 ^ -(s0 >> k & 1)) & _MASK64)
+        if g is not None:
+            xk ^= g
+        if k < 7:
+            count, ctop = _add_bit(count, ctop, xk)
+            carry, top = count[1:], ctop >> 1
+    return x
+
+
+def _hash_block(h: int, block: np.ndarray, d: np.ndarray) -> int:
+    """The FNV-1a state after `block`, from state h; `d` is float32 scratch
+    of at least len(block) / _LANE rows.
+
+    The block is zero-padded to N = _LANE * words bytes, and byte
+    i * words + w goes to lane i of word w, so each lane's prefix XOR runs
+    along the words. A zero byte adds d = 0, so the padding only multiplies
+    the state by P once per byte, which P's inverse undoes. The weight
+    P**(N - i * words - w) of a byte is P**((63 - i) * words), a GEMM column
+    per lane, times P**(words - w), a uint64 factor per word.
+    """
+    n = len(block)
+    words = -(-n // _LANE)
+    if n % _LANE:
+        block = np.concatenate((block, np.zeros(-n % _LANE, dtype=np.uint8)))
+    lanes = np.empty((words, _LANE), dtype=np.uint8)
+    np.copyto(lanes, block.reshape(_LANE, words).T)
+    t = _transpose8(lanes.view("<u8").reshape(-1).copy())
+    planes = np.empty((8, words, 8), dtype=np.uint8)
+    np.copyto(planes, t.view(np.uint8).reshape(words, 8, 8).transpose(2, 0, 1))
+    x = _low_bytes(h & 0xFF, planes.view("<u8").reshape(8, words)).view(np.uint8)
+    back = t.view(np.uint8).reshape(words * 8, 8)
+    for k in range(8):
+        back[:, k] = x[k]
+    x = _transpose8(t).view(np.uint8).reshape(words, _LANE)
+    # h ^ c == h + (x - s) with x = s ^ c; a zero pad byte adds 0
+    d = d[:words]
+    np.copyto(d, x)
+    d -= x ^ lanes
+    limbs = _BLOCK_LIMBS if words == _BLOCK // _LANE else _lane_limbs(words)
+    sums = (d @ limbs).astype(np.int64).view(np.uint64)
+    sums = _POW_WORD[words:0:-1] @ sums
+    h = (h * pow(_FNV_PRIME, words * _LANE, 1 << 64)
+         + sum(int(v) << 8 * j for j, v in enumerate(sums)))
+    return h * pow(_PRIME_INV, words * _LANE - n, 1 << 64) & _MASK64
 
 
 def fnv1a64(data: bytes | bytearray | memoryview) -> int:
-    """FNV-1a 64 of a bytes-like object, exact, vectorized with numpy.
+    """FNV-1a 64 of a bytes-like object, exact, bit-sliced with numpy.
 
     h ^ b only changes h's low byte s, so h ^ b == h + d with
     d = (s ^ b) - s. Once every s is known the hash is affine:
-    h_n = h_0 * P**n + sum(d_i * P**(n - i)) mod 2**64, which uint64
-    products and sums compute as they wrap. The sum runs over lanes of
-    _LANE bytes, P**(n - i) split into a power within the lane and one per
-    lane, so the power tables stay small.
+    h_n = h_0 * P**n + sum(d_i * P**(n - i)) mod 2**64. The low bytes come
+    from bit planes (see _low_bytes); the sum is a float32 GEMM of d
+    (|d| <= 255) against 8-bit limbs of the powers: a partial sum has at
+    most 64 terms of at most 255 * 255, an integer below 2**22 and so exact
+    in float32 in any order. uint64 products that wrap mod 2**64 finish it.
     """
     buf = np.frombuffer(data, dtype=np.uint8)
     h = _FNV_OFFSET
+    d = np.empty((-(-min(len(buf), _BLOCK) // _LANE), _LANE), dtype=np.float32)
     for start in range(0, len(buf), _BLOCK):
-        block = buf[start:start + _BLOCK]
-        s = _low_bytes(h & 0xFF, block)
-        # d in lanes of _LANE; leading zeros fill the first lane and add nothing
-        lanes = -(-len(block) // _LANE)
-        d = np.zeros((lanes, _LANE), dtype=np.uint64)
-        tail = d.reshape(-1)[lanes * _LANE - len(block):]
-        tail += s ^ block
-        tail -= s                   # a negative d wraps to d mod 2**64
-        d *= _POW[_LANE:0:-1]
-        sums = d.sum(axis=1, dtype=np.uint64)
-        sums *= _POW_LANE[lanes - 1::-1]
-        h = (h * pow(_FNV_PRIME, len(block), 1 << 64)
-             + int(sums.sum(dtype=np.uint64))) & _MASK64
+        h = _hash_block(h, buf[start:start + _BLOCK], d)
     return h
 
 
@@ -230,6 +307,9 @@ def load_checkpoint(path) -> Checkpoint:
         raise IntegrityError(f"{path}: digest mismatch, file corrupted or truncated")
     tensors = _parse_tensors(body)
     manifest = _read_sidecar(path)
+    if manifest.get("digest") != f"{stored:016x}":
+        raise IntegrityError(f"{path}: sidecar digest {manifest.get('digest')} is not "
+                             f"the file's {stored:016x}, a save torn between its writes")
 
     params_t = {k: t for k, t in tensors.items() if not k.startswith(("m.", "v."))}
     m = {k[2:]: t for k, t in tensors.items() if k.startswith("m.")}

@@ -37,10 +37,16 @@ def _int(value) -> int:
     raise ValueError(value)
 
 
-def _positive_int(value) -> int:
-    if _int(value) >= 1:
-        return value
-    raise ValueError(value)
+def _int_at_least(low: int):
+    """A reader of a JSON integer no smaller than `low`."""
+    def parse(value) -> int:
+        if _int(value) >= low:
+            return value
+        raise ValueError(value)
+    return parse
+
+
+_positive_int = _int_at_least(1)
 
 
 def _int_or_null(value):
@@ -174,7 +180,8 @@ class RunConfig:
             policy = strategy_rule(strategy).policy or policy
         return cls(
             dataset={**dataset, "kind": kind}, split=spec,
-            K=_read(doc, "K", _int, cls.K), L=_read(doc, "L", _int, cls.L),
+            K=_read(doc, "K", _positive_int, cls.K),
+            L=_read(doc, "L", _positive_int, cls.L),
             policy=policy, strategy=strategy,
             replay_ratio=_read(doc, "replay_ratio", _number, cls.replay_ratio),
             train=train_doc, seed=seed,
@@ -207,8 +214,8 @@ def build_bundle(cfg: RunConfig) -> DataBundle:
             raise ValueError("config key dataset.dir is required by kind cifar10")
         return cifar_bundle(ds_cfg["dir"], cfg.split)
     return synthetic_bundle(
-        n_per_class=_read(ds_cfg, "n_per_class", _int, 200, "dataset."),
-        num_classes=_read(ds_cfg, "num_classes", _int, 10, "dataset."),
+        n_per_class=_read(ds_cfg, "n_per_class", _positive_int, 200, "dataset."),
+        num_classes=_read(ds_cfg, "num_classes", _int_at_least(2), 10, "dataset."),
         shape=_read(ds_cfg, "shape", _list_of(_positive_int), (16,), "dataset."),
         separation=_read(ds_cfg, "separation", _number, 3.0, "dataset."),
         seed=_read(ds_cfg, "seed", _int, cfg.seed, "dataset."),

@@ -332,17 +332,20 @@ def _pick(take, a, b):
     return out.view(a.dtype)
 
 
-def _pool_forward(x):
+def _pool_forward(x, keep_index: bool = True):
     """2x2 max-pool keeping np.argmax's choice in every window: the first
     maximum in window order wins, and the first NaN wins over any number.
     Compares the column pair of each row, then the two row winners; the
-    cache is the window position of each output, as uint8."""
+    cache is the window position of each output, as uint8, or None when
+    `keep_index` is False."""
     left, right = x[..., 0::2], x[..., 1::2]
     col = _later_wins(left, right)
     pairs = _pick(col, left, right)                 # (n, c, h, w/2)
     top, bottom = pairs[:, :, 0::2], pairs[:, :, 1::2]
     row = _later_wins(top, bottom)
     out = _pick(row, top, bottom)
+    if not keep_index:
+        return out, None
     column = col.view(np.uint8)
     index = _pick(row, column[:, :, 0::2], column[:, :, 1::2])
     index += row.view(np.uint8) << 1
@@ -375,7 +378,7 @@ def _run_forward(params: ModelParameters, x: np.ndarray, keep_cache: bool):
             a, cache = _conv_forward(a, tensors[names[0]], tensors[names[1]])
             caches.append((kind, names, cache))
         elif kind == "pool":
-            a, cache = _pool_forward(a)
+            a, cache = _pool_forward(a, keep_cache)
             caches.append((kind, names, cache))
         elif kind == "relu":   # a is the fresh output of a conv or dense layer
             mask = a > 0

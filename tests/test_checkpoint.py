@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 import sisa_unlearn.checkpoint as checkpoint
 import sisa_unlearn.nn as nn
-from sisa_unlearn.checkpoint import (_BLOCK, _LANE, Checkpoint, LazyChain, fnv1a64,
-                                     load_checkpoint, save_checkpoint, stored_digest)
+from sisa_unlearn.checkpoint import (_BLOCK, _LANE, Checkpoint, LazyChain, _hash_block,
+                                     fnv1a64, load_checkpoint, save_checkpoint,
+                                     stored_digest)
 from sisa_unlearn.errors import FormatError, IntegrityError, UnsupportedVersionError
 from sisa_unlearn.rng import RngState
 
@@ -23,9 +24,9 @@ def make_checkpoint(arch=None, n_out=10, seed=0):
                       slice_index=2, epoch=5, rng=RngState(seed, 4))
 
 
-def fnv1a64_loop(data) -> int:
-    """FNV-1a 64 one byte at a time, as defined: the oracle for the kernel."""
-    h = 0xCBF29CE484222325
+def fnv1a64_loop(data, h=0xCBF29CE484222325) -> int:
+    """FNV-1a 64 one byte at a time, as defined, from state h: the oracle
+    for the kernel."""
     for byte in data:
         h = ((h ^ byte) * 0x100000001B3) & ((1 << 64) - 1)
     return h
@@ -69,6 +70,19 @@ class TestFnv:
         raw = np.random.default_rng(1).bytes(_BLOCK + 77)
         assert_matches_loop(wrap(raw))
         assert_matches_loop(memoryview(raw)[5:-8])
+
+    def test_every_start_byte(self):
+        # a block's low-byte stage starts from the state's low byte: try all 256
+        block = np.frombuffer(np.random.default_rng(5).bytes(5 * _LANE + 3), np.uint8)
+        scratch = np.empty((6, _LANE), dtype=np.float32)
+        for s0 in range(256):
+            h = 0x9E3779B97F4A7C00 | s0
+            assert _hash_block(h, block, scratch) == fnv1a64_loop(block.tobytes(), h)
+
+    def test_several_blocks_and_a_ragged_tail(self):
+        n = 2 * _BLOCK + 3 * _LANE + 17
+        assert n % _LANE
+        assert_matches_loop(np.random.default_rng(6).bytes(n))
 
     def test_footer_is_digest_of_body(self, tmp_path):
         path = tmp_path / "a.ckpt"
@@ -132,6 +146,19 @@ class TestCorruption:
         path.write_bytes(body + struct.pack("<Q", fnv1a64(body)))
         with pytest.raises(UnsupportedVersionError):
             load_checkpoint(path)
+
+    def test_sidecar_of_another_save_is_refused(self, tmp_path):
+        # a crash between a save's two writes pairs a new binary with an old sidecar
+        paths = [tmp_path / "a.ckpt", tmp_path / "b.ckpt"]
+        for seed, path in enumerate(paths):
+            save_checkpoint(make_checkpoint(seed=seed), path)
+        sidecars = [path.with_name(path.name + ".json") for path in paths]
+        texts = [p.read_text() for p in sidecars]
+        for p, text in zip(sidecars, reversed(texts)):
+            p.write_text(text)
+        for path in paths:
+            with pytest.raises(IntegrityError, match="sidecar digest"):
+                load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "a.ckpt"

@@ -186,6 +186,12 @@ class TestTrain:
         ({"bench": {"replay_ratios": [True]}}, "bench.replay_ratios"),
         ({"dataset": {"kind": "synthetic", "shape": [0]}}, "dataset.shape"),
         ({"dataset": {"kind": "synthetic", "shape": [4, 0]}}, "dataset.shape"),
+        ({"K": 0}, "K"),
+        ({"L": 0}, "L"),
+        ({"L": -2}, "L"),
+        ({"dataset": {"kind": "synthetic", "n_per_class": 0}}, "dataset.n_per_class"),
+        ({"dataset": {"kind": "synthetic", "num_classes": 1}}, "dataset.num_classes"),
+        ({"dataset": {"kind": "synthetic", "num_classes": 0}}, "dataset.num_classes"),
     ])
     def test_malformed_value_is_one_json_line(self, tmp_path, capsys, overrides,
                                               key):

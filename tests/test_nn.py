@@ -417,8 +417,9 @@ def reference_conv_forward(x, w, b):
     return out.reshape(n, o, h, wd), (x.shape, cols)
 
 
-def reference_pool_forward(x):
-    """The argmax/take_along_axis pool: the oracle for the strided kernel."""
+def reference_pool_forward(x, keep_index=True):
+    """The argmax/take_along_axis pool: the oracle for the strided kernel.
+    It keeps the index whatever `keep_index` says."""
     n, c, h, w = x.shape
     xr = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
     windows = xr.reshape(n, c, h // 2, w // 2, 4)
@@ -528,6 +529,24 @@ class TestKernels:
                 with_reference_kernels(patch)
                 want = training_run(fresh(), batches)
             assert got == want, (arch_name, batch)
+
+    @pytest.mark.parametrize("arch_name", ["default", "three_conv", "one_channel",
+                                           "small_8x8"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_inference_pool_matches_training_pool(self, arch_name, dtype):
+        # inference passes skip the pool's window index; the outputs must not move
+        arch = sweep_arch(arch_name)
+        rng = np.random.default_rng([60, len(arch.conv_channels)])
+        x = awkward_array(rng, (60, *arch.input_shape), dtype)
+        params = nn.init_params(arch, (0, 1, 2, 3), RngState(60), dtype=dtype)
+        with np.errstate(all="ignore"):     # NaN and inf inputs reach the head
+            logits, caches = nn._run_forward(params, x, keep_cache=True)
+            want = np.exp(nn._log_softmax(logits))
+            got = nn.forward_batched(params, x)
+        assert all(c is not None for kind, _, c in caches if kind == "pool")
+        assert got.tobytes() == want.tobytes()
+        out, index = nn._pool_forward(x, keep_index=False)
+        assert index is None and out.tobytes() == nn._pool_forward(x)[0].tobytes()
 
     @pytest.mark.parametrize("position", range(4))
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
