@@ -6,11 +6,16 @@ Binary layout (all integers little-endian):
     per tensor: u16 name length | UTF-8 name | u8 rank | rank x u32 dims | f32 payload
     footer: 8-byte FNV-1a digest of every preceding byte
 
-Optimizer moments ride along as tensors named ``m.<name>`` / ``v.<name>``.
-A sidecar JSON manifest (<file>.json) carries the training cursor: shard id,
-slice index, epoch, seed, output classes, architecture, Adam scalars, the
-digest (a load refuses a sidecar recording another digest: a torn save) and
-timestamps. Save -> load roundtrips are bitwise exact.
+Optimizer moments ride along as tensors named ``m.<name>`` / ``v.<name>``,
+only in checkpoints that training may resume from. A checkpoint nothing
+resumes from holds parameters alone (`without_moments`): a shard's last
+slice (a rollback restores slice first - 1 <= L - 2, and a restart begins
+at slice 0), the gating router and the baseline. Files with and without
+moments load the same way. A sidecar JSON manifest (<file>.json) carries
+the training cursor: shard id, slice index, epoch, seed, output classes,
+architecture, Adam scalars, the digest (a load refuses a sidecar recording
+another digest: a torn save) and timestamps. Save -> load roundtrips are
+bitwise exact.
 
 The digest kernel (fnv1a64) is exact and bit-sliced: each block is
 transposed once into 8 bit planes, 64 byte positions per uint64 word, where
@@ -24,7 +29,7 @@ import json
 import struct
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -243,14 +248,24 @@ def save_checkpoint(ckpt: Checkpoint, path) -> int:
     return digest
 
 
+def _no_moments(config: AdamConfig, step: int) -> OptimizerState:
+    empty = FlatTensors.stack({}, np.float32)
+    return OptimizerState(config=config, step=step, m=empty, v=empty)
+
+
+def without_moments(ckpt: Checkpoint) -> Checkpoint:
+    """`ckpt` as a checkpoint nothing resumes from: its parameters, cursor
+    and Adam scalars, with empty moments, a third of the bytes."""
+    return replace(ckpt, opt_state=_no_moments(ckpt.opt_state.config,
+                                               ckpt.opt_state.step))
+
+
 def save_params(params: ModelParameters, path, adam: AdamConfig,
                 rng: RngState) -> int:
-    """Save a model that is never trained further, with no Adam moments:
-    the gating router and the full-retraining baseline, which retrains
-    from a fresh initialization."""
-    empty = FlatTensors.stack({}, np.float32)
-    no_moments = OptimizerState(config=adam, step=0, m=empty, v=empty)
-    return save_checkpoint(Checkpoint(params=params, opt_state=no_moments,
+    """Save a model that is never trained further, with no Adam moments
+    (see `without_moments`): the gating router and the full-retraining
+    baseline, which retrains from a fresh initialization."""
+    return save_checkpoint(Checkpoint(params=params, opt_state=_no_moments(adam, 0),
                                       shard_id=-1, slice_index=-1, epoch=0,
                                       rng=rng), path)
 

@@ -6,7 +6,8 @@ After every slice the full (parameters, optimizer, cursor, rng) state is
 checkpointed, which is what makes rollback retraining exact: resuming from
 checkpoint l with the same seeds reproduces the uninterrupted run bit for
 bit, because every random stream is derived from (seed, shard, slice,
-epoch) coordinates rather than consumed sequentially.
+epoch) coordinates rather than consumed sequentially. A store saves the
+last slice without optimizer moments, as nothing resumes from it.
 """
 from __future__ import annotations
 
@@ -17,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import Checkpoint, CheckpointStore
+from .checkpoint import Checkpoint, CheckpointStore, without_moments
 from .data import LabeledDataset
-from .errors import InvalidLabelError, NumericFault
+from .errors import IntegrityError, InvalidLabelError, NumericFault
 from .nn import (AdamConfig, Architecture, ModelParameters, OptimizerState,
                  adam_init, adam_step, cnn_architecture, init_params,
                  loss_and_grad, mean_loss, mlp_architecture)
@@ -238,10 +239,13 @@ def train_shard(plan: PartitionPlan, shard_id: int,
     slices start_slice..L-1.
 
     With `initial` given, training resumes from that checkpoint's exact
-    parameter/optimizer state; otherwise the model is freshly initialized
-    from the shard's seed, with `default_architecture`. Validation is the
-    global split filtered to the shard's classes. One checkpoint is produced
-    per trained slice.
+    parameter/optimizer state, which must hold Adam moments; otherwise the
+    model is freshly initialized from the shard's seed, with
+    `default_architecture`. Slice l validates on the global split filtered
+    to the classes of slices 0..l, so a checkpoint that a rollback keeps
+    depends on no later class's rows. One checkpoint is produced per trained
+    slice; the store saves the last one without moments (`without_moments`),
+    because nothing resumes from it.
     """
     layout = plan.layouts[shard_id]
     head = tuple(sorted(plan.assignments[shard_id].class_ids))
@@ -253,14 +257,14 @@ def train_shard(plan: PartitionPlan, shard_id: int,
         opt = initial.opt_state.copy()
         if params.output_classes != head:
             raise ValueError("initial checkpoint head does not match the shard's classes")
+        if opt.m.layout != params.tensors.layout or opt.v.layout != params.tensors.layout:
+            raise IntegrityError(
+                f"shard {shard_id}: the checkpoint of slice {initial.slice_index} holds "
+                "no Adam moments for its parameters, so training cannot resume from it")
     else:
         params = init_params(default_architecture(train_ds.input_shape), head,
                              root.child("init"))
         opt = adam_init(params, cfg.adam())
-
-    val_part = val_ds.restricted_to(head)
-    x_val = val_part.inputs if len(val_part) else None
-    y_val = _local_labels(val_part.labels, head) if len(val_part) else None
 
     labels = train_ds.labels
     checkpoints: list[Checkpoint] = []
@@ -274,6 +278,10 @@ def train_shard(plan: PartitionPlan, shard_id: int,
             if len(replay) else layout.slices[ell]
         x = train_ds.inputs[idx]
         y = _local_labels(labels[idx], head)
+        seen = np.unique(labels[np.concatenate(layout.slices[:ell + 1])])
+        val_part = val_ds.restricted_to(seen)
+        x_val = val_part.inputs if len(val_part) else None
+        y_val = _local_labels(val_part.labels, head) if len(val_part) else None
         try:
             res = fit(params, opt, x, y, x_val, y_val, cfg, slice_rng)
         except NumericFault as exc:
@@ -282,7 +290,7 @@ def train_shard(plan: PartitionPlan, shard_id: int,
                           shard_id=shard_id, slice_index=ell,
                           epoch=res.epochs, rng=root)
         if store is not None:
-            store.save_slice(ckpt)
+            store.save_slice(ckpt if ell < plan.L - 1 else without_moments(ckpt))
         checkpoints.append(ckpt)
         replays.append(replay)
         seconds.append(res.seconds)

@@ -5,11 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sisa_unlearn import bench, checkpoint, cli
+from sisa_unlearn import bench, checkpoint, cli, training
 from sisa_unlearn.bench import GridReport
-from sisa_unlearn.checkpoint import load_checkpoint
+from sisa_unlearn.checkpoint import load_checkpoint, save_checkpoint
 from sisa_unlearn.cli import RunConfig, build_bundle, main
-from sisa_unlearn.unlearning import STRATEGIES, strategy_rule
+from sisa_unlearn.partition import make_plan
+from sisa_unlearn.pipeline import train_sisa
+from sisa_unlearn.unlearning import STRATEGIES, run_unlearning, strategy_rule
 
 
 def base_config(out_dir, **overrides):
@@ -466,6 +468,134 @@ class TestCheckpointLoads:
         assert rollback_point(meta, class_id).split("/")[-1] in err["message"]
         for name, raw_before in before.items():
             assert (run_dir / name).read_bytes() == raw_before
+
+
+# K=2, L=3 over 6 classes: under sequential slicing each class fills one slice
+SIX_CLASSES = {"kind": "synthetic", "n_per_class": 40, "num_classes": 6,
+               "shape": [8], "separation": 4.0}
+SISA = ["sisa_scls_replay", "sisa_gated", "sisa_balanced"]
+
+
+def later_classes(meta, shard: int) -> list[int]:
+    """A shard's classes after its first, by first slice."""
+    own = sorted((loc["first_slice"], int(c)) for c, loc in meta.items()
+                 if loc["shard_id"] == shard)
+    return [c for _, c in own[1:]]
+
+
+def assert_finals_hold_parameters_only(run_dir, scratch):
+    """Each constituent's last checkpoint holds no moments; every other one
+    holds moments laid out like its parameters and resaves to its bytes."""
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    for entry in manifest["constituents"]:
+        *kept, final = entry["checkpoints"]
+        ckpt = load_checkpoint(run_dir / final)
+        assert ckpt.opt_state.m == {} and ckpt.opt_state.v == {}
+        for rel in kept:
+            ckpt = load_checkpoint(run_dir / rel)
+            assert ckpt.opt_state.m.layout == ckpt.params.tensors.layout
+            assert ckpt.opt_state.v.layout == ckpt.params.tensors.layout
+            save_checkpoint(ckpt, scratch)
+            assert scratch.read_bytes() == (run_dir / rel).read_bytes()
+
+
+def deployed(run_dir) -> dict[int, bytes]:
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    return {e["shard_id"]: load_checkpoint(run_dir / e["checkpoints"][-1])
+            .params.tensors.flat.tobytes() for e in manifest["constituents"]}
+
+
+class TestFinalsOnDisk:
+    """A shard's last slice is saved without Adam moments: nothing resumes
+    from it."""
+
+    @pytest.mark.parametrize("strategy", SISA)
+    def test_chained_removals_match_the_library(self, tmp_path, strategy):
+        cfg = write_config(tmp_path, dataset=SIX_CLASSES)
+        run_dir = tmp_path / "run"
+        scratch = tmp_path / "resaved.ckpt"
+        assert run(["train", "--config", cfg, "--strategy", strategy]) == 0
+        assert_finals_hold_parameters_only(run_dir, scratch)
+
+        rc = RunConfig.from_file(cfg, strategy=strategy)
+        bundle, tcfg = build_bundle(rc), rc.train_config()
+        plan = make_plan(bundle.train.labels, rc.K, rc.L, rc.policy)
+        system = train_sisa(bundle, plan, tcfg, gated=strategy_rule(strategy).gated)
+        meta = json.loads((run_dir / "plan.json").read_text())["metadata"]
+        # under sequential slicing the second removal rolls back to slice
+        # L - 2, the checkpoint the first removal retrained and saved
+        for class_id in later_classes(meta, 0):
+            assert run(["unlearn", run_dir, "--class", f"class_{class_id}"]) == 0
+            system, _ = run_unlearning(strategy, system, bundle, class_id, tcfg)
+            assert_finals_hold_parameters_only(run_dir, scratch)
+            ens = system.ensemble
+            assert deployed(run_dir) == {
+                k: p.tensors.flat.tobytes() for k, p in zip(ens.shard_ids, ens.constituents)}
+
+    def test_finals_with_moments_still_load(self, tmp_path, monkeypatch):
+        # run directories written before finals dropped their moments
+        cfg = write_config(tmp_path, dataset=SIX_CLASSES)
+        old, new = tmp_path / "old", tmp_path / "new"
+        monkeypatch.setattr(training, "without_moments", lambda ckpt: ckpt)
+        assert run(["train", "--config", cfg, "--out", old]) == 0
+        monkeypatch.undo()
+        assert run(["train", "--config", cfg, "--out", new]) == 0
+        manifest = json.loads((old / "manifest.json").read_text())
+        for entry in manifest["constituents"]:
+            final = load_checkpoint(old / entry["checkpoints"][-1])
+            assert final.opt_state.m.layout == final.params.tensors.layout
+        assert deployed(old) == deployed(new)
+
+        def reports(run_dir, name):
+            doc = json.loads((run_dir / "reports" / name).read_text())
+            return {k: v for k, v in doc.items() if "seconds" not in k}
+
+        meta = json.loads((new / "plan.json").read_text())["metadata"]
+        for class_id in later_classes(meta, 1):
+            for run_dir in (old, new):
+                assert run(["eval", run_dir]) == 0
+                assert run(["unlearn", run_dir, "--class", f"class_{class_id}"]) == 0
+            assert reports(old, "eval.json") == reports(new, "eval.json")
+            name = f"unlearn_class_{class_id}.json"
+            assert reports(old, name) == reports(new, name)
+        assert deployed(old) == deployed(new)
+
+    @pytest.mark.parametrize("strategy", SISA)
+    def test_single_slice(self, tmp_path, strategy):
+        cfg = write_config(tmp_path, L=1)
+        run_dir = tmp_path / "run"
+        assert run(["train", "--config", cfg, "--strategy", strategy]) == 0
+        assert_finals_hold_parameters_only(run_dir, tmp_path / "resaved.ckpt")
+        assert run(["unlearn", run_dir, "--class", "class_1"]) == 0
+        assert run(["eval", run_dir]) == 0
+        outcome = json.loads((run_dir / "reports" / "unlearn_class_1.json").read_text())
+        assert outcome["verdict"] == "pass"
+        assert outcome["slice_range_retrained"] == [1, 1]
+
+    def test_rollback_to_a_final_is_an_integrity_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dataset=SIX_CLASSES)
+        run_dir = tmp_path / "run"
+        assert run(["train", "--config", cfg]) == 0
+        meta = json.loads((run_dir / "plan.json").read_text())["metadata"]
+        class_id = next(int(c) for c, loc in meta.items() if loc["first_slice"] == 2)
+        shard = meta[str(class_id)]["shard_id"]
+        path = run_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        entry = next(e for e in manifest["constituents"] if e["shard_id"] == shard)
+        entry["checkpoints"][1] = entry["checkpoints"][2]
+        path.write_text(json.dumps(manifest))
+        before = {name: (run_dir / name).read_bytes()
+                  for name in ("manifest.json", "plan.json")}
+        capsys.readouterr()
+        assert run(["unlearn", run_dir, "--class", f"class_{class_id}"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["type"] == "IntegrityError"
+        assert f"shard {shard}: the checkpoint of slice 2 holds no Adam moments" \
+            in err["message"]
+        for name, raw in before.items():
+            assert (run_dir / name).read_bytes() == raw
 
 
 class TestCifarPipeline:

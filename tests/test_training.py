@@ -4,8 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 import sisa_unlearn as su
 import sisa_unlearn.nn as nn
+from sisa_unlearn import training
 from sisa_unlearn.checkpoint import CheckpointStore
-from sisa_unlearn.errors import InvalidLabelError, NumericFault
+from sisa_unlearn.errors import IntegrityError, InvalidLabelError, NumericFault
 from sisa_unlearn.rng import RngState
 from sisa_unlearn.training import (_local_labels, early_stop_monitor, fit, lookup,
                                    sample_replay, train_model)
@@ -211,6 +212,52 @@ class TestTrainShard:
                                  quick_cfg, start_slice=2, initial=loaded)
         assert resumed.final.params.tensors["dense1.w"].tobytes() == \
             full.final.params.tensors["dense1.w"].tobytes()
+
+    def test_store_keeps_moments_only_where_training_resumes(
+            self, small_bundle, plan, quick_cfg, tmp_path):
+        store = CheckpointStore(tmp_path)
+        res = su.train_shard(plan, 0, small_bundle.train, small_bundle.val,
+                             quick_cfg, store=store)
+        for ckpt in res.checkpoints:
+            loaded = store.load_slice(0, ckpt.slice_index)
+            assert loaded.params.tensors.flat.tobytes() == ckpt.params.tensors.flat.tobytes()
+            assert loaded.opt_state.step == ckpt.opt_state.step
+            # in memory every checkpoint keeps its moments
+            assert ckpt.opt_state.m.layout == ckpt.params.tensors.layout
+            if ckpt is res.final:
+                assert loaded.opt_state.m == {} and loaded.opt_state.v == {}
+            else:
+                assert loaded.opt_state.m.flat.tobytes() == ckpt.opt_state.m.flat.tobytes()
+                assert loaded.opt_state.v.flat.tobytes() == ckpt.opt_state.v.flat.tobytes()
+
+    def test_resuming_from_a_final_is_an_integrity_error(
+            self, small_bundle, plan, quick_cfg, tmp_path):
+        store = CheckpointStore(tmp_path)
+        su.train_shard(plan, 1, small_bundle.train, small_bundle.val,
+                       quick_cfg, store=store)
+        final = store.load_slice(1, plan.L - 1)
+        with pytest.raises(IntegrityError, match=r"shard 1: the checkpoint of slice 2 "
+                                                 r"holds no Adam moments"):
+            su.train_shard(plan, 1, small_bundle.train, small_bundle.val,
+                           quick_cfg, start_slice=plan.L - 1, initial=final)
+
+    def test_slice_validates_on_classes_trained_so_far(self, small_bundle, plan,
+                                                       quick_cfg, monkeypatch):
+        seen = []
+        original = training.fit
+
+        def spy(params, opt, x, y, x_val, y_val, cfg, rng):
+            seen.append({params.output_classes[i] for i in np.unique(y_val)})
+            return original(params, opt, x, y, x_val, y_val, cfg, rng)
+
+        monkeypatch.setattr(training, "fit", spy)
+        su.train_shard(plan, 0, small_bundle.train, small_bundle.val, quick_cfg)
+        labels = small_bundle.train.labels
+        layout = plan.layouts[0]
+        expected = [set(np.unique(labels[np.concatenate(layout.slices[:ell + 1])]).tolist())
+                    for ell in range(plan.L)]
+        assert seen == expected
+        assert seen[0] < seen[-1]
 
     def test_replay_mitigates_forgetting(self, small_bundle, plan):
         accs = {}

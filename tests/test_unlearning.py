@@ -4,6 +4,8 @@ import pytest
 import sisa_unlearn as su
 from sisa_unlearn.checkpoint import CheckpointStore, stored_digest
 from sisa_unlearn.errors import UnknownClassError
+from sisa_unlearn.unlearning import (SISA_BALANCED, SISA_GATED, SISA_SCLS_REPLAY,
+                                     strategy_rule)
 
 
 @pytest.fixture(scope="module")
@@ -305,3 +307,37 @@ class TestDispatcher:
     def test_unknown_strategy(self, bundle, cfg, scls_system):
         with pytest.raises(ValueError, match="unknown strategy"):
             su.run_unlearning("sisa_magic", scls_system, bundle, 1, cfg)
+
+
+def assert_disk_matches(store, system):
+    """Every shard's last slice file holds parameters only; every other
+    slice file holds its moments too, and each loads back bitwise."""
+    for k, result in system.shard_results.items():
+        for ckpt in result.checkpoints:
+            loaded = store.load_slice(k, ckpt.slice_index)
+            assert loaded.params.output_classes == ckpt.params.output_classes
+            assert loaded.params.tensors.flat.tobytes() == ckpt.params.tensors.flat.tobytes()
+            if ckpt.slice_index == system.plan.L - 1:
+                assert loaded.opt_state.m == {} and loaded.opt_state.v == {}
+            else:
+                assert loaded.opt_state.m.flat.tobytes() == ckpt.opt_state.m.flat.tobytes()
+                assert loaded.opt_state.v.flat.tobytes() == ckpt.opt_state.v.flat.tobytes()
+
+
+class TestFinalsOnDisk:
+    @pytest.mark.parametrize("strategy", [SISA_SCLS_REPLAY, SISA_GATED, SISA_BALANCED])
+    def test_after_train_and_chained_removals(self, bundle, cfg, tmp_path, strategy):
+        rule = strategy_rule(strategy)
+        store = CheckpointStore(tmp_path)
+        plan = su.make_plan(bundle.train.labels, K=2, L=3, policy=rule.policy)
+        system = su.train_sisa(bundle, plan, cfg, gated=rule.gated, store=store)
+        assert_disk_matches(store, system)
+        # the two later classes of one shard: the second rolls back to the
+        # checkpoint that the first removal retrained
+        shard = plan.metadata[0].shard_id
+        victims = sorted(plan.assignments[shard].class_ids,
+                         key=lambda c: plan.metadata[c].first_slice)[1:]
+        for victim in victims:
+            system, outcome = su.run_unlearning(strategy, system, bundle, victim, cfg)
+            assert outcome.verdict
+            assert_disk_matches(store, system)
