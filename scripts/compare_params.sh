@@ -7,9 +7,14 @@
 # On REV, unpacked with `git archive` into a temporary directory, and on the
 # working tree, runs the CLI on demos/config.json for sisa_scls_replay,
 # sisa_balanced and sisa_gated: `train`, then `unlearn class_1`, then
-# `unlearn class_3`. After each step, each tree loads its own run directory
-# with its own code and prints a blake2b of every deployed constituent's
-# tensors and head, and of the router. Exits nonzero on any difference.
+# `unlearn class_3`. It also runs sisa_scls_replay with the default CNN on a
+# tiny CIFAR-format batch (10 classes x 6 random records, K=2, L=2): `train`,
+# then `unlearn automobile` (its shard restarts at slice 0), then
+# `unlearn frog` (a rollback). After each step, each tree loads its own run
+# directory with its own code and prints a blake2b of every deployed
+# constituent's tensors and head, and of the router; then it runs `eval` and
+# prints a blake2b of the report's confusion matrix, so that one moved
+# prediction shows. Exits nonzero on any difference.
 set -euo pipefail
 
 rev=${1:?usage: scripts/compare_params.sh REV}
@@ -41,19 +46,62 @@ for name, rel in models:
     print(step, name, head, h.hexdigest())
 '
 
+# one line per eval: <step> confusion <blake2b of the eval report's matrix>
+confusion='
+import hashlib, json, sys
+from pathlib import Path
+
+step, run_dir = sys.argv[1], Path(sys.argv[2])
+matrix = json.loads((run_dir / "reports" / "eval.json").read_text())["confusion_matrix"]
+print(step, "confusion",
+      hashlib.blake2b(json.dumps(matrix).encode(), digest_size=16).hexdigest())
+'
+
+# a CIFAR-format batch, and a config that trains the default CNN on it
+mkdir "$tmp/cifar"
+python3 -c '
+import sys
+import numpy as np
+records = np.random.default_rng(0).integers(0, 256, (60, 3073), dtype=np.uint8)
+records[:, 0] = np.repeat(np.arange(10), 6)
+open(sys.argv[1], "wb").write(records.tobytes())
+' "$tmp/cifar/data_batch_1.bin"
+cat > "$tmp/cifar.json" <<JSON
+{"dataset": {"kind": "cifar10", "dir": "$tmp/cifar"},
+ "split": {"train": 0.7, "val": 0.1, "test": 0.2},
+ "K": 2, "L": 2, "policy": "sequential_class", "strategy": "sisa_scls_replay",
+ "replay_ratio": 0.3,
+ "train": {"max_epochs_per_slice": 1, "patience": null, "batch_size": 8},
+ "seed": 7, "out": "runs/cifar"}
+JSON
+
+# <tag> <config> <strategy> <classes removed in turn>
+cases=(
+  "sisa_scls_replay $root/demos/config.json sisa_scls_replay class_1 class_3"
+  "sisa_balanced $root/demos/config.json sisa_balanced class_1 class_3"
+  "sisa_gated $root/demos/config.json sisa_gated class_1 class_3"
+  "cifar_cnn $tmp/cifar.json sisa_scls_replay automobile frog"
+)
+
 for tree in base work; do
   src=$root
   [ "$tree" = base ] && src=$tmp/base
-  for strategy in sisa_scls_replay sisa_balanced sisa_gated; do
-    run="$tmp/$tree.$strategy"
+  for case in "${cases[@]}"; do
+    read -r tag config strategy classes <<< "$case"
+    run="$tmp/$tree.$tag"
     (
       export PYTHONPATH=$src/src
-      python3 -m sisa_unlearn.cli --quiet train --config "$root/demos/config.json" \
+      report() {
+        python3 -c "$digest" "$1" "$run"
+        python3 -m sisa_unlearn.cli --quiet eval "$run"
+        python3 -c "$confusion" "$1" "$run"
+      }
+      python3 -m sisa_unlearn.cli --quiet train --config "$config" \
         --strategy "$strategy" --out "$run"
-      python3 -c "$digest" "$strategy/train" "$run"
-      for class in class_1 class_3; do
+      report "$tag/train"
+      for class in $classes; do
         python3 -m sisa_unlearn.cli --quiet unlearn "$run" --class "$class"
-        python3 -c "$digest" "$strategy/unlearn_$class" "$run"
+        report "$tag/unlearn_$class"
       done
     ) >> "$tmp/$tree.out"
   done
@@ -64,8 +112,8 @@ if [ "$lines" -eq 0 ]; then
   echo "no parameter digests printed" >&2
   exit 1
 elif diff "$tmp/base.out" "$tmp/work.out"; then
-  echo "$lines parameter digests identical to $rev"
+  echo "$lines parameter and confusion digests identical to $rev"
 else
-  echo "deployed parameters differ from $rev" >&2
+  echo "deployed parameters or predictions differ from $rev" >&2
   exit 1
 fi

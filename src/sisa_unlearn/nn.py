@@ -363,6 +363,38 @@ def _pool_backward(dy, index):
     return dx
 
 
+# rows per conv block of an inference pass: bounds its im2col and activations
+_ROW_BLOCK = 8
+
+
+def _relu_pool(a):
+    """ReLU then 2x2 max-pool of a conv output, for inference. With no NaN
+    and no -inf in `a`, the window max is taken first and the ReLU applied
+    to that quarter-size result; the two orders then differ only in the sign
+    of a zero, which reaches no probability or argmax. Otherwise ReLU then `_pool_forward`, whose argmax rule is
+    what fixes the bits of NaN (and of the NaN that the ReLU makes of -inf)."""
+    if a.min(initial=np.inf) > -np.inf:     # false for NaN and for -inf
+        out = np.maximum(np.maximum(a[:, :, 0::2, 0::2], a[:, :, 0::2, 1::2]),
+                         np.maximum(a[:, :, 1::2, 0::2], a[:, :, 1::2, 1::2]))
+        np.multiply(out, out > 0, out=out)
+        return out
+    np.multiply(a, a > 0, out=a)
+    return _pool_forward(a, False)[0]
+
+
+def _conv_features(tensors: FlatTensors, layers, x: np.ndarray) -> np.ndarray:
+    """Flattened output of the conv -> relu -> pool blocks over rows x,
+    without caches: each conv GEMM is per sample, so a block of rows gives
+    the bits of the whole batch."""
+    a = x
+    for kind, names in layers:
+        if kind == "conv":
+            a = _conv_forward(a, tensors[names[0]], tensors[names[1]])[0]
+        elif kind == "pool":
+            a = _relu_pool(a)
+    return a.reshape(a.shape[0], math.prod(a.shape[1:]))    # -1 fails on 0 rows
+
+
 def _run_forward(params: ModelParameters, x: np.ndarray, keep_cache: bool):
     arch = params.arch
     if x.shape[1:] != arch.input_shape:
@@ -373,12 +405,19 @@ def _run_forward(params: ModelParameters, x: np.ndarray, keep_cache: bool):
     a = x.astype(params.dtype, copy=False)
     tensors = params.tensors
     caches = []
-    for kind, names in arch.layers:
+    layers = arch.layers
+    if arch.kind == CNN and not keep_cache:
+        flat = layers.index(("flatten", None))
+        conv, layers = layers[:flat], layers[flat + 1:]
+        blocks = _chunked(lambda rows: _conv_features(tensors, conv, a[rows]),
+                          len(a), _ROW_BLOCK)
+        a = np.concatenate(blocks)
+    for kind, names in layers:
         if kind == "conv":
             a, cache = _conv_forward(a, tensors[names[0]], tensors[names[1]])
             caches.append((kind, names, cache))
         elif kind == "pool":
-            a, cache = _pool_forward(a, keep_cache)
+            a, cache = _pool_forward(a)    # inference pools in _relu_pool
             caches.append((kind, names, cache))
         elif kind == "relu":   # a is the fresh output of a conv or dense layer
             mask = a > 0
@@ -410,7 +449,9 @@ def forward(params: ModelParameters, x: np.ndarray) -> np.ndarray:
 
 def _chunked(fn, n: int, batch_size: int) -> list:
     """fn(rows) for consecutive row slices of at most batch_size covering n
-    rows (one empty slice when n is 0); chunks bound conv im2col memory."""
+    rows (one empty slice when n is 0). Inference runs its conv layers in
+    `_ROW_BLOCK`-row blocks, which bound their memory; a chunk fixes the
+    row count of the dense GEMMs."""
     return [fn(slice(start, start + batch_size))
             for start in range(0, max(n, 1), batch_size)]
 

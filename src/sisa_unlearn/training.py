@@ -22,8 +22,8 @@ from .checkpoint import Checkpoint, CheckpointStore, without_moments
 from .data import LabeledDataset
 from .errors import IntegrityError, InvalidLabelError, NumericFault
 from .nn import (AdamConfig, Architecture, ModelParameters, OptimizerState,
-                 adam_init, adam_step, cnn_architecture, init_params,
-                 loss_and_grad, mean_loss, mlp_architecture)
+                 adam_init, adam_step, cnn_architecture, drop_output_classes,
+                 init_params, loss_and_grad, mean_loss, mlp_architecture)
 from .partition import PartitionPlan, SliceLayout
 from .rng import RngState
 
@@ -239,13 +239,14 @@ def train_shard(plan: PartitionPlan, shard_id: int,
     slices start_slice..L-1.
 
     With `initial` given, training resumes from that checkpoint's exact
-    parameter/optimizer state, which must hold Adam moments; otherwise the
-    model is freshly initialized from the shard's seed, with
-    `default_architecture`. Slice l validates on the global split filtered
-    to the classes of slices 0..l, so a checkpoint that a rollback keeps
-    depends on no later class's rows. One checkpoint is produced per trained
-    slice; the store saves the last one without moments (`without_moments`),
-    because nothing resumes from it.
+    parameter/optimizer state, its head cut to the shard's classes; it must
+    be this shard's checkpoint of slice start_slice - 1 and hold Adam
+    moments. Otherwise the model is freshly initialized from the shard's
+    seed, with `default_architecture`. Slice l validates on the global split
+    filtered to the classes of slices 0..l, so a checkpoint that a rollback
+    keeps depends on no later class's rows. One checkpoint is produced per
+    trained slice; the store saves the last one without moments
+    (`without_moments`), because nothing resumes from it.
     """
     layout = plan.layouts[shard_id]
     head = tuple(sorted(plan.assignments[shard_id].class_ids))
@@ -253,14 +254,20 @@ def train_shard(plan: PartitionPlan, shard_id: int,
         raise ValueError(f"shard {shard_id} has no classes to train on")
     root = RngState(cfg.seed).child("shard", shard_id)
     if initial is not None:
-        params = initial.params.copy()
-        opt = initial.opt_state.copy()
-        if params.output_classes != head:
-            raise ValueError("initial checkpoint head does not match the shard's classes")
-        if opt.m.layout != params.tensors.layout or opt.v.layout != params.tensors.layout:
+        expected = initial.params.tensors.layout
+        if initial.opt_state.m.layout != expected or initial.opt_state.v.layout != expected:
             raise IntegrityError(
                 f"shard {shard_id}: the checkpoint of slice {initial.slice_index} holds "
                 "no Adam moments for its parameters, so training cannot resume from it")
+        if (initial.shard_id, initial.slice_index) != (shard_id, start_slice - 1):
+            raise IntegrityError(
+                f"shard {shard_id}: resuming at slice {start_slice} needs the checkpoint "
+                f"of slice {start_slice - 1}, got shard {initial.shard_id} slice "
+                f"{initial.slice_index}")
+        params, opt = drop_output_classes(initial.params, initial.opt_state,
+                                          set(initial.params.output_classes) - set(head))
+        if params.output_classes != head:
+            raise ValueError("initial checkpoint head does not match the shard's classes")
     else:
         params = init_params(default_architecture(train_ds.input_shape), head,
                              root.child("init"))

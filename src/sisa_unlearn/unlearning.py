@@ -14,12 +14,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .checkpoint import Checkpoint
 from .data import LabeledDataset
 from .ensemble import predict_labels
 from .errors import IntegrityError, UnknownClassError
 from .evaluation import EvaluationReport, confusion_matrix, report_from_confusion
-from .nn import drop_output_classes
 from .partition import BALANCED, SEQUENTIAL_CLASS, purge_class
 from .pipeline import BaselineModel, DataBundle, SisaSystem
 from .training import TrainConfig, train_model, train_shard
@@ -186,12 +184,7 @@ def _unlearn_shard(strategy: str, system: SisaSystem, data: DataBundle,
             if len(old.checkpoints) < first:
                 raise IntegrityError(
                     f"shard {shard_id} is missing the checkpoint after slice {first - 1}")
-            base = old.checkpoints[first - 1]
-            drop = set(base.params.output_classes) - set(new_head)
-            params, opt = drop_output_classes(base.params, base.opt_state, drop)
-            initial = Checkpoint(params=params, opt_state=opt,
-                                 shard_id=shard_id, slice_index=base.slice_index,
-                                 epoch=base.epoch, rng=base.rng)
+            initial = old.checkpoints[first - 1]
         result = train_shard(purged, shard_id, data.train, data.val, cfg,
                              store=system.store,
                              start_slice=first, initial=initial)

@@ -597,6 +597,38 @@ class TestFinalsOnDisk:
         for name, raw in before.items():
             assert (run_dir / name).read_bytes() == raw
 
+    @pytest.mark.parametrize("wrong", ["slice_0", "other_shard"])
+    def test_rollback_to_another_checkpoint_is_an_integrity_error(
+            self, tmp_path, capsys, wrong):
+        # the manifest's slice-1 entry names a checkpoint that holds moments
+        cfg = write_config(tmp_path, dataset=SIX_CLASSES)
+        run_dir = tmp_path / "run"
+        assert run(["train", "--config", cfg]) == 0
+        meta = json.loads((run_dir / "plan.json").read_text())["metadata"]
+        class_id = next(int(c) for c, loc in meta.items() if loc["first_slice"] == 2)
+        shard = meta[str(class_id)]["shard_id"]
+        path = run_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        entry, other = sorted(manifest["constituents"],
+                              key=lambda e: e["shard_id"] != shard)
+        entry["checkpoints"][1] = (entry["checkpoints"][0] if wrong == "slice_0"
+                                   else other["checkpoints"][1])
+        path.write_text(json.dumps(manifest))
+        before = {name: (run_dir / name).read_bytes()
+                  for name in ("manifest.json", "plan.json")}
+        capsys.readouterr()
+        assert run(["unlearn", run_dir, "--class", f"class_{class_id}"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["type"] == "IntegrityError"
+        got = (f"shard {shard} slice 0" if wrong == "slice_0"
+               else f"shard {other['shard_id']} slice 1")
+        assert (f"shard {shard}: resuming at slice 2 needs the checkpoint of slice 1, "
+                f"got {got}") in err["message"]
+        for name, raw in before.items():
+            assert (run_dir / name).read_bytes() == raw
+
 
 class TestCifarPipeline:
     def test_cnn_run_from_binary_batches(self, tmp_path):

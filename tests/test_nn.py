@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -571,3 +573,95 @@ class TestKernels:
         with pytest.raises(NumericFault, match="non-finite loss"):
             su.train_shard(su.make_plan(labels, K=1, L=1, policy=su.BALANCED), 0,
                            train, train.subset([]), cfg)
+
+
+# --- row-blocked inference ------------------------------------------------------
+
+def finite_array(rng, shape, dtype, kind):
+    """Finite inputs, so that inference pools before its ReLU: rounded draws
+    (many ties) with a third of the entries -0.0, all zero, or all negative."""
+    if kind == "ties":
+        x = np.round(rng.standard_normal(shape)).astype(dtype)
+        x[rng.random(shape) < 1 / 3] = -0.0
+        return x
+    if kind == "zero":
+        return np.zeros(shape, dtype)
+    return -np.abs(rng.standard_normal(shape)).astype(dtype) - dtype(0.25)
+
+
+def sweep_params(arch_name, dtype, adam_steps):
+    """Fresh parameters (zero biases), or after a few Adam steps."""
+    arch = sweep_arch(arch_name)
+    params = nn.init_params(arch, (0, 1, 2, 3), RngState(11), dtype=dtype)
+    state = nn.adam_init(params)
+    rng = np.random.default_rng(12)
+    for _ in range(adam_steps):
+        x = rng.standard_normal((8, *arch.input_shape)).astype(dtype)
+        nn.adam_step(params, nn.loss_and_grad(params, x, rng.integers(0, 4, 8))[1], state)
+    return params
+
+
+def training_log_probs(params, x):
+    logits, _ = nn._run_forward(params, x, keep_cache=True)
+    return nn._log_softmax(logits)
+
+
+@pytest.fixture()
+def fallbacks(monkeypatch):
+    """Row counts of the conv outputs that inference pools after the ReLU."""
+    seen = []
+    original = nn._pool_forward
+
+    def spy(x, keep_index=True):
+        if not keep_index:
+            seen.append(len(x))
+        return original(x, keep_index)
+    monkeypatch.setattr(nn, "_pool_forward", spy)
+    return seen
+
+
+class TestBlockedInference:
+    @pytest.mark.parametrize("arch_name", ["default", "three_conv", "one_channel",
+                                           "small_8x8"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("adam_steps", [0, 3])
+    @pytest.mark.parametrize("kind", ["ties", "zero", "negative"])
+    def test_matches_training_forward_bitwise(self, fallbacks, arch_name, dtype,
+                                              adam_steps, kind):
+        params = sweep_params(arch_name, dtype, adam_steps)
+        for n in (0, 1, 7, 8, 9, 17, 60):
+            rng = np.random.default_rng([n, adam_steps])
+            x = finite_array(rng, (n, *params.arch.input_shape), dtype, kind)
+            want = training_log_probs(params, x)
+            assert nn.log_probs(params, x).tobytes() == want.tobytes(), n
+            assert np.array_equal(nn.predict_local(params, x), want.argmax(axis=1))
+        assert fallbacks == []       # finite inputs never leave the fast path
+
+    @pytest.mark.parametrize("arch_name", ["default", "three_conv", "one_channel",
+                                           "small_8x8"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_block_falls_back(self, fallbacks, arch_name, dtype):
+        # rows 8..15 form the middle block: only it holds a -inf
+        params = sweep_params(arch_name, dtype, 3)
+        x = finite_array(np.random.default_rng(9), (17, *params.arch.input_shape),
+                         dtype, "ties")
+        x[9, 0, 1, 2] = -np.inf
+        with np.errstate(all="ignore"):
+            want = training_log_probs(params, x)
+            got = nn.log_probs(params, x)
+        assert got.tobytes() == want.tobytes()
+        assert np.isfinite(np.delete(got, 9, axis=0)).all()
+        assert fallbacks == [nn._ROW_BLOCK] * len(params.arch.conv_channels)
+
+    def test_forward_peak_memory_is_bounded(self):
+        # a counter that wall-clock noise cannot move: whole-batch conv
+        # layers peaked near 20 MB here
+        params = nn.init_params(nn.cnn_architecture(), tuple(range(10)), RngState(1))
+        x = np.random.default_rng(2).standard_normal((60, 3, 32, 32)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            nn.forward_batched(params, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
