@@ -7,12 +7,13 @@
 # On REV, unpacked with `git archive` into a temporary directory, and on the
 # working tree, runs the CLI on demos/config.json for sisa_scls_replay,
 # sisa_balanced and sisa_gated: `train`, then `unlearn class_1`, then
-# `unlearn class_3`. It also runs sisa_scls_replay with the default CNN on a
-# tiny CIFAR-format batch (10 classes x 6 random records, K=2, L=2): `train`,
-# then `unlearn automobile` (its shard restarts at slice 0), then
-# `unlearn frog` (a rollback). After each step, each tree loads its own run
-# directory with its own code and prints a blake2b of every deployed
-# constituent's tensors and head, and of the router; then it runs `eval` and
+# `unlearn class_3`; and for baseline_full: `train`, then `unlearn class_1`.
+# It also runs sisa_scls_replay with the default CNN on a tiny CIFAR-format
+# batch (10 classes x 6 random records, K=2, L=2): `train`, then
+# `unlearn automobile` (its shard restarts at slice 0), then `unlearn frog`
+# (a rollback). After each step, each tree loads its own run directory with
+# its own code and prints a blake2b of every deployed constituent's tensors
+# and head, of the router and of the baseline; then it runs `eval` and
 # prints a blake2b of the report's confusion matrix, so that one moved
 # prediction shows. Exits nonzero on any difference.
 set -euo pipefail
@@ -25,7 +26,7 @@ trap 'rm -rf "$tmp"' EXIT
 mkdir "$tmp/base"
 git -C "$root" archive "$rev" | tar -x -C "$tmp/base"
 
-# one line per deployed model: <step> <shard id, or gating> <head> <blake2b>
+# one line per deployed model: <step> <shard id, gating or baseline> <head> <blake2b>
 digest='
 import hashlib, json, sys
 from pathlib import Path
@@ -33,9 +34,11 @@ from sisa_unlearn.checkpoint import load_checkpoint
 
 step, run_dir = sys.argv[1], Path(sys.argv[2])
 manifest = json.loads((run_dir / "manifest.json").read_text())
-models = [(str(e["shard_id"]), e["checkpoints"][-1]) for e in manifest["constituents"]]
-if manifest.get("gating"):
-    models.append(("gating", manifest["gating"]))
+models = [(str(e["shard_id"]), e["checkpoints"][-1])
+          for e in manifest.get("constituents", [])]
+for name in ("gating", "baseline"):
+    if manifest.get(name):
+        models.append((name, manifest[name]))
 for name, rel in models:
     params = load_checkpoint(run_dir / rel).params
     h = hashlib.blake2b(digest_size=16)
@@ -80,6 +83,7 @@ cases=(
   "sisa_scls_replay $root/demos/config.json sisa_scls_replay class_1 class_3"
   "sisa_balanced $root/demos/config.json sisa_balanced class_1 class_3"
   "sisa_gated $root/demos/config.json sisa_gated class_1 class_3"
+  "baseline_full $root/demos/config.json baseline_full class_1"
   "cifar_cnn $tmp/cifar.json sisa_scls_replay automobile frog"
 )
 

@@ -1,21 +1,22 @@
 """Checkpoint serialization and the on-disk store.
 
-Binary layout (all integers little-endian):
+A checkpoint is one file (all integers little-endian):
 
-    magic "SISA" | u32 version=1 | u32 tensor count
+    magic "SISA" | u32 version=2 | u32 header length | header | u32 tensor count
     per tensor: u16 name length | UTF-8 name | u8 rank | rank x u32 dims | f32 payload
     footer: 8-byte FNV-1a digest of every preceding byte
 
+The header is compact UTF-8 JSON with sorted keys: the training cursor
+(shard id, slice index, epoch, seed, rng counter), the output classes, the
+architecture and the Adam scalars. It holds no timestamp, so a file's bytes
+are a function of the checkpoint alone, and the footer covers it like the
+tensors: a load checks magic, version and digest before it parses either.
 Optimizer moments ride along as tensors named ``m.<name>`` / ``v.<name>``,
 only in checkpoints that training may resume from. A checkpoint nothing
 resumes from holds parameters alone (`without_moments`): a shard's last
 slice (a rollback restores slice first - 1 <= L - 2, and a restart begins
 at slice 0), the gating router and the baseline. Files with and without
-moments load the same way. A sidecar JSON manifest (<file>.json) carries
-the training cursor: shard id, slice index, epoch, seed, output classes,
-architecture, Adam scalars, the digest (a load refuses a sidecar recording
-another digest: a torn save) and timestamps. Save -> load roundtrips are
-bitwise exact.
+moments load the same way. Save -> load roundtrips are bitwise exact.
 
 The digest kernel (fnv1a64) is exact and bit-sliced: each block is
 transposed once into 8 bit planes, 64 byte positions per uint64 word, where
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import json
 import struct
-import time
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -35,12 +35,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, IntegrityError, UnsupportedVersionError
-from .files import write_atomic, write_json
+from .files import write_atomic
 from .nn import AdamConfig, Architecture, FlatTensors, ModelParameters, OptimizerState
 from .rng import RngState
 
 MAGIC = b"SISA"
-VERSION = 1
+VERSION = 2
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -206,9 +206,23 @@ class Checkpoint:
     rng: RngState
 
 
-def _serialize_tensors(named: list[tuple[str, np.ndarray]]) -> bytearray:
+def _serialize(ckpt: Checkpoint) -> bytearray:
+    """Every byte of the file but the footer."""
+    cfg = ckpt.opt_state.config
+    header = json.dumps({
+        "shard_id": ckpt.shard_id, "slice_index": ckpt.slice_index, "epoch": ckpt.epoch,
+        "seed": ckpt.rng.seed, "rng_counter": ckpt.rng.counter,
+        "output_classes": list(ckpt.params.output_classes),
+        "arch": ckpt.params.arch.to_dict(),
+        "adam": {"lr": cfg.lr, "beta1": cfg.beta1, "beta2": cfg.beta2,
+                 "eps": cfg.eps, "step": ckpt.opt_state.step},
+    }, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    named = list(ckpt.params.tensors.items())
+    named += [(f"m.{k}", t) for k, t in ckpt.opt_state.m.items()]
+    named += [(f"v.{k}", t) for k, t in ckpt.opt_state.v.items()]
     buf = bytearray(MAGIC)
-    buf += struct.pack("<II", VERSION, len(named))
+    buf += struct.pack("<II", VERSION, len(header)) + header
+    buf += struct.pack("<I", len(named))
     for name, arr in named:
         if arr.dtype != np.float32:
             raise ValueError(f"checkpoint tensors must be float32, got {arr.dtype} for {name!r}")
@@ -221,30 +235,11 @@ def _serialize_tensors(named: list[tuple[str, np.ndarray]]) -> bytearray:
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> int:
-    """Write the binary plus its sidecar manifest; returns the digest."""
-    named = list(ckpt.params.tensors.items())
-    named += [(f"m.{k}", t) for k, t in ckpt.opt_state.m.items()]
-    named += [(f"v.{k}", t) for k, t in ckpt.opt_state.v.items()]
-    buf = _serialize_tensors(named)
+    """Write the checkpoint as one file; returns the digest."""
+    buf = _serialize(ckpt)
     digest = fnv1a64(buf)
     buf += struct.pack("<Q", digest)
     write_atomic(path, buf)
-
-    cfg = ckpt.opt_state.config
-    manifest = {
-        "shard_id": ckpt.shard_id,
-        "slice_index": ckpt.slice_index,
-        "epoch": ckpt.epoch,
-        "seed": ckpt.rng.seed,
-        "rng_counter": ckpt.rng.counter,
-        "output_classes": list(ckpt.params.output_classes),
-        "arch": ckpt.params.arch.to_dict(),
-        "adam": {"lr": cfg.lr, "beta1": cfg.beta1, "beta2": cfg.beta2,
-                 "eps": cfg.eps, "step": ckpt.opt_state.step},
-        "digest": f"{digest:016x}",
-        "created_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-    }
-    write_json(str(path) + ".json", manifest)
     return digest
 
 
@@ -270,11 +265,25 @@ def save_params(params: ModelParameters, path, adam: AdamConfig,
                                       rng=rng), path)
 
 
-def _parse_tensors(body: memoryview) -> dict[str, np.ndarray]:
-    """Each tensor as a read-only view of `body`."""
+def _verified_body(path, raw: bytes) -> tuple[memoryview, int]:
+    """The bytes before the footer, and the footer's digest, checked against them."""
+    if len(raw) < 8:
+        raise IntegrityError(f"{path}: file too short")
+    body = memoryview(raw)[:-8]
+    (stored,) = struct.unpack_from("<Q", raw, len(body))
+    if fnv1a64(body) != stored:
+        raise IntegrityError(f"{path}: digest mismatch, file corrupted or truncated")
+    return body, stored
+
+
+def _parse_body(body: memoryview) -> tuple[dict, dict[str, np.ndarray]]:
+    """The header, and each tensor as a read-only view of `body`."""
     try:
-        count = struct.unpack_from("<I", body, 8)[0]
-        offset = 12
+        (header_len,) = struct.unpack_from("<I", body, 8)
+        offset = 12 + header_len
+        (count,) = struct.unpack_from("<I", body, offset)
+        header = json.loads(str(body[12:offset], "utf-8"))
+        offset += 4
         tensors: dict[str, np.ndarray] = {}
         for _ in range(count):
             (name_len,) = struct.unpack_from("<H", body, offset)
@@ -294,47 +303,33 @@ def _parse_tensors(body: memoryview) -> dict[str, np.ndarray]:
             offset = end
         if offset != len(body):
             raise IntegrityError("checkpoint has trailing bytes after tensors")
-        return tensors
+        return header, tensors
     except struct.error as exc:
         raise IntegrityError(f"checkpoint truncated: {exc}") from exc
-
-
-def _read_sidecar(path) -> dict:
-    mpath = Path(str(path) + ".json")
-    if not mpath.exists():
-        raise IntegrityError(f"{path}: sidecar manifest {mpath.name} is missing")
-    return json.loads(mpath.read_text())
 
 
 def load_checkpoint(path) -> Checkpoint:
     path = Path(path)
     raw = path.read_bytes()
-    if len(raw) < 20:
+    if len(raw) < 24:
         raise IntegrityError(f"{path}: file too short to be a checkpoint")
     if raw[:4] != MAGIC:
         raise FormatError(f"{path}: bad magic {raw[:4]!r}")
     (version,) = struct.unpack_from("<I", raw, 4)
     if version != VERSION:
         raise UnsupportedVersionError(f"{path}: checkpoint version {version} unsupported")
-    body = memoryview(raw)[:-8]
-    (stored,) = struct.unpack_from("<Q", raw, len(body))
-    if fnv1a64(body) != stored:
-        raise IntegrityError(f"{path}: digest mismatch, file corrupted or truncated")
-    tensors = _parse_tensors(body)
-    manifest = _read_sidecar(path)
-    if manifest.get("digest") != f"{stored:016x}":
-        raise IntegrityError(f"{path}: sidecar digest {manifest.get('digest')} is not "
-                             f"the file's {stored:016x}, a save torn between its writes")
+    body, _ = _verified_body(path, raw)
+    header, tensors = _parse_body(body)
 
     params_t = {k: t for k, t in tensors.items() if not k.startswith(("m.", "v."))}
     m = {k[2:]: t for k, t in tensors.items() if k.startswith("m.")}
     v = {k[2:]: t for k, t in tensors.items() if k.startswith("v.")}
     params = ModelParameters(
-        arch=Architecture.from_dict(manifest["arch"]),
-        output_classes=tuple(manifest["output_classes"]),
+        arch=Architecture.from_dict(header["arch"]),
+        output_classes=tuple(header["output_classes"]),
         tensors=FlatTensors.stack(params_t, np.float32),
     )
-    adam = manifest["adam"]
+    adam = header["adam"]
     opt = OptimizerState(
         config=AdamConfig(lr=adam["lr"], beta1=adam["beta1"],
                           beta2=adam["beta2"], eps=adam["eps"]),
@@ -343,9 +338,9 @@ def load_checkpoint(path) -> Checkpoint:
     )
     return Checkpoint(
         params=params, opt_state=opt,
-        shard_id=manifest["shard_id"], slice_index=manifest["slice_index"],
-        epoch=manifest["epoch"],
-        rng=RngState(manifest["seed"], manifest["rng_counter"]),
+        shard_id=header["shard_id"], slice_index=header["slice_index"],
+        epoch=header["epoch"],
+        rng=RngState(header["seed"], header["rng_counter"]),
     )
 
 
@@ -374,14 +369,7 @@ class LazyChain(Sequence):
 
 def stored_digest(path) -> int:
     """Digest from a checkpoint's footer, verified against its body."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 8:
-        raise IntegrityError(f"{path}: file too short")
-    body = memoryview(raw)[:-8]
-    (stored,) = struct.unpack_from("<Q", raw, len(body))
-    if fnv1a64(body) != stored:
-        raise IntegrityError(f"{path}: digest mismatch")
-    return stored
+    return _verified_body(path, Path(path).read_bytes())[1]
 
 
 class CheckpointStore:

@@ -15,6 +15,7 @@ from .checkpoint import CheckpointStore, save_params
 from .data import (LabeledDataset, SplitSpec, channel_stats, generate_synthetic,
                    load_cifar10, normalize, split)
 from .ensemble import EnsembleModel, train_gating
+from .errors import IntegrityError
 from .nn import ModelParameters
 from .partition import PartitionPlan
 from .rng import RngState
@@ -73,7 +74,16 @@ class SisaSystem:
         """Each shard's final parameters, in shard-id order, plus the router
         if there is one. Built on first use: a system read from a run
         directory then loads and digest-checks every deployed final together,
-        and one whose ensemble is never used reads none."""
+        and one whose ensemble is never used reads none. A final that is not
+        shard k's checkpoint of slice L - 1, or whose head is not the shard's,
+        is an IntegrityError: it was not trained on shard k's data."""
+        for k, r in sorted(self.shard_results.items()):
+            got = (r.final.shard_id, r.final.slice_index, r.final.params.output_classes)
+            if got != (k, self.plan.L - 1, r.head):
+                raise IntegrityError(
+                    f"shard {k}: the deployed final is shard {got[0]} slice {got[1]} "
+                    f"with head {list(got[2])}, not shard {k} slice {self.plan.L - 1} "
+                    f"with head {list(r.head)}")
         shard_ids = sorted(self.shard_results)
         return EnsembleModel(
             constituents=[self.shard_results[k].final.params for k in shard_ids],

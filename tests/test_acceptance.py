@@ -249,8 +249,6 @@ def test_criterion_9_rollback_equivalence(bundle, shared_cfg, systems,
     raw = bytearray(src.read_bytes())
     raw[len(raw) // 2] ^= 0x01
     corrupted.write_bytes(bytes(raw))
-    (tmp_path / "corrupt.ckpt.json").write_text(
-        (tmp_path / "slice_1.ckpt.json").read_text())
     with pytest.raises(IntegrityError):
         load_checkpoint(corrupted)
 

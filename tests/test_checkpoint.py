@@ -1,3 +1,4 @@
+import json
 import struct
 import warnings
 
@@ -7,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 import sisa_unlearn.checkpoint as checkpoint
 import sisa_unlearn.nn as nn
-from sisa_unlearn.checkpoint import (_BLOCK, _LANE, Checkpoint, LazyChain, _hash_block,
-                                     fnv1a64, load_checkpoint, save_checkpoint,
-                                     stored_digest)
-from sisa_unlearn.errors import FormatError, IntegrityError, UnsupportedVersionError
+from sisa_unlearn.checkpoint import (_BLOCK, _LANE, MAGIC, VERSION, Checkpoint, LazyChain,
+                                     _hash_block, fnv1a64, load_checkpoint,
+                                     save_checkpoint, stored_digest, without_moments)
+from sisa_unlearn.errors import (FormatError, IntegrityError, SisaError,
+                                 UnsupportedVersionError)
 from sisa_unlearn.rng import RngState
 
 
@@ -41,8 +43,8 @@ def assert_matches_loop(data):
     assert got == fnv1a64_loop(bytes(data))
 
 
-BOUNDARY_LENGTHS = sorted({n for chunk in (_LANE, _BLOCK)
-                           for n in (0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5)})
+# 0, 1, c - 1, c, c + 1 and 3c + 5 bytes for c = 64 (a lane) and 65536 (a block)
+BOUNDARY_LENGTHS = [0, 1, 63, 64, 65, 197, 65535, 65536, 65537, 196613]
 
 
 class TestFnv:
@@ -61,7 +63,7 @@ class TestFnv:
         assert_matches_loop(np.random.default_rng(n).bytes(n))
 
     @pytest.mark.parametrize("fill", [0x00, 0xFF])
-    @pytest.mark.parametrize("n", [1, _LANE, _BLOCK + 1, 3 * _BLOCK + 5])
+    @pytest.mark.parametrize("n", [1, 64, 65537, 196613])
     def test_constant_buffers(self, fill, n):
         assert_matches_loop(bytes([fill]) * n)
 
@@ -140,25 +142,37 @@ class TestCorruption:
         path = tmp_path / "a.ckpt"
         save_checkpoint(make_checkpoint(), path)
         raw = bytearray(path.read_bytes())
-        struct.pack_into("<I", raw, 4, 2)
+        struct.pack_into("<I", raw, 4, VERSION + 1)
         # keep the digest valid so the version check is what fires
         body = bytes(raw[:-8])
         path.write_bytes(body + struct.pack("<Q", fnv1a64(body)))
         with pytest.raises(UnsupportedVersionError):
             load_checkpoint(path)
 
-    def test_sidecar_of_another_save_is_refused(self, tmp_path):
-        # a crash between a save's two writes pairs a new binary with an old sidecar
-        paths = [tmp_path / "a.ckpt", tmp_path / "b.ckpt"]
-        for seed, path in enumerate(paths):
-            save_checkpoint(make_checkpoint(seed=seed), path)
-        sidecars = [path.with_name(path.name + ".json") for path in paths]
-        texts = [p.read_text() for p in sidecars]
-        for p, text in zip(sidecars, reversed(texts)):
-            p.write_text(text)
-        for path in paths:
-            with pytest.raises(IntegrityError, match="sidecar digest"):
-                load_checkpoint(path)
+    @pytest.mark.parametrize("moments", [True, False])
+    def test_every_flipped_byte_is_refused(self, tmp_path, moments):
+        ckpt = make_checkpoint()
+        save_checkpoint(ckpt if moments else without_moments(ckpt), tmp_path / "a.ckpt")
+        for path in sorted(tmp_path.iterdir()):
+            raw = path.read_bytes()
+            for i in range(len(raw)):
+                flipped = bytearray(raw)
+                flipped[i] ^= 0xFF
+                path.write_bytes(bytes(flipped))
+                with pytest.raises(SisaError):
+                    load_checkpoint(tmp_path / "a.ckpt")
+            path.write_bytes(raw)
+        load_checkpoint(tmp_path / "a.ckpt")
+
+    def test_version_1_file_is_refused(self, tmp_path):
+        # the layout before the header moved into the file: no header length
+        body = MAGIC + struct.pack("<II", 1, 1)
+        body += struct.pack("<H", 1) + b"w" + struct.pack("<BI", 1, 2)
+        body += np.array([0.5, -1.0], dtype="<f4").tobytes()
+        path = tmp_path / "a.ckpt"
+        path.write_bytes(body + struct.pack("<Q", fnv1a64(body)))
+        with pytest.raises(UnsupportedVersionError, match="version 1"):
+            load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "a.ckpt"
@@ -169,7 +183,7 @@ class TestCorruption:
 
 class TestPayloadSize:
     def test_reference_cnn_size_matches_formula(self, tmp_path):
-        # oracle: header arithmetic + 4 bytes x (params + both moments)
+        # oracle: the documented layout + 4 bytes x (params + both moments)
         arch = nn.cnn_architecture((3, 32, 32))
         ckpt = make_checkpoint(arch=arch, n_out=10)
         path = tmp_path / "cnn.ckpt"
@@ -179,7 +193,17 @@ class TestPayloadSize:
         names += [f"m.{k}" for k in names[: len(ckpt.params.tensors)]]
         names += [f"v.{k}" for k in list(ckpt.params.tensors)]
         shapes = list(ckpt.params.tensors.values()) * 3
-        header = 4 + 4 + 4
+        cfg = ckpt.opt_state.config
+        header_json = json.dumps({
+            "shard_id": 1, "slice_index": 2, "epoch": 5, "seed": 0, "rng_counter": 4,
+            "output_classes": list(range(10)),
+            "arch": {"kind": arch.kind, "input_shape": [3, 32, 32],
+                     "conv_channels": list(arch.conv_channels),
+                     "hidden": list(arch.hidden)},
+            "adam": {"lr": cfg.lr, "beta1": cfg.beta1, "beta2": cfg.beta2,
+                     "eps": cfg.eps, "step": 3},
+        }, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        header = 4 + 4 + 4 + len(header_json) + 4
         per_tensor = sum(2 + len(name.encode()) + 1 + 4 * t.ndim
                          for name, t in zip(names, shapes))
         expected = header + per_tensor + 4 * (3 * n_params) + 8

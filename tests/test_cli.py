@@ -316,8 +316,7 @@ class TestEval:
         cfg = write_config(tmp_path, strategy="baseline_full")
         assert run(["train", "--config", cfg]) == 0
         run_dir = tmp_path / "run"
-        for suffix in ("", ".json"):
-            (run_dir / f"baseline.ckpt{suffix}").rename(run_dir / f"moved.ckpt{suffix}")
+        (run_dir / "baseline.ckpt").rename(run_dir / "moved.ckpt")
         path = run_dir / "manifest.json"
         path.write_text(json.dumps({**json.loads(path.read_text()),
                                     "baseline": "moved.ckpt"}))
@@ -628,6 +627,53 @@ class TestFinalsOnDisk:
                 f"got {got}") in err["message"]
         for name, raw in before.items():
             assert (run_dir / name).read_bytes() == raw
+
+
+    @pytest.mark.parametrize("command", ["eval", "unlearn"])
+    @pytest.mark.parametrize("edit", ["final_of_another_shard", "head"])
+    def test_mismatched_final_is_an_integrity_error(self, tmp_path, capsys,
+                                                    edit, command):
+        # a shard deploys its manifest's last entry under the manifest's head
+        cfg = write_config(tmp_path)
+        run_dir = tmp_path / "run"
+        assert run(["train", "--config", cfg]) == 0
+        path = run_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        entry, other = manifest["constituents"]
+        k, head = entry["shard_id"], entry["output_classes"]
+        if edit == "final_of_another_shard":
+            # unlearn retrains the other shard first, so its head may shrink
+            entry["checkpoints"][-1] = other["checkpoints"][-1]
+            want = [f"shard {k}: the deployed final is shard {other['shard_id']} slice 2 ",
+                    f", not shard {k} slice 2 with head {head}"]
+        else:
+            entry["output_classes"] = head[::-1]
+            want = [f"shard {k}: the deployed final is shard {k} slice 2 with head "
+                    f"{head}, not shard {k} slice 2 with head {head[::-1]}"]
+        path.write_text(json.dumps(manifest))
+        before = path.read_bytes()
+        argv = ["eval", run_dir] if command == "eval" else \
+            ["unlearn", run_dir, "--class", f"class_{other['output_classes'][0]}"]
+        capsys.readouterr()
+        assert run(argv) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["type"] == "IntegrityError"
+        assert all(part in err["message"] for part in want)
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_every_checkpoint_is_one_file(self, tmp_path, strategy):
+        assert run(["train", "--config", write_config(tmp_path),
+                    "--strategy", strategy]) == 0
+        run_dir = tmp_path / "run"
+        assert run(["unlearn", run_dir, "--class", "class_1"]) == 0
+        assert run(["eval", run_dir]) == 0
+        names = {p.relative_to(run_dir).as_posix() for p in run_dir.rglob("*")
+                 if p.is_file()}
+        assert names >= {"config.json", "manifest.json"}
+        assert not [n for n in names if n.endswith((".ckpt.json", ".tmp"))]
 
 
 class TestCifarPipeline:
