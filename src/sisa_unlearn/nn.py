@@ -146,6 +146,11 @@ class FlatTensors(dict):
     def __setitem__(self, name, value):
         raise TypeError(f"assign tensor {name!r} in place: tensors[name][...] = value")
 
+    def __reduce__(self):
+        # pickle and deepcopy rebuild the tensors as views of one copied
+        # vector; dict's default would assign them by name
+        return FlatTensors, (self.flat, self.layout)
+
     def copy(self) -> "FlatTensors":
         return FlatTensors(self.flat.copy(), self.layout)
 

@@ -172,6 +172,10 @@ def _unlearn_shard(strategy: str, system: SisaSystem, data: DataBundle,
     if len(metadata) == 1:
         raise ValueError(_last_class_message(data, class_id))
     shard_id = metadata[class_id].shard_id
+    # refuse a bad surviving final before anything is retrained into the store
+    for k in sorted(system.shard_results):
+        if k != shard_id:
+            system.deployed_final(k)
     first = metadata[class_id].first_slice if rule.rollback else 0
     purged = purge_class(system.plan, class_id, data.train.labels)
     new_head = tuple(sorted(purged.assignments[shard_id].class_ids))

@@ -642,10 +642,11 @@ class TestFinalsOnDisk:
         entry, other = manifest["constituents"]
         k, head = entry["shard_id"], entry["output_classes"]
         if edit == "final_of_another_shard":
-            # unlearn retrains the other shard first, so its head may shrink
+            # unlearn refuses it before retraining the other shard
             entry["checkpoints"][-1] = other["checkpoints"][-1]
-            want = [f"shard {k}: the deployed final is shard {other['shard_id']} slice 2 ",
-                    f", not shard {k} slice 2 with head {head}"]
+            want = [f"shard {k}: the deployed final is shard {other['shard_id']} slice 2 "
+                    f"with head {other['output_classes']}, not shard {k} slice 2 "
+                    f"with head {head}"]
         else:
             entry["output_classes"] = head[::-1]
             want = [f"shard {k}: the deployed final is shard {k} slice 2 with head "
@@ -662,6 +663,30 @@ class TestFinalsOnDisk:
         assert err["type"] == "IntegrityError"
         assert all(part in err["message"] for part in want)
         assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("strategy", SISA)
+    def test_refused_unlearn_changes_no_file(self, tmp_path, capsys, strategy):
+        # shard 0 deploys shard 1's final: removing a shard-1 class must be
+        # refused before shard 1 retrains into the run directory
+        cfg = write_config(tmp_path, dataset=SIX_CLASSES)
+        run_dir = tmp_path / "run"
+        assert run(["train", "--config", cfg, "--strategy", strategy]) == 0
+        path = run_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        entry, other = manifest["constituents"]
+        assert (entry["shard_id"], other["shard_id"]) == (0, 1)
+        entry["checkpoints"][-1] = other["checkpoints"][-1]
+        path.write_text(json.dumps(manifest))
+        before = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert run(["unlearn", run_dir, "--class",
+                    f"class_{other['output_classes'][0]}"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["type"] == "IntegrityError"
+        assert err["message"].startswith("shard 0: the deployed final is shard 1 slice 2")
+        assert {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()} == before
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_every_checkpoint_is_one_file(self, tmp_path, strategy):

@@ -1,4 +1,6 @@
+import pickle
 import tracemalloc
+from copy import deepcopy
 
 import numpy as np
 import pytest
@@ -331,6 +333,34 @@ class TestFlatBuffers:
         copy = params.copy()
         copy.tensors["conv0.w"][...] = 7.0
         assert not np.any(params.tensors["conv0.w"] == 7.0)
+
+    @pytest.mark.parametrize("roundtrip", [
+        lambda obj: pickle.loads(pickle.dumps(obj, protocol=5)), deepcopy],
+        ids=["pickle", "deepcopy"])
+    @pytest.mark.parametrize("factory", [tiny_mlp, tiny_cnn], ids=["mlp", "cnn"])
+    def test_pickle_and_deepcopy_keep_bits_and_views(self, factory, roundtrip):
+        params = factory(n_out=4, seed=28)
+        state = nn.adam_init(params)
+        nn.adam_step(params, nn.loss_and_grad(
+            params, *batch_for(params, np.random.default_rng(29)))[1], state)
+        ckpt = Checkpoint(params=params, opt_state=state, shard_id=1, slice_index=0,
+                          epoch=2, rng=RngState(3, 4))
+        out = roundtrip(ckpt)
+        assert_flat_model(out.params, out.opt_state)
+        for old, new in [(params.tensors, out.params.tensors), (state.m, out.opt_state.m),
+                         (state.v, out.opt_state.v)]:
+            assert type(new) is nn.FlatTensors
+            assert new.flat.tobytes() == old.flat.tobytes()
+            assert not np.shares_memory(new.flat, old.flat)
+            assert all(np.shares_memory(t, new.flat) for t in new.values())
+        assert (out.params.arch, out.params.output_classes, out.opt_state.config,
+                out.opt_state.step, out.shard_id, out.slice_index, out.epoch, out.rng) == \
+            (params.arch, params.output_classes, state.config, state.step, 1, 0, 2,
+             RngState(3, 4))
+        # an update of the vector is an update of every tensor, and of nothing else
+        out.params.tensors.flat[...] = 5.0
+        assert all((t == 5.0).all() for t in out.params.tensors.values())
+        assert not (params.tensors.flat == 5.0).any()
 
     def test_rebinding_a_tensor_is_refused(self):
         params = tiny_mlp()
