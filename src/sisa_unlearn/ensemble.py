@@ -9,6 +9,8 @@ An InferenceStats counter tracks forward passes so the cost contract
 """
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -168,14 +170,22 @@ def shard_targets(labels: np.ndarray,
     return out
 
 
-def train_gating(ensemble: EnsembleModel, train_ds: LabeledDataset,
-                 val_ds: LabeledDataset, metadata: dict[int, ClassLocation],
+def train_gating(train_ds: LabeledDataset, val_ds: LabeledDataset,
+                 metadata: dict[int, ClassLocation],
                  cfg: TrainConfig) -> ModelParameters:
-    """Train the router on shard ids only; class labels never reach it."""
-    total = sum(c.param_count() for c in ensemble.constituents)
-    shard_ids = tuple(sorted(ensemble.shard_ids))
-    arch = gating_architecture(default_architecture(train_ds.input_shape),
-                               total, len(shard_ids))
+    """Train the router on shard ids only; class labels never reach it.
+
+    Everything it reads follows from the plan's class -> shard table: the
+    shards it routes to, and the ensemble size its width is scaled to (each
+    shard's default-architecture model over that shard's classes). It needs
+    no trained constituent, so it can train while the shards do.
+    """
+    heads = Counter(loc.shard_id for loc in metadata.values())
+    base = default_architecture(train_ds.input_shape)
+    total = sum(math.prod(shape) for n in heads.values()
+                for shape in base.tensor_shapes(n).values())
+    shard_ids = tuple(sorted(heads))
+    arch = gating_architecture(base, total, len(shard_ids))
     root = RngState(cfg.seed).child("gating")
     params = nn.init_params(arch, shard_ids, root.child("init"))
     opt = nn.adam_init(params, cfg.adam())

@@ -15,7 +15,8 @@ import sys
 import threading
 import time
 import traceback
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import dataclass
 from functools import cached_property
 from typing import BinaryIO, NoReturn
 
@@ -119,11 +120,9 @@ _OPENBLAS_THREADS = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_
                      "openblas_{}_num_threads64_", "openblas_{}_num_threads")
 
 
-def _limit_blas_threads(n: int) -> int | None:
-    """Run at most `n` OpenBLAS threads in this process; returns the count
-    now in effect, or None where no OpenBLAS is loaded (another BLAS is left
-    as it is). A forked worker keeps its parent's pool, so W workers would
-    run W times as many spinning BLAS threads as there are CPUs."""
+def _openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS loaded in this
+    process, or None where none is loaded (another BLAS is left as it is)."""
     try:
         with open("/proc/self/maps") as maps:
             paths = sorted({line.split()[-1] for line in maps if "openblas" in line})
@@ -136,10 +135,39 @@ def _limit_blas_threads(n: int) -> int | None:
             if get is not None and put is not None:
                 get.argtypes, get.restype = [], ctypes.c_int
                 put.argtypes, put.restype = [ctypes.c_int], None
-                if get() > n:
-                    put(n)
-                return get()
+                return get, put
     return None
+
+
+def _limit_blas_threads(n: int) -> int | None:
+    """Run at most `n` OpenBLAS threads in this process; returns the count
+    now in effect, or None where no OpenBLAS is loaded. A forked worker
+    keeps its parent's pool, so W workers would run W times as many
+    spinning BLAS threads as there are CPUs."""
+    threads = _openblas_threads()
+    if threads is None:
+        return None
+    get, put = threads
+    if get() > n:
+        put(n)
+    return get()
+
+
+@contextmanager
+def _blas_threads_capped(n: int):
+    """At most `n` OpenBLAS threads in this process inside the block; the
+    count before it is restored however the block ends."""
+    threads = _openblas_threads()
+    if threads is None or threads[0]() <= n:
+        yield
+        return
+    get, put = threads
+    before = get()
+    put(n)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 def _worker(fd: int, shard_ids: list[int], train, blas_threads: int) -> NoReturn:
@@ -164,25 +192,32 @@ def _worker(fd: int, shard_ids: list[int], train, blas_threads: int) -> NoReturn
         os._exit(status)
 
 
-def _train_shards(shard_ids: list[int], train) -> dict[int, ShardTrainResult]:
-    """`train(k)` for every shard id, in `shard_ids` order.
+def _train_shards(shard_ids: list[int], train, meanwhile=None):
+    """`train(k)` for every shard id, in `shard_ids` order, and `meanwhile()`
+    if given; returns ({shard id: result}, what `meanwhile` returned or None).
 
     With W = min(shards, usable CPUs) of 2 or more, shard i trains in forked
-    worker i mod W, which pickles its results down a pipe. The parent
-    unpickles each pipe on the calling thread (a reader thread would
-    unpickle into a malloc arena of its own and raise the peak RSS), then
-    reaps the worker. Fork hands the data to the workers without pickling
-    it. A worker's exception is raised here with its type and message; a
-    worker that ends without a result is a ChildProcessError. On any error
-    the workers still running are killed, and every worker is reaped.
+    worker i mod W, which pickles its results down a pipe. Once every worker
+    is forked, the parent runs `meanwhile` on at most CPUs // (W + 1)
+    OpenBLAS threads (its own count is restored after), and only then reads
+    the pipes: it unpickles each on the calling thread (a reader thread
+    would unpickle into a malloc arena of its own and raise the peak RSS),
+    then reaps the worker. Fork hands the data to the workers without
+    pickling it. Trained inline, `meanwhile` runs after the last shard.
+    An exception of `meanwhile` or of a worker is raised here with its type
+    and message; a worker that ends without a result is a ChildProcessError.
+    On any error the workers still running are killed, and every worker is
+    reaped.
     """
     cpus = _usable_cpus()
     workers = min(len(shard_ids), cpus)
     if workers < 2:
-        return {k: train(k) for k in shard_ids}
+        results = {k: train(k) for k in shard_ids}
+        return results, meanwhile() if meanwhile is not None else None
     groups = [shard_ids[w::workers] for w in range(workers)]
     live: dict[int, BinaryIO] = {}      # pid -> its pipe, for each worker not reaped
     results: dict[int, ShardTrainResult] = {}
+    extra = None
     try:
         for group in groups:
             r, w = os.pipe()
@@ -196,6 +231,9 @@ def _train_shards(shard_ids: list[int], train) -> dict[int, ShardTrainResult]:
                 _worker(w, group, train, blas_threads=max(1, cpus // workers))
             os.close(w)
             live[pid] = open(r, "rb")
+        if meanwhile is not None:
+            with _blas_threads_capped(max(1, cpus // (workers + 1))):
+                extra = meanwhile()
         for pid, group in zip(list(live), groups):
             with live[pid] as pipe:
                 try:
@@ -217,40 +255,44 @@ def _train_shards(shard_ids: list[int], train) -> dict[int, ShardTrainResult]:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    return {k: results[k] for k in shard_ids}
+    return {k: results[k] for k in shard_ids}, extra
 
 
 def train_sisa(data: DataBundle, plan: PartitionPlan, cfg: TrainConfig, *,
                gated: bool = False,
                store: CheckpointStore | None = None) -> SisaSystem:
-    """Train every shard, then the router if `gated`.
+    """Train every shard and, if `gated`, the router.
 
     Shards train in forked worker processes, one per usable CPU, or in this
     process when only one CPU is usable, the OS cannot fork or another
-    thread runs (`_usable_cpus`). Per-shard RNG streams derive from (seed,
-    shard id), so each shard's parameters depend neither on the others nor
-    on where it trained: every checkpoint, in memory and in `store`, is
-    bit-identical to in-process training.
-    `train_seconds` sums each shard's fit time, the work SISA accounts for,
-    not the wall time of the parallel run.
+    thread runs (`_usable_cpus`). The router reads only the plan's
+    class -> shard table, so it trains in this process while the workers
+    run, or after the last shard when they train inline; it is saved to
+    `store` once every shard has trained. Per-shard RNG streams derive from
+    (seed, shard id), so each shard's parameters depend neither on the
+    others nor on where it trained: every checkpoint, in memory and in
+    `store`, is bit-identical to in-process training.
+    `train_seconds` sums each shard's fit time and the router's, the work
+    SISA accounts for, not the wall time of the parallel run.
     """
-    shard_results = _train_shards(
+    def router() -> tuple[ModelParameters, float]:
+        t0 = time.perf_counter()
+        gating = train_gating(data.train, data.val, plan.metadata, cfg)
+        return gating, time.perf_counter() - t0
+
+    shard_results, trained = _train_shards(
         [a.shard_id for a in plan.assignments if a.class_ids],
-        lambda k: train_shard(plan, k, data.train, data.val, cfg, store=store))
-    system = SisaSystem(
-        plan=plan, shard_results=shard_results, num_classes=data.num_classes,
-        store=store, train_seconds=sum(r.seconds for r in shard_results.values()),
-    )
-    if not gated:
-        return system
-    t0 = time.perf_counter()
-    gating = train_gating(system.ensemble, data.train, data.val, plan.metadata, cfg)
-    seconds = time.perf_counter() - t0
-    if store is not None:
+        lambda k: train_shard(plan, k, data.train, data.val, cfg, store=store),
+        router if gated else None)
+    gating, seconds = trained or (None, 0.0)
+    if gating is not None and store is not None:
         # the router is never trained again, so no Adam moments are kept
         save_params(gating, store.gating_path(), cfg.adam(),
                     RngState(cfg.seed).child("gating"))
-    return replace(system, gating=gating, train_seconds=system.train_seconds + seconds)
+    return SisaSystem(
+        plan=plan, shard_results=shard_results, num_classes=data.num_classes,
+        gating=gating, store=store,
+        train_seconds=sum(r.seconds for r in shard_results.values()) + seconds)
 
 
 @dataclass

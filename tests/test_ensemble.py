@@ -8,6 +8,7 @@ from sisa_unlearn.ensemble import (EnsembleModel, aggregate_predict_batch,
                                    gating_architecture, shard_targets)
 from sisa_unlearn.errors import InvalidLabelError
 from sisa_unlearn.rng import RngState
+from sisa_unlearn.training import default_architecture
 
 
 def max_rule(prob_rows, heads, C):
@@ -151,6 +152,26 @@ class TestGating:
         gating = gating_architecture(base, 2 * per_shard, 2)
         count = sum(int(np.prod(s)) for s in gating.tensor_shapes(2).values())
         assert 0.10 <= count / (2 * per_shard) <= 0.15
+
+    @pytest.mark.parametrize("shape", [(16,), (3, 8, 8)], ids=["mlp", "cnn"])
+    def test_router_width_follows_from_the_plan(self, shape):
+        # 7 classes on K=3 shards: heads of uneven sizes
+        bundle = su.synthetic_bundle(n_per_class=10, num_classes=7, shape=shape,
+                                     separation=4.0, seed=5)
+        plan = su.make_plan(bundle.train.labels, K=3, L=2,
+                            policy=su.SEQUENTIAL_CLASS)
+        cfg = su.TrainConfig(max_epochs_per_slice=1, patience=None,
+                             batch_size=16, seed=2)
+        system = su.train_sisa(bundle, plan, cfg, gated=True)
+        ens = system.ensemble
+        assert len({len(c.output_classes) for c in ens.constituents}) > 1
+        total = sum(c.param_count() for c in ens.constituents)
+        want = gating_architecture(default_architecture(shape), total,
+                                   len(ens.shard_ids))
+        assert ens.gating.arch == want
+        assert ens.gating.output_classes == tuple(sorted(ens.shard_ids))
+        assert ens.gating.param_count() == sum(
+            int(np.prod(s)) for s in want.tensor_shapes(len(ens.shard_ids)).values())
 
     def test_gated_counts_one_forward_per_query(self, routed_system):
         bundle, _plan, _cfg, system = routed_system

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import textwrap
 import threading
 from dataclasses import replace
 from pathlib import Path
@@ -256,6 +257,78 @@ class TestShardWorkers:
         with pytest.raises(Interrupt):
             su.train_sisa(bundle, plan, cfg)
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_router_trains_while_the_workers_run(self, data, cfg, monkeypatch, cpus):
+        bundle = data[(16,)]
+        plan = su.make_plan(bundle.train.labels, K=3, L=2, policy=su.SEQUENTIAL_CLASS)
+        calls = []
+        train_shard, train_gating, load = \
+            pipeline.train_shard, pipeline.train_gating, pipeline.pickle.load
+
+        def shard(plan, shard_id, *args, **kwargs):
+            calls.append(f"shard {shard_id}")     # seen here only when inline
+            return train_shard(plan, shard_id, *args, **kwargs)
+
+        def router(*args, **kwargs):
+            calls.append("router")
+            return train_gating(*args, **kwargs)
+
+        def read(pipe):
+            calls.append("load")
+            return load(pipe)
+
+        monkeypatch.setattr(pipeline, "train_shard", shard)
+        monkeypatch.setattr(pipeline, "train_gating", router)
+        monkeypatch.setattr(pipeline.pickle, "load", read)
+        usable_cpus(monkeypatch, cpus)
+        system = su.train_sisa(bundle, plan, cfg, gated=True)
+        assert system.gating is not None
+        if cpus == 1:
+            assert calls == ["shard 0", "shard 1", "shard 2", "router"]
+        else:
+            assert calls == ["router", "load", "load"]
+
+    def test_router_error_kills_and_reaps_the_workers(self, data, cfg, monkeypatch):
+        def failing(*args, **kwargs):
+            raise NumericFault("gating slice 0: non-finite loss at epoch 0")
+
+        loads = []
+        bundle = data[(16,)]
+        plan = su.make_plan(bundle.train.labels, K=3, L=2, policy=su.SEQUENTIAL_CLASS)
+        monkeypatch.setattr(pipeline, "train_gating", failing)
+        monkeypatch.setattr(pipeline.pickle, "load", lambda pipe: loads.append(1))
+        forks = usable_cpus(monkeypatch, 2)
+        with pytest.raises(NumericFault) as info:
+            su.train_sisa(bundle, plan, cfg, gated=True)
+        assert type(info.value) is NumericFault
+        assert str(info.value) == "gating slice 0: non-finite loss at epoch 0"
+        assert len(forks) == 2 and loads == []
+        # (the autouse fixture checks that every worker was reaped)
+
+    def test_worker_exception_reaches_the_parent_after_the_router(self, data, cfg,
+                                                                 monkeypatch):
+        bundle = data[(16,)]
+        plan = su.make_plan(bundle.train.labels, K=3, L=2, policy=su.SEQUENTIAL_CLASS)
+        train_shard, train_gating = pipeline.train_shard, pipeline.train_gating
+        routers = []
+
+        def failing(plan, shard_id, *args, **kwargs):
+            if shard_id == 2:
+                raise NumericFault("shard 2 slice 0: non-finite loss at epoch 1")
+            return train_shard(plan, shard_id, *args, **kwargs)
+
+        def router(*args, **kwargs):
+            routers.append(train_gating(*args, **kwargs))
+            return routers[-1]
+
+        monkeypatch.setattr(pipeline, "train_shard", failing)
+        monkeypatch.setattr(pipeline, "train_gating", router)
+        forks = usable_cpus(monkeypatch, 2)
+        with pytest.raises(NumericFault) as info:
+            su.train_sisa(bundle, plan, cfg, gated=True)
+        assert str(info.value) == "shard 2 slice 0: non-finite loss at epoch 1"
+        assert len(forks) == 2 and len(routers) == 1
+
     def test_trains_in_process_while_another_thread_runs(self, data, cfg, monkeypatch):
         bundle = data[(16,)]
         plan = su.make_plan(bundle.train.labels, K=3, L=2, policy=su.SEQUENTIAL_CLASS)
@@ -283,3 +356,44 @@ class TestShardWorkers:
             pytest.skip("numpy does not use OpenBLAS here")
         # a limit only lowers the pool, never raises it
         assert out == ["2", "1", "1"]
+
+    def test_parent_caps_its_blas_pool_while_the_router_trains(self, tmp_path):
+        # in a fresh process, whose OpenBLAS pool starts at 2 threads: on 2
+        # CPUs and 3 shards, 2 workers and the router share the CPUs
+        code = textwrap.dedent("""\
+        import os, sys
+        import sisa_unlearn as su
+        from sisa_unlearn import pipeline
+        from sisa_unlearn.checkpoint import CheckpointStore
+        threads = pipeline._openblas_threads()
+        if threads is None:
+            sys.exit(print("None"))
+        get = threads[0]
+        data = su.synthetic_bundle(n_per_class=12, num_classes=6, shape=(3, 8, 8),
+                                   separation=4.0, seed=4)
+        plan = su.make_plan(data.train.labels, K=3, L=2, policy=su.SEQUENTIAL_CLASS)
+        cfg = su.TrainConfig(max_epochs_per_slice=2, patience=1, batch_size=16, seed=6)
+        seen, train_gating = [], pipeline.train_gating
+        def router(*args, **kwargs):
+            seen.append(get())
+            return train_gating(*args, **kwargs)
+        pipeline.train_gating = router
+        before = get()
+        for cpus, out in [({0, 1}, "workers"), ({0}, "inline")]:
+            os.sched_getaffinity = lambda pid: cpus
+            su.train_sisa(data, plan, cfg, gated=True,
+                          store=CheckpointStore(os.path.join(sys.argv[1], out)))
+            seen.append(get())
+        print(before, *seen)
+        """)
+        src = Path(pipeline.__file__).resolve().parents[1]
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": str(src)}
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                             check=True, capture_output=True, text=True).stdout.split()
+        if out == ["None"]:
+            pytest.skip("numpy does not use OpenBLAS here")
+        # before; during and after the worker run; during and after the inline one
+        assert out == ["2", "1", "2", "2", "2"]
+        files = store_files(tmp_path / "inline")
+        assert len(files) == 3 * 2 + 1
+        assert store_files(tmp_path / "workers") == files
