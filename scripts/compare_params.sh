@@ -72,8 +72,7 @@ open(sys.argv[1], "wb").write(records.tobytes())
 cat > "$tmp/cifar.json" <<JSON
 {"dataset": {"kind": "cifar10", "dir": "$tmp/cifar"},
  "split": {"train": 0.7, "val": 0.1, "test": 0.2},
- "K": 2, "L": 2, "policy": "sequential_class", "strategy": "sisa_scls_replay",
- "replay_ratio": 0.3,
+ "K": 2, "L": 2, "strategy": "sisa_scls_replay", "replay_ratio": 0.3,
  "train": {"max_epochs_per_slice": 1, "patience": null, "batch_size": 8},
  "seed": 7, "out": "runs/cifar"}
 JSON

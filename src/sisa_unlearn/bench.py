@@ -25,7 +25,6 @@ REPLAY_SETUP = (2, 5)
 @dataclass
 class BenchConfig:
     setups: tuple[tuple[int, int], ...] = ((2, 3), (2, 5), (3, 3), (3, 5))
-    strategies: tuple[str, ...] = STRATEGIES
     replay_ratios: tuple[float, ...] = (0.2, 0.3, 0.4)
     seeds: tuple[int, ...] = (0,)
     # replay strategies train with train.replay_ratio; the others without replay
@@ -141,7 +140,7 @@ def run_benchmark_grid(cfg: BenchConfig, bundle_for: Callable[[int], DataBundle]
         data = bundle_for(seed)
         baseline_proto: GridCell | None = None
         for setup in cfg.setups:
-            for strategy in cfg.strategies:
+            for strategy in STRATEGIES:
                 if strategy == BASELINE_FULL and baseline_proto is not None:
                     cell = GridCell(**{**asdict(baseline_proto),
                                        "setup": f"{setup[0]}-{setup[1]}"})

@@ -390,9 +390,6 @@ class CheckpointStore:
     def save_slice(self, ckpt: Checkpoint) -> int:
         return save_checkpoint(ckpt, self.slice_path(ckpt.shard_id, ckpt.slice_index))
 
-    def load_slice(self, shard_id: int, slice_index: int) -> Checkpoint:
-        return load_checkpoint(self.slice_path(shard_id, slice_index))
-
     def shard_digests(self, shard_id: int) -> dict[str, int]:
         shard_dir = self.root / "shards" / str(shard_id)
         if not shard_dir.exists():

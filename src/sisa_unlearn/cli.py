@@ -19,10 +19,10 @@ from pathlib import Path
 from .bench import BenchConfig, format_grid_table, run_benchmark_grid
 from .checkpoint import CheckpointStore, LazyChain, load_checkpoint, save_params
 from .data import SplitSpec
-from .errors import SisaError, UnknownClassError
+from .errors import IntegrityError, SisaError, UnknownClassError
 from .evaluation import evaluate
 from .files import write_json
-from .partition import PartitionPlan, make_plan, SEQUENTIAL_CLASS, POLICIES
+from .partition import PartitionPlan, make_plan, SEQUENTIAL_CLASS
 from .pipeline import (BaselineModel, DataBundle, SisaSystem, cifar_bundle,
                        synthetic_bundle, train_baseline, train_sisa)
 from .rng import RngState
@@ -97,8 +97,8 @@ _TRAIN_KEYS = {"max_epochs_per_slice": _int, "patience": _int_or_null,
                "batch_size": _int, "learning_rate": _number}
 # TrainConfig fields the train section leaves out, for train/unlearn/eval
 _RUN_TRAIN_DEFAULTS = TrainConfig(max_epochs_per_slice=15)
-_TOP_KEYS = {"dataset", "split", "K", "L", "policy", "strategy", "replay_ratio",
-             "train", "seed", "out", "bench"}
+_TOP_KEYS = {"dataset", "split", "K", "L", "strategy", "replay_ratio", "train",
+             "seed", "out", "bench"}
 # bench-section keys, each a BenchConfig field, and how each value is read
 _BENCH_KEYS = {"setups": _list_of(_list_of(_positive_int, length=2)),
                "replay_ratios": _list_of(_fraction)}
@@ -134,7 +134,6 @@ class RunConfig:
     split: SplitSpec
     K: int = 2
     L: int = 3
-    policy: str = SEQUENTIAL_CLASS
     strategy: str = "sisa_scls_replay"
     replay_ratio: float = 0.3
     train: dict = field(default_factory=dict)
@@ -145,7 +144,7 @@ class RunConfig:
     @classmethod
     def from_file(cls, path, *, seed=None, out=None, strategy=None) -> "RunConfig":
         """The config at `path`, with each flag that is not None applied
-        over its key. A `strategy` flag also sets the policy it requires."""
+        over its key."""
         doc = json.loads(Path(path).read_text())
         _reject_unknown(doc, _TOP_KEYS, "top level")
         dataset = _read(doc, "dataset", _object, {"kind": "synthetic"})
@@ -168,26 +167,23 @@ class RunConfig:
                          _read(split_doc, "test", _number, 0.2, "split."),
                          seed=_read(split_doc, "seed", _int, seed, "split."))
         doc_strategy = _read(doc, "strategy", _string, cls.strategy)
-        required = strategy_rule(doc_strategy).policy
-        policy = doc.get("policy", required or SEQUENTIAL_CLASS)
-        if policy not in POLICIES:
-            raise ValueError(f"unknown policy {policy!r}")
-        if required is not None and policy != required:
-            raise ValueError(f"strategy {doc_strategy} requires policy {required!r}")
-        if strategy is None:
-            strategy = doc_strategy
-        else:
-            policy = strategy_rule(strategy).policy or policy
+        strategy_rule(doc_strategy)     # refused even when the flag overrides it
         return cls(
             dataset={**dataset, "kind": kind}, split=spec,
             K=_read(doc, "K", _positive_int, cls.K),
             L=_read(doc, "L", _positive_int, cls.L),
-            policy=policy, strategy=strategy,
+            strategy=strategy or doc_strategy,
             replay_ratio=_read(doc, "replay_ratio", _number, cls.replay_ratio),
             train=train_doc, seed=seed,
             out=str(out or _read(doc, "out", _string, cls.out)),
             bench=bench,
         )
+
+    @property
+    def policy(self) -> str:
+        """The plan policy the strategy requires; the baseline trains on no
+        plan, and `plan` writes it a sequential one."""
+        return strategy_rule(self.strategy).policy or SEQUENTIAL_CLASS
 
     def train_config(self) -> TrainConfig:
         return train_config_for(self.strategy, _train_config(
@@ -199,8 +195,8 @@ class RunConfig:
             "dataset": self.dataset,
             "split": {"train": self.split.train_frac, "val": self.split.val_frac,
                       "test": self.split.test_frac, "seed": self.split.seed},
-            "K": self.K, "L": self.L, "policy": self.policy,
-            "strategy": self.strategy, "replay_ratio": self.replay_ratio,
+            "K": self.K, "L": self.L, "strategy": self.strategy,
+            "replay_ratio": self.replay_ratio,
             "train": self.train, "seed": self.seed, "out": self.out,
             "bench": self.bench,
         }
@@ -310,11 +306,17 @@ def cmd_train(args) -> int:
 def _load_run(run_dir: Path):
     cfg = RunConfig.from_file(run_dir / "config.json")
     manifest = json.loads((run_dir / "manifest.json").read_text())
+    strategy = manifest["strategy"]
+    gated = strategy_rule(strategy).gated
+    if bool(manifest.get("gating")) != gated:
+        raise IntegrityError(
+            f"manifest.json key 'gating' is {manifest.get('gating')!r}, but strategy "
+            f"{strategy} {'deploys a' if gated else 'has no'} gating router")
     bundle = build_bundle(cfg)
     store = CheckpointStore(run_dir)
     tcfg = cfg.train_config()
     removed = tuple(manifest["removed_classes"])
-    if manifest["strategy"] == BASELINE_FULL:
+    if strategy == BASELINE_FULL:
         params = load_checkpoint(run_dir / manifest["baseline"]).params
         target = BaselineModel(params=params, train_seconds=0.0, removed_classes=removed)
         return manifest, bundle, tcfg, store, target
@@ -328,9 +330,7 @@ def _load_run(run_dir: Path):
         shard_results[k] = ShardTrainResult(
             shard_id=k, head=tuple(entry["output_classes"]), checkpoints=ckpts,
             replays=[], seconds_per_slice=[], slices_trained=len(ckpts))
-    gating = None
-    if manifest.get("gating"):
-        gating = load_checkpoint(run_dir / manifest["gating"]).params
+    gating = load_checkpoint(run_dir / manifest["gating"]).params if gated else None
     system = SisaSystem(plan=plan, shard_results=shard_results,
                         num_classes=bundle.num_classes, gating=gating,
                         store=store, removed_classes=removed)

@@ -39,7 +39,6 @@ class LabeledDataset:
     inputs: np.ndarray          # (N, ...) float32, one shared shape
     labels: np.ndarray          # (N,) integer class ids
     class_names: list[str]
-    normalization: Normalization | None = None
 
     def __post_init__(self):
         if len(self.inputs) != len(self.labels):
@@ -236,5 +235,5 @@ def normalize(ds: LabeledDataset, stats: Normalization) -> LabeledDataset:
         std = stats.std.reshape(1, -1, 1, 1)
     else:
         mean, std = stats.mean, stats.std
-    return replace(ds, inputs=((x - mean) / std).astype(np.float32), normalization=stats)
+    return replace(ds, inputs=((x - mean) / std).astype(np.float32))
 

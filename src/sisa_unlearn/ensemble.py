@@ -129,14 +129,12 @@ def gated_predict_batch(ensemble: EnsembleModel, x: np.ndarray):
 
 
 def predict_labels(model, x: np.ndarray) -> np.ndarray:
-    """Global class predictions for a model, an ensemble, or a callable."""
+    """Global class predictions for a model or an ensemble."""
     if isinstance(model, EnsembleModel):
         if model.gating is not None:
             return gated_predict_batch(model, x)[0]
         return aggregate_predict_batch(model, x)[0]
-    if isinstance(model, ModelParameters):
-        return nn.predict_global(model, x)
-    return np.asarray(model(x), dtype=np.int64)
+    return nn.predict_global(model, x)
 
 
 # --- gating -----------------------------------------------------------------

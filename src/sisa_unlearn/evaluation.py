@@ -54,7 +54,7 @@ def report_from_confusion(matrix: np.ndarray,
 
 
 def evaluate(model, ds: LabeledDataset, config_tag: dict | None = None) -> EvaluationReport:
-    """Deterministic metrics for a model, ensemble, or callable predictor."""
+    """Deterministic metrics for a model or an ensemble."""
     if len(ds) == 0:
         raise ValueError("dataset must be nonempty")
     pred = predict_labels(model, ds.inputs)

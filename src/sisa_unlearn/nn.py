@@ -224,26 +224,14 @@ def adam_init(params: ModelParameters, config: AdamConfig | None = None) -> Opti
     return OptimizerState(config=config, step=0, m=zeros(), v=zeros())
 
 
-def _gradient_vector(tensors: FlatTensors, grads) -> tuple[np.ndarray, np.ndarray | bool]:
-    """`grads` as one vector laid out like `tensors`, and where it applies:
-    everywhere for a full gradient such as `loss_and_grad` returns, else on
-    the tensors named in `grads` only."""
-    if isinstance(grads, FlatTensors) and grads.layout == tensors.layout:
-        return grads.flat, True
-    g = FlatTensors(np.zeros_like(tensors.flat), tensors.layout)
-    covered = FlatTensors(np.zeros(g.flat.shape, dtype=bool), tensors.layout)
-    for name, grad in grads.items():
-        g[name][...] = grad
-        covered[name][...] = True
-    return g.flat, covered.flat
-
-
-def adam_step(params: ModelParameters, grads: dict[str, np.ndarray],
+def adam_step(params: ModelParameters, grads: FlatTensors,
               state: OptimizerState) -> tuple[ModelParameters, OptimizerState]:
     """Standard Adam update with bias correction, applied in place to the
-    whole parameter and moment vectors. A tensor with no entry in `grads`
-    is left untouched, and so are its moments."""
-    g, where = _gradient_vector(params.tensors, grads)
+    whole parameter and moment vectors. `grads` is laid out like the
+    parameters, as `loss_and_grad` returns it."""
+    if not isinstance(grads, FlatTensors) or grads.layout != params.tensors.layout:
+        raise ValueError("adam_step needs a gradient laid out like the parameters")
+    g = grads.flat
     if not np.isfinite(g).all():
         bad = next(name for name, t in grads.items() if not np.isfinite(t).all())
         raise NumericFault(f"non-finite gradient in tensor {bad!r}")
@@ -256,21 +244,21 @@ def adam_step(params: ModelParameters, grads: dict[str, np.ndarray],
     tmp = np.empty_like(g)
     update = np.empty_like(g)
     # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g**2
-    np.multiply(m, cfg.beta1, out=m, where=where)
-    np.multiply(g, 1.0 - cfg.beta1, out=tmp, where=where)
-    np.add(m, tmp, out=m, where=where)
-    np.multiply(v, cfg.beta2, out=v, where=where)
-    np.square(g, out=tmp, where=where)
-    np.multiply(tmp, 1.0 - cfg.beta2, out=tmp, where=where)
-    np.add(v, tmp, out=v, where=where)
+    np.multiply(m, cfg.beta1, out=m)
+    np.multiply(g, 1.0 - cfg.beta1, out=tmp)
+    np.add(m, tmp, out=m)
+    np.multiply(v, cfg.beta2, out=v)
+    np.square(g, out=tmp)
+    np.multiply(tmp, 1.0 - cfg.beta2, out=tmp)
+    np.add(v, tmp, out=v)
     # p -= (lr * (m / c1)) / (sqrt(v / c2) + eps)
-    np.divide(m, c1, out=update, where=where)
-    np.multiply(update, cfg.lr, out=update, where=where)
-    np.divide(v, c2, out=tmp, where=where)
-    np.sqrt(tmp, out=tmp, where=where)
-    np.add(tmp, cfg.eps, out=tmp, where=where)
-    np.divide(update, tmp, out=update, where=where)
-    np.subtract(p, update, out=p, where=where)
+    np.divide(m, c1, out=update)
+    np.multiply(update, cfg.lr, out=update)
+    np.divide(v, c2, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    np.add(tmp, cfg.eps, out=tmp)
+    np.divide(update, tmp, out=update)
+    np.subtract(p, update, out=p)
     return params, state
 
 
@@ -370,6 +358,9 @@ def _pool_backward(dy, index):
 
 # rows per conv block of an inference pass: bounds its im2col and activations
 _ROW_BLOCK = 8
+# rows per `_chunked` chunk: of forward_batched, and of mean_loss and predict_local
+_FORWARD_CHUNK = 512
+_EVAL_CHUNK = 1024
 
 
 def _relu_pool(a):
@@ -466,11 +457,10 @@ def _chunked(fn, n: int, batch_size: int) -> list:
             for start in range(0, max(n, 1), batch_size)]
 
 
-def forward_batched(params: ModelParameters, x: np.ndarray,
-                    batch_size: int = 512) -> np.ndarray:
-    """forward() in chunks."""
+def forward_batched(params: ModelParameters, x: np.ndarray) -> np.ndarray:
+    """forward() in chunks of `_FORWARD_CHUNK` rows."""
     return np.concatenate(_chunked(lambda rows: forward(params, x[rows]),
-                                   len(x), batch_size))
+                                   len(x), _FORWARD_CHUNK))
 
 
 def _check_labels(params: ModelParameters, y: np.ndarray) -> np.ndarray:
@@ -522,28 +512,25 @@ def loss_and_grad(params: ModelParameters, x: np.ndarray, y: np.ndarray):
     return loss, grads
 
 
-def mean_loss(params: ModelParameters, x: np.ndarray, y: np.ndarray,
-              batch_size: int = 1024) -> float:
-    """Cross-entropy without gradients, evaluated in chunks."""
+def mean_loss(params: ModelParameters, x: np.ndarray, y: np.ndarray) -> float:
+    """Cross-entropy without gradients, evaluated in chunks of `_EVAL_CHUNK` rows."""
     y = _check_labels(params, y)
 
     def chunk_loss(rows):
         logp = log_probs(params, x[rows])
         return float(-logp[np.arange(len(logp)), y[rows]].sum())
-    return sum(_chunked(chunk_loss, len(x), batch_size)) / len(x)
+    return sum(_chunked(chunk_loss, len(x), _EVAL_CHUNK)) / len(x)
 
 
-def predict_local(params: ModelParameters, x: np.ndarray,
-                  batch_size: int = 1024) -> np.ndarray:
-    """Argmax over the local head, evaluated in chunks."""
+def predict_local(params: ModelParameters, x: np.ndarray) -> np.ndarray:
+    """Argmax over the local head, evaluated in chunks of `_EVAL_CHUNK` rows."""
     return np.concatenate(_chunked(
         lambda rows: _run_forward(params, x[rows], keep_cache=False)[0].argmax(axis=1),
-        len(x), batch_size)).astype(np.int64, copy=False)
+        len(x), _EVAL_CHUNK)).astype(np.int64, copy=False)
 
 
-def predict_global(params: ModelParameters, x: np.ndarray,
-                   batch_size: int = 1024) -> np.ndarray:
-    local = predict_local(params, x, batch_size)
+def predict_global(params: ModelParameters, x: np.ndarray) -> np.ndarray:
+    local = predict_local(params, x)
     lut = np.asarray(params.output_classes, dtype=np.int64)
     return lut[local]
 

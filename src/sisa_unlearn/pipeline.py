@@ -139,24 +139,12 @@ def _openblas_threads():
     return None
 
 
-def _limit_blas_threads(n: int) -> int | None:
-    """Run at most `n` OpenBLAS threads in this process; returns the count
-    now in effect, or None where no OpenBLAS is loaded. A forked worker
-    keeps its parent's pool, so W workers would run W times as many
-    spinning BLAS threads as there are CPUs."""
-    threads = _openblas_threads()
-    if threads is None:
-        return None
-    get, put = threads
-    if get() > n:
-        put(n)
-    return get()
-
-
 @contextmanager
 def _blas_threads_capped(n: int):
     """At most `n` OpenBLAS threads in this process inside the block; the
-    count before it is restored however the block ends."""
+    count before it is restored however the block ends. A forked worker
+    keeps its parent's pool, so W workers would otherwise run W times as
+    many spinning BLAS threads as there are CPUs."""
     threads = _openblas_threads()
     if threads is None or threads[0]() <= n:
         yield
@@ -176,9 +164,9 @@ def _worker(fd: int, shard_ids: list[int], train, blas_threads: int) -> NoReturn
     `fd`, and exit without unwinding the parent's stack."""
     status = 1
     try:
-        _limit_blas_threads(blas_threads)
         try:
-            payload = (True, [train(k) for k in shard_ids])
+            with _blas_threads_capped(blas_threads):
+                payload = (True, [train(k) for k in shard_ids])
         except Exception as exc:
             payload = (False, exc)
         with open(fd, "wb") as pipe:

@@ -143,9 +143,10 @@ def unlearn_baseline(model: BaselineModel, data: DataBundle, class_id: int,
     params, _opt, res = train_model(data.train, data.val, survivors, cfg)
     new_model = BaselineModel(params=params, train_seconds=res.seconds,
                               removed_classes=model.removed_classes + (class_id,))
+    # its one training set, as SISA with K=1 and L=1 would report it
     outcome = _outcome(BASELINE_FULL, data, params, class_id,
-                       shard_id=None, first_slice=None,
-                       slices_retrained=0, seconds=res.seconds)
+                       shard_id=None, first_slice=1,
+                       slices_retrained=1, seconds=res.seconds)
     return new_model, outcome
 
 

@@ -19,8 +19,7 @@ def base_config(out_dir, **overrides):
         "dataset": {"kind": "synthetic", "n_per_class": 40, "num_classes": 4,
                     "shape": [8], "separation": 4.0},
         "split": {"train": 0.7, "val": 0.1, "test": 0.2},
-        "K": 2, "L": 3, "policy": "sequential_class",
-        "strategy": "sisa_scls_replay", "replay_ratio": 0.3,
+        "K": 2, "L": 3, "strategy": "sisa_scls_replay", "replay_ratio": 0.3,
         "train": {"max_epochs_per_slice": 3, "patience": None,
                   "batch_size": 32},
         "seed": 5, "out": str(out_dir / "run"),
@@ -93,6 +92,17 @@ class TestPlan:
         err = json.loads(capsys.readouterr().err)
         assert "surprise" in err["error"]["message"]
 
+    def test_policy_key_is_unknown(self, tmp_path, capsys):
+        # the plan policy follows the strategy
+        cfg = write_config(tmp_path, policy="sequential_class")
+        assert run(["plan", "--config", cfg]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err == {"type": "ValueError",
+                       "message": "unknown config key(s) at top level: ['policy']"}
+        assert not (tmp_path / "run").exists()
+
 
 class TestTrain:
     def test_run_directory_layout(self, tmp_path):
@@ -143,18 +153,17 @@ class TestTrain:
         assert run(["train", "--config", cfg, "--strategy", "sisa_balanced"]) == 0
         plan = json.loads((tmp_path / "run" / "plan.json").read_text())
         assert plan["policy"] == "balanced"
+        config = json.loads((tmp_path / "run" / "config.json").read_text())
+        assert config["strategy"] == "sisa_balanced" and "policy" not in config
 
-    @pytest.mark.parametrize("strategy, policy, required", [
-        ("sisa_balanced", "sequential_class", "balanced"),
-        ("sisa_gated", "balanced", "sequential_class"),
-    ])
-    def test_strategy_policy_mismatch(self, tmp_path, capsys, strategy, policy,
-                                      required):
-        cfg = write_config(tmp_path, strategy=strategy, policy=policy)
-        assert run(["train", "--config", cfg]) == 1
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"]["message"] == \
-            f"strategy {strategy} requires policy '{required}'"
+    def test_unknown_strategy_in_config_refused_under_flag(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, strategy="sisa_magic")
+        assert run(["train", "--config", cfg, "--strategy", "sisa_gated"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == {
+            "type": "ValueError", "message": "unknown strategy 'sisa_magic'"}
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("overrides, key", [
         ({"train": {"patience": "3"}}, "train.patience"),
@@ -268,15 +277,20 @@ class TestUnlearn:
         for name in ("class_0", "class_1", "class_2", "class_3"):
             assert name in err["error"]["message"]
 
-    def test_baseline_unlearn_roundtrip(self, tmp_path):
+    def test_baseline_unlearn_roundtrip(self, tmp_path, capsys):
         cfg = write_config(tmp_path, strategy="baseline_full")
         run(["train", "--config", cfg])
         run_dir = tmp_path / "run"
+        capsys.readouterr()
         assert run(["unlearn", run_dir, "--class", "class_0"]) == 0
         outcome = json.loads(
             (run_dir / "reports" / "unlearn_class_0.json").read_text())
         assert outcome["verdict"] == "pass"
+        # the whole model retrains: one training set, as SISA with K=1, L=1
         assert outcome["shard"] is None
+        assert outcome["slices_retrained"] == 1
+        assert outcome["slice_range_retrained"] == [1, 1]
+        assert "1 slice(s) retrained" in capsys.readouterr().out
 
 
     def test_last_class_refused(self, tmp_path, capsys):
@@ -333,6 +347,30 @@ class TestEval:
         path.write_text(json.dumps({**manifest, "mode": "max_confidence"}))
         assert run(["eval", tmp_path / "run"]) == 0
         assert run(["unlearn", tmp_path / "run", "--class", "class_1"]) == 0
+
+    @pytest.mark.parametrize("command", ["eval", "unlearn"])
+    @pytest.mark.parametrize("strategy, gating", [("sisa_gated", None),
+                                                  ("sisa_scls_replay", "gating.ckpt")])
+    def test_router_entry_must_match_the_strategy(self, tmp_path, capsys, strategy,
+                                                  gating, command):
+        # a gated run without its router would serve by max-confidence instead
+        cfg = write_config(tmp_path)
+        run_dir = tmp_path / "run"
+        assert run(["train", "--config", cfg, "--strategy", strategy]) == 0
+        path = run_dir / "manifest.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "gating": gating}))
+        before = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+        argv = ["eval", run_dir] if command == "eval" else \
+            ["unlearn", run_dir, "--class", "class_1"]
+        capsys.readouterr()
+        assert run(argv) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["type"] == "IntegrityError"
+        assert err["message"].startswith(f"manifest.json key 'gating' is {gating!r}, "
+                                         f"but strategy {strategy} ")
+        assert {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()} == before
 
 
 @pytest.fixture()

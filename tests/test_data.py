@@ -184,4 +184,3 @@ class TestNormalization:
         out = normalize(ds, stats)
         assert np.allclose(out.inputs.mean(axis=(0, 2, 3)), 0.0, atol=1e-5)
         assert np.allclose(out.inputs.std(axis=(0, 2, 3)), 1.0, atol=1e-4)
-        assert out.normalization is stats

@@ -92,17 +92,18 @@ class TestForward:
 
 class TestChunkedInference:
     @pytest.mark.parametrize("factory", [tiny_mlp, tiny_cnn])
-    def test_chunks_match_one_pass(self, factory):
+    def test_chunks_match_one_pass(self, factory, monkeypatch):
         params = factory()
         x = np.random.default_rng(3).standard_normal(
             (7, *params.arch.input_shape)).astype(np.float32)
         y = np.arange(7) % 3
         whole = nn.forward(params, x)
-        assert np.array_equal(nn.forward_batched(params, x, batch_size=3), whole)
-        assert np.array_equal(nn.predict_local(params, x, batch_size=3),
-                              whole.argmax(axis=1))
-        assert nn.mean_loss(params, x, y, batch_size=3) == pytest.approx(
-            nn.mean_loss(params, x, y, batch_size=7), rel=1e-6)
+        loss = nn.mean_loss(params, x, y)       # one chunk
+        monkeypatch.setattr(nn, "_FORWARD_CHUNK", 3)
+        monkeypatch.setattr(nn, "_EVAL_CHUNK", 3)
+        assert np.array_equal(nn.forward_batched(params, x), whole)
+        assert np.array_equal(nn.predict_local(params, x), whole.argmax(axis=1))
+        assert nn.mean_loss(params, x, y) == pytest.approx(loss, rel=1e-6)
 
     @pytest.mark.parametrize("factory", [tiny_mlp, tiny_cnn])
     def test_empty_input(self, factory):
@@ -157,26 +158,30 @@ class TestAdam:
         params = tiny_mlp(seed=8)
         state = nn.adam_init(params)
         before = {k: v.copy() for k, v in params.tensors.items()}
-        grads = {k: np.zeros_like(v) for k, v in params.tensors.items()}
+        grads = nn.FlatTensors.stack({k: np.zeros_like(v) for k, v in params.tensors.items()},
+                                     params.dtype)
         nn.adam_step(params, grads, state)
         assert state.step == 1
         for k in before:
             assert np.array_equal(params.tensors[k], before[k])
 
     def test_constant_gradient_matches_scalar_recurrence(self):
-        # oracle: the scalar Adam recurrence iterated alongside
+        # oracle: the scalar Adam recurrence iterated alongside; the other
+        # tensors' zero gradients leave this tensor's recurrence as it is
         cfg = nn.AdamConfig(lr=1e-3)
         arch = nn.mlp_architecture(1, hidden=(1,))
         params = nn.init_params(arch, (0, 1), RngState(9), dtype=np.float64)
         state = nn.adam_init(params, cfg)
         name = "dense0.w"
         g_val = 0.37
-        grads = {name: np.full_like(params.tensors[name], g_val)}
+        grads = nn.FlatTensors.stack(
+            {k: np.full_like(t, g_val) if k == name else np.zeros_like(t)
+             for k, t in params.tensors.items()}, params.dtype)
         theta = float(params.tensors[name][0, 0])
         m = v = 0.0
         for t in range(1, 201):
             prev = float(params.tensors[name][0, 0])
-            nn.adam_step(params, {name: grads[name]}, state)
+            nn.adam_step(params, grads, state)
             m = cfg.beta1 * m + (1 - cfg.beta1) * g_val
             v = cfg.beta2 * v + (1 - cfg.beta2) * g_val ** 2
             m_hat = m / (1 - cfg.beta1 ** t)
@@ -204,10 +209,29 @@ class TestAdam:
     def test_non_finite_gradient_faults(self):
         params = tiny_mlp(seed=12)
         state = nn.adam_init(params)
-        grads = {k: np.zeros_like(v) for k, v in params.tensors.items()}
+        grads = nn.FlatTensors.stack({k: np.zeros_like(v) for k, v in params.tensors.items()},
+                                     params.dtype)
         grads["dense0.w"][0, 0] = np.nan
         with pytest.raises(NumericFault):
             nn.adam_step(params, grads, state)
+
+    @pytest.mark.parametrize("form", ["dict", "some_tensors", "other_order"])
+    def test_gradient_laid_out_otherwise_is_refused(self, form):
+        params = tiny_mlp(seed=14)
+        state = nn.adam_init(params)
+        before = params.tensors.flat.copy()
+        zeros = {k: np.zeros_like(v) for k, v in params.tensors.items()}
+        grads = {
+            "dict": zeros,
+            "some_tensors": nn.FlatTensors.stack({"dense0.w": zeros["dense0.w"]},
+                                                 params.dtype),
+            "other_order": nn.FlatTensors.stack(dict(reversed(zeros.items())),
+                                                params.dtype),
+        }[form]
+        with pytest.raises(ValueError, match="laid out like the parameters"):
+            nn.adam_step(params, grads, state)
+        assert state.step == 0
+        assert params.tensors.flat.tobytes() == before.tobytes()
 
 
 def reference_adam_step(tensors, m, v, step, grads, cfg):
@@ -253,8 +277,7 @@ def batch_for(params, rng, n=8):
 class TestFlatBuffers:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("factory", [tiny_mlp, tiny_cnn], ids=["mlp", "cnn"])
-    @pytest.mark.parametrize("subset", [False, True], ids=["all", "subset"])
-    def test_fused_step_matches_per_tensor_loop(self, factory, dtype, subset):
+    def test_fused_step_matches_per_tensor_loop(self, factory, dtype):
         params = factory(dtype=dtype, seed=20)
         state = nn.adam_init(params, nn.AdamConfig(lr=0.01))
         ref = {k: t.copy() for k, t in params.tensors.items()}
@@ -262,10 +285,8 @@ class TestFlatBuffers:
         ref_v = {k: np.zeros_like(t) for k, t in ref.items()}
         ref_step = 0
         rng = np.random.default_rng(21)
-        for step in range(30):
+        for _ in range(30):
             _, grads = nn.loss_and_grad(params, *batch_for(params, rng))
-            if subset and step % 2:     # tensors left out keep value and moments
-                grads = {k: grads[k] for k in list(grads)[1::2]}
             ref_step = reference_adam_step(ref, ref_m, ref_v, ref_step, grads,
                                            state.config)
             nn.adam_step(params, grads, state)
@@ -510,7 +531,7 @@ def training_run(params, batches):
     x, y = batches[0]
     given = x.tobytes()
     loss, grads = nn.loss_and_grad(params, x, y)
-    probs = nn.forward_batched(params, x, batch_size=16)
+    probs = nn.forward_batched(params, x)
     assert x.tobytes() == given      # in-place ReLU never writes the input
     state = nn.adam_init(params)
     for xb, yb in batches:
@@ -583,13 +604,15 @@ class TestKernels:
     def test_inference_and_loss_match_reference_log_softmax(self, monkeypatch, make,
                                                             dtype, n_out):
         params = make(dtype, n_out=n_out, seed=n_out)
+        monkeypatch.setattr(nn, "_FORWARD_CHUNK", 4)
+        monkeypatch.setattr(nn, "_EVAL_CHUNK", 4)
 
         def outputs(x, y):
             with np.errstate(all="ignore"):     # NaN and inf inputs reach the head
                 out = [nn.log_probs(params, x).tobytes(),
-                       nn.forward_batched(params, x, batch_size=4).tobytes()]
+                       nn.forward_batched(params, x).tobytes()]
                 if len(x):
-                    out.append(nn.mean_loss(params, x, y, batch_size=4))
+                    out.append(nn.mean_loss(params, x, y))
             return out
         for n in (0, 1, 9):
             rng = np.random.default_rng([n, n_out])
@@ -609,6 +632,7 @@ class TestKernels:
                                                     dtype):
         # loss, gradients, forward and Adam trajectories across batch sizes;
         # also guards that every GEMM keeps its operand shapes and layout
+        monkeypatch.setattr(nn, "_FORWARD_CHUNK", 16)
         arch = sweep_arch(arch_name)
         for batch in (1, 2, 5, 8, 17, 33, 64):
             rng = np.random.default_rng([batch, len(arch.conv_channels)])

@@ -344,18 +344,47 @@ class TestShardWorkers:
         assert not thread.is_alive()
         assert forks == []
 
-    def test_workers_share_the_cpus_with_blas(self):
-        # in a fresh process, whose OpenBLAS pool starts at 2 threads
-        code = ("from sisa_unlearn.pipeline import _limit_blas_threads as limit; "
-                "print(limit(4), limit(1), limit(4))")
+    def test_workers_share_the_cpus_with_blas(self, tmp_path):
+        # in a fresh process, whose OpenBLAS pool starts at 2 threads: on 2
+        # CPUs and 3 shards, each of the 2 workers trains on 1 BLAS thread
+        code = textwrap.dedent("""\
+        import os, sys
+        import sisa_unlearn as su
+        from sisa_unlearn import pipeline
+        threads = pipeline._openblas_threads()
+        if threads is None:
+            sys.exit(print("None"))
+        get = threads[0]
+        with pipeline._blas_threads_capped(4):
+            capped = get()
+        data = su.synthetic_bundle(n_per_class=12, num_classes=6, shape=(8,),
+                                   separation=4.0, seed=4)
+        plan = su.make_plan(data.train.labels, K=3, L=2, policy=su.SEQUENTIAL_CLASS)
+        cfg = su.TrainConfig(max_epochs_per_slice=1, patience=None, batch_size=16, seed=6)
+        train_shard = pipeline.train_shard
+        def seen(*args, **kwargs):
+            with open(os.path.join(sys.argv[1], str(os.getpid())), "a") as out:
+                out.write(f"{get()}\\n")
+            return train_shard(*args, **kwargs)
+        pipeline.train_shard = seen
+        os.sched_getaffinity = lambda pid: {0, 1}
+        su.train_sisa(data, plan, cfg)
+        print(os.getpid(), get(), capped)
+        """)
         src = Path(pipeline.__file__).resolve().parents[1]
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": str(src)}
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout.split()
-        if out == ["None"] * 3:
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                             check=True, capture_output=True, text=True).stdout.split()
+        if out == ["None"]:
             pytest.skip("numpy does not use OpenBLAS here")
-        # a limit only lowers the pool, never raises it
-        assert out == ["2", "1", "1"]
+        parent, after, capped = out
+        # a cap only lowers the pool, never raises it
+        assert capped == "2"
+        pools = {p.name: p.read_text().split() for p in tmp_path.iterdir()}
+        assert len(pools) == 2 and parent not in pools
+        assert sorted(sum(pools.values(), [])) == ["1", "1", "1"]
+        # the parent's pool is its own
+        assert after == "2"
 
     def test_parent_caps_its_blas_pool_while_the_router_trains(self, tmp_path):
         # in a fresh process, whose OpenBLAS pool starts at 2 threads: on 2

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 import sisa_unlearn as su
 import sisa_unlearn.nn as nn
 from sisa_unlearn import training
-from sisa_unlearn.checkpoint import CheckpointStore
+from sisa_unlearn.checkpoint import CheckpointStore, load_checkpoint
 from sisa_unlearn.errors import IntegrityError, InvalidLabelError, NumericFault
 from sisa_unlearn.rng import RngState
 from sisa_unlearn.training import (_local_labels, early_stop_monitor, fit, lookup,
@@ -207,7 +207,7 @@ class TestTrainShard:
         store = CheckpointStore(tmp_path)
         full = su.train_shard(plan, 1, small_bundle.train, small_bundle.val,
                               quick_cfg, store=store)
-        loaded = store.load_slice(1, 1)
+        loaded = load_checkpoint(store.slice_path(1, 1))
         resumed = su.train_shard(plan, 1, small_bundle.train, small_bundle.val,
                                  quick_cfg, start_slice=2, initial=loaded)
         assert resumed.final.params.tensors["dense1.w"].tobytes() == \
@@ -219,7 +219,7 @@ class TestTrainShard:
         res = su.train_shard(plan, 0, small_bundle.train, small_bundle.val,
                              quick_cfg, store=store)
         for ckpt in res.checkpoints:
-            loaded = store.load_slice(0, ckpt.slice_index)
+            loaded = load_checkpoint(store.slice_path(0, ckpt.slice_index))
             assert loaded.params.tensors.flat.tobytes() == ckpt.params.tensors.flat.tobytes()
             assert loaded.opt_state.step == ckpt.opt_state.step
             # in memory every checkpoint keeps its moments
@@ -235,7 +235,7 @@ class TestTrainShard:
         store = CheckpointStore(tmp_path)
         su.train_shard(plan, 1, small_bundle.train, small_bundle.val,
                        quick_cfg, store=store)
-        final = store.load_slice(1, plan.L - 1)
+        final = load_checkpoint(store.slice_path(1, plan.L - 1))
         with pytest.raises(IntegrityError, match=r"shard 1: the checkpoint of slice 2 "
                                                  r"holds no Adam moments"):
             su.train_shard(plan, 1, small_bundle.train, small_bundle.val,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import sisa_unlearn as su
-from sisa_unlearn.checkpoint import CheckpointStore, stored_digest
+from sisa_unlearn.checkpoint import CheckpointStore, load_checkpoint, stored_digest
 from sisa_unlearn.errors import UnknownClassError
 from sisa_unlearn.unlearning import (SISA_BALANCED, SISA_GATED, SISA_SCLS_REPLAY,
                                      strategy_rule)
@@ -69,6 +69,14 @@ class TestBaseline:
         # reduced training set: 6 classes x 56 train samples, minus one class
         survivors = bundle.train.restricted_to(new_model.params.output_classes)
         assert len(survivors) == len(bundle.train) - 56
+
+    def test_reports_its_one_training_set_as_one_slice(self, bundle, cfg):
+        # the whole model retrains, as SISA with K=1 and L=1 would
+        model = su.train_baseline(bundle, cfg)
+        _, outcome = su.unlearn_baseline(model, bundle, 3, cfg)
+        doc = outcome.to_json_dict()
+        assert (doc["shard"], doc["slices_retrained"], doc["slice_range_retrained"]) \
+            == (None, 1, [1, 1])
 
     def test_unknown_class(self, bundle, cfg):
         model = su.train_baseline(bundle, cfg)
@@ -314,7 +322,7 @@ def assert_disk_matches(store, system):
     slice file holds its moments too, and each loads back bitwise."""
     for k, result in system.shard_results.items():
         for ckpt in result.checkpoints:
-            loaded = store.load_slice(k, ckpt.slice_index)
+            loaded = load_checkpoint(store.slice_path(k, ckpt.slice_index))
             assert loaded.params.output_classes == ckpt.params.output_classes
             assert loaded.params.tensors.flat.tobytes() == ckpt.params.tensors.flat.tobytes()
             if ckpt.slice_index == system.plan.L - 1:
