@@ -12,11 +12,14 @@ architecture and the Adam scalars. It holds no timestamp, so a file's bytes
 are a function of the checkpoint alone, and the footer covers it like the
 tensors: a load checks magic, version and digest before it parses either.
 Optimizer moments ride along as tensors named ``m.<name>`` / ``v.<name>``,
-only in checkpoints that training may resume from. A checkpoint nothing
-resumes from holds parameters alone (`without_moments`): a shard's last
-slice (a rollback restores slice first - 1 <= L - 2, and a restart begins
-at slice 0), the gating router and the baseline. Files with and without
-moments load the same way. Save -> load roundtrips are bitwise exact.
+only in checkpoints that training may resume from: a slice l after which
+some class of the shard first appears (first slice l + 1), as removing
+that class restores slice l and nothing else. A checkpoint nothing resumes
+from holds parameters alone (`without_moments`): every other slice, a
+shard's last among them (a rollback restores slice first - 1 <= L - 2, and
+a restart begins at slice 0), the gating router and the baseline. Files
+with and without moments load the same way. Save -> load roundtrips are
+bitwise exact.
 
 The digest kernel (fnv1a64) is exact and bit-sliced: each block is
 transposed once into 8 bit planes, 64 byte positions per uint64 word, where
@@ -378,8 +381,11 @@ class CheckpointStore:
     def __init__(self, root) -> None:
         self.root = Path(root)
 
+    def shard_dir(self, shard_id: int) -> Path:
+        return self.root / "shards" / str(shard_id)
+
     def slice_path(self, shard_id: int, slice_index: int) -> Path:
-        return self.root / "shards" / str(shard_id) / f"slice_{slice_index}.ckpt"
+        return self.shard_dir(shard_id) / f"slice_{slice_index}.ckpt"
 
     def gating_path(self) -> Path:
         return self.root / "gating.ckpt"
@@ -391,7 +397,7 @@ class CheckpointStore:
         return save_checkpoint(ckpt, self.slice_path(ckpt.shard_id, ckpt.slice_index))
 
     def shard_digests(self, shard_id: int) -> dict[str, int]:
-        shard_dir = self.root / "shards" / str(shard_id)
+        shard_dir = self.shard_dir(shard_id)
         if not shard_dir.exists():
             return {}
         return {p.name: stored_digest(p) for p in sorted(shard_dir.glob("*.ckpt"))}

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -231,7 +232,11 @@ def _write_run(store: CheckpointStore, manifest: dict, target,
     relative to the run directory.
 
     A baseline target writes its checkpoint; a SISA system writes its plan,
-    its shard checkpoints having been written as the shards trained.
+    its shard checkpoints having been written as the shards trained. Once
+    the manifest is swapped in, the directory of every shard it no longer
+    lists is deleted: a decommissioned shard's checkpoints were trained on
+    the classes removed from it. A crash before the deletion leaves files
+    no manifest names, which the next write deletes.
     """
     def rel(path: Path) -> str:
         return path.relative_to(store.root).as_posix()
@@ -250,6 +255,11 @@ def _write_run(store: CheckpointStore, manifest: dict, target,
         manifest["gating"] = (rel(store.gating_path())
                               if target.gating is not None else None)
     write_json(store.root / "manifest.json", manifest)   # atomic swap
+    if not isinstance(target, BaselineModel):
+        for a in target.plan.assignments:
+            shard_dir = store.shard_dir(a.shard_id)
+            if a.shard_id not in target.shard_results and shard_dir.exists():
+                shutil.rmtree(shard_dir)
 
 
 # --- commands ----------------------------------------------------------------

@@ -108,7 +108,7 @@ def load_cifar10(dir_path) -> LabeledDataset:
     if not files:
         raise FormatError(f"{root}: no CIFAR-10 batch files found")
 
-    all_inputs, all_labels = [], []
+    all_pixels, all_labels = [], []
     for path in files:
         raw = path.read_bytes()
         if len(raw) == 0 or len(raw) % _CIFAR_RECORD_BYTES != 0:
@@ -126,11 +126,16 @@ def load_cifar10(dir_path) -> LabeledDataset:
                 f"{path}: record {int(bad[0])} at byte {offset} has label byte "
                 f"{int(labels[bad[0]])} >= 10"
             )
-        pixels = records[:, 1:].reshape(-1, 3, 32, 32).astype(np.float32) / 255.0
-        all_inputs.append(pixels)
+        all_pixels.append(records[:, 1:].reshape(-1, 3, 32, 32))
         all_labels.append(labels.astype(np.int64))
+    # each record's pixels decoded once, straight into the one float32 array
+    inputs = np.empty((sum(map(len, all_pixels)), 3, 32, 32), dtype=np.float32)
+    start = 0
+    for pixels in all_pixels:
+        np.divide(pixels, 255.0, dtype=np.float32, out=inputs[start:start + len(pixels)])
+        start += len(pixels)
     return LabeledDataset(
-        inputs=np.concatenate(all_inputs),
+        inputs=inputs,
         labels=np.concatenate(all_labels),
         class_names=list(CIFAR10_CLASSES),
     )
@@ -235,5 +240,5 @@ def normalize(ds: LabeledDataset, stats: Normalization) -> LabeledDataset:
         std = stats.std.reshape(1, -1, 1, 1)
     else:
         mean, std = stats.mean, stats.std
-    return replace(ds, inputs=((x - mean) / std).astype(np.float32))
+    return replace(ds, inputs=((x - mean) / std).astype(np.float32, copy=False))
 

@@ -6,8 +6,9 @@ After every slice the full (parameters, optimizer, cursor, rng) state is
 checkpointed, which is what makes rollback retraining exact: resuming from
 checkpoint l with the same seeds reproduces the uninterrupted run bit for
 bit, because every random stream is derived from (seed, shard, slice,
-epoch) coordinates rather than consumed sequentially. A store saves the
-last slice without optimizer moments, as nothing resumes from it.
+epoch) coordinates rather than consumed sequentially. A store keeps the
+optimizer moments only of a resume point, a slice after which some class of
+the shard starts; every other slice, the last among them, is saved without.
 """
 from __future__ import annotations
 
@@ -133,7 +134,7 @@ def sample_replay(layout: SliceLayout, slice_index: int, ratio: float,
 class FitResult:
     epochs: int
     history: list[float]
-    seconds: float
+    seconds: float          # CPU seconds
 
 
 def fit(params: ModelParameters, opt: OptimizerState,
@@ -143,7 +144,10 @@ def fit(params: ModelParameters, opt: OptimizerState,
     """Train in place for up to max_epochs_per_slice epochs.
 
     One deterministic permutation per epoch; validation loss is checked
-    after every epoch and drives the patience counter.
+    after every epoch and drives the patience counter. `seconds` is the CPU
+    time of the calling thread over the fit (`time.thread_time`), so time
+    spent waiting for CPUs that other processes hold is not counted, nor
+    are OpenBLAS helper threads, which spin between calls.
     """
     if len(x) == 0:
         return FitResult(0, [], 0.0)
@@ -154,7 +158,7 @@ def fit(params: ModelParameters, opt: OptimizerState,
     saved = None    # copies of `live` at the best validation loss so far
     saved_step = 0
     epochs_run = 0
-    t0 = time.perf_counter()
+    t0 = time.thread_time()
     for epoch in range(cfg.max_epochs_per_slice):
         perm = rng.child("shuffle", epoch).generator().permutation(len(x))
         for start in range(0, len(x), cfg.batch_size):
@@ -181,7 +185,7 @@ def fit(params: ModelParameters, opt: OptimizerState,
         for vec, copy in zip(live, saved):
             np.copyto(vec, copy)
         opt.step = saved_step
-    seconds = time.perf_counter() - t0
+    seconds = time.thread_time() - t0
     return FitResult(epochs_run, history, seconds)
 
 
@@ -192,7 +196,7 @@ class ShardTrainResult:
     # one per trained slice, in order; a LazyChain when read from a run directory
     checkpoints: Sequence[Checkpoint]
     replays: list[ReplayBuffer]
-    seconds_per_slice: list[float]
+    seconds_per_slice: list[float]      # each slice's fit, in CPU seconds
     slices_trained: int
 
     @property
@@ -245,8 +249,12 @@ def train_shard(plan: PartitionPlan, shard_id: int,
     seed, with `default_architecture`. Slice l validates on the global split
     filtered to the classes of slices 0..l, so a checkpoint that a rollback
     keeps depends on no later class's rows. One checkpoint is produced per
-    trained slice; the store saves the last one without moments
-    (`without_moments`), because nothing resumes from it.
+    trained slice, with its moments. The store keeps them only for a resume
+    point: slice l such that some class of the shard has first slice l + 1
+    in `plan.metadata`, the only checkpoint a removal of that class resumes
+    from. Every other slice, the last among them, is saved without moments
+    (`without_moments`). Removals never move a surviving class's first
+    slice, so a resume point stays one until its class is removed.
     """
     layout = plan.layouts[shard_id]
     head = tuple(sorted(plan.assignments[shard_id].class_ids))
@@ -273,6 +281,8 @@ def train_shard(plan: PartitionPlan, shard_id: int,
                              root.child("init"))
         opt = adam_init(params, cfg.adam())
 
+    resume_points = {loc.first_slice - 1 for loc in plan.metadata.values()
+                     if loc.shard_id == shard_id}
     labels = train_ds.labels
     checkpoints: list[Checkpoint] = []
     replays: list[ReplayBuffer] = []
@@ -297,7 +307,7 @@ def train_shard(plan: PartitionPlan, shard_id: int,
                           shard_id=shard_id, slice_index=ell,
                           epoch=res.epochs, rng=root)
         if store is not None:
-            store.save_slice(ckpt if ell < plan.L - 1 else without_moments(ckpt))
+            store.save_slice(ckpt if ell in resume_points else without_moments(ckpt))
         checkpoints.append(ckpt)
         replays.append(replay)
         seconds.append(res.seconds)

@@ -73,7 +73,7 @@ class UnlearnOutcome:
     shard_id: int | None
     first_slice: int | None            # 1-based slice where retraining began
     slices_retrained: int
-    seconds: float
+    seconds: float                     # CPU seconds of the retraining fits
     verdict: bool
     confusion: np.ndarray
     report: EvaluationReport

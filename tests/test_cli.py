@@ -293,6 +293,24 @@ class TestUnlearn:
         assert "1 slice(s) retrained" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize("strategy", ["sisa_scls_replay", "sisa_gated", "sisa_balanced"])
+    def test_decommissioned_shard_leaves_the_run_directory(self, tmp_path, strategy):
+        # its checkpoints were trained on the classes removed from it
+        cfg = write_config(tmp_path, strategy=strategy)
+        run_dir = tmp_path / "run"
+        assert run(["train", "--config", cfg]) == 0
+        meta = json.loads((run_dir / "plan.json").read_text())["metadata"]
+        for class_id in sorted(int(c) for c, loc in meta.items() if loc["shard_id"] == 0):
+            assert (run_dir / "shards" / "0").is_dir()
+            assert run(["unlearn", run_dir, "--class", f"class_{class_id}"]) == 0
+        assert not (run_dir / "shards" / "0").exists()
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert [e["shard_id"] for e in manifest["constituents"]] == [1]
+        on_disk = {p.relative_to(run_dir).as_posix()
+                   for p in (run_dir / "shards").rglob("*") if p.is_file()}
+        assert on_disk == set(manifest["constituents"][0]["checkpoints"])
+        assert run(["eval", run_dir]) == 0
+
     def test_last_class_refused(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dataset={
             "kind": "synthetic", "n_per_class": 30, "num_classes": 2,
@@ -520,18 +538,52 @@ def later_classes(meta, shard: int) -> list[int]:
     return [c for _, c in own[1:]]
 
 
-def assert_finals_hold_parameters_only(run_dir, scratch):
-    """Each constituent's last checkpoint holds no moments; every other one
-    holds moments laid out like its parameters and resaves to its bytes."""
+def resume_points(plan: dict, shard: int) -> set[int]:
+    """The slices of a shard after which one of its classes first appears,
+    from a plan.json document."""
+    return {loc["first_slice"] - 1 for loc in plan["metadata"].values()
+            if loc["shard_id"] == shard}
+
+
+def note_writes(moments, run_dir, report=None):
+    """Record in `moments`, for every slice file the last command wrote,
+    whether that slice was a resume point of the plan it trained under (the
+    plan it wrote): a slice after which some class of the shard first
+    appears. `report` is an unlearn command's report; without one, every
+    slice of every constituent was trained."""
+    plan = json.loads((run_dir / "plan.json").read_text())
+    if report is None:
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        written = {e["shard_id"]: range(plan["L"]) for e in manifest["constituents"]}
+    elif report["slice_range_retrained"] is None:     # the shard was decommissioned
+        written = {}
+    else:
+        first, last = report["slice_range_retrained"]
+        written = {report["shard"]: range(first - 1, last)}
+    for k, slices in written.items():
+        points = resume_points(plan, k)
+        moments.update({(k, ell): ell in points for ell in slices})
+
+
+def assert_finals_hold_parameters_only(run_dir, scratch, moments):
+    """Each constituent's checkpoint holds moments laid out like its
+    parameters exactly where `moments` says the command that wrote it kept
+    them, and resaves to its bytes. Every current resume point is such a
+    checkpoint, and no final is."""
     manifest = json.loads((run_dir / "manifest.json").read_text())
+    plan = json.loads((run_dir / "plan.json").read_text())
     for entry in manifest["constituents"]:
-        *kept, final = entry["checkpoints"]
-        ckpt = load_checkpoint(run_dir / final)
-        assert ckpt.opt_state.m == {} and ckpt.opt_state.v == {}
-        for rel in kept:
+        k = entry["shard_id"]
+        points = resume_points(plan, k)
+        for ell, rel in enumerate(entry["checkpoints"]):
             ckpt = load_checkpoint(run_dir / rel)
-            assert ckpt.opt_state.m.layout == ckpt.params.tensors.layout
-            assert ckpt.opt_state.v.layout == ckpt.params.tensors.layout
+            if moments[k, ell]:
+                assert ckpt.opt_state.m.layout == ckpt.params.tensors.layout
+                assert ckpt.opt_state.v.layout == ckpt.params.tensors.layout
+            else:
+                assert ckpt.opt_state.m == {} and ckpt.opt_state.v == {}
+            assert moments[k, ell] or ell not in points
+            assert not (moments[k, ell] and ell == plan["L"] - 1)
             save_checkpoint(ckpt, scratch)
             assert scratch.read_bytes() == (run_dir / rel).read_bytes()
 
@@ -552,7 +604,9 @@ class TestFinalsOnDisk:
         run_dir = tmp_path / "run"
         scratch = tmp_path / "resaved.ckpt"
         assert run(["train", "--config", cfg, "--strategy", strategy]) == 0
-        assert_finals_hold_parameters_only(run_dir, scratch)
+        moments = {}
+        note_writes(moments, run_dir)
+        assert_finals_hold_parameters_only(run_dir, scratch, moments)
 
         rc = RunConfig.from_file(cfg, strategy=strategy)
         bundle, tcfg = build_bundle(rc), rc.train_config()
@@ -564,7 +618,10 @@ class TestFinalsOnDisk:
         for class_id in later_classes(meta, 0):
             assert run(["unlearn", run_dir, "--class", f"class_{class_id}"]) == 0
             system, _ = run_unlearning(strategy, system, bundle, class_id, tcfg)
-            assert_finals_hold_parameters_only(run_dir, scratch)
+            report = json.loads(
+                (run_dir / "reports" / f"unlearn_class_{class_id}.json").read_text())
+            note_writes(moments, run_dir, report)
+            assert_finals_hold_parameters_only(run_dir, scratch, moments)
             ens = system.ensemble
             assert deployed(run_dir) == {
                 k: p.tensors.flat.tobytes() for k, p in zip(ens.shard_ids, ens.constituents)}
@@ -602,7 +659,10 @@ class TestFinalsOnDisk:
         cfg = write_config(tmp_path, L=1)
         run_dir = tmp_path / "run"
         assert run(["train", "--config", cfg, "--strategy", strategy]) == 0
-        assert_finals_hold_parameters_only(run_dir, tmp_path / "resaved.ckpt")
+        moments = {}
+        note_writes(moments, run_dir)
+        assert not any(moments.values())
+        assert_finals_hold_parameters_only(run_dir, tmp_path / "resaved.ckpt", moments)
         assert run(["unlearn", run_dir, "--class", "class_1"]) == 0
         assert run(["eval", run_dir]) == 0
         outcome = json.loads((run_dir / "reports" / "unlearn_class_1.json").read_text())

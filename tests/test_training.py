@@ -215,20 +215,35 @@ class TestTrainShard:
 
     def test_store_keeps_moments_only_where_training_resumes(
             self, small_bundle, plan, quick_cfg, tmp_path):
-        store = CheckpointStore(tmp_path)
-        res = su.train_shard(plan, 0, small_bundle.train, small_bundle.val,
-                             quick_cfg, store=store)
-        for ckpt in res.checkpoints:
-            loaded = load_checkpoint(store.slice_path(0, ckpt.slice_index))
-            assert loaded.params.tensors.flat.tobytes() == ckpt.params.tensors.flat.tobytes()
-            assert loaded.opt_state.step == ckpt.opt_state.step
-            # in memory every checkpoint keeps its moments
-            assert ckpt.opt_state.m.layout == ckpt.params.tensors.layout
-            if ckpt is res.final:
-                assert loaded.opt_state.m == {} and loaded.opt_state.v == {}
-            else:
-                assert loaded.opt_state.m.flat.tobytes() == ckpt.opt_state.m.flat.tobytes()
-                assert loaded.opt_state.v.flat.tobytes() == ckpt.opt_state.v.flat.tobytes()
+        labels = small_bundle.train.labels
+        plans = {
+            "one class per slice": plan,
+            # 3 classes of 42 rows over 5 slices: no class starts after slice 1 or 3
+            "classes straddle slices": su.make_plan(labels, K=2, L=5,
+                                                    policy=su.SEQUENTIAL_CLASS),
+            "balanced": su.make_plan(labels, K=2, L=3, policy=su.BALANCED),
+        }
+        for name, p in plans.items():
+            # oracle: read off the slice contents, not the plan's metadata
+            slices = p.layouts[0].slices
+            seen = [set(labels[np.concatenate(slices[:ell + 1])]) for ell in range(p.L)]
+            resume = {ell for ell in range(p.L - 1) if seen[ell + 1] - seen[ell]}
+            assert resume == {"one class per slice": {0, 1}, "balanced": set(),
+                              "classes straddle slices": {0, 2}}[name]
+            store = CheckpointStore(tmp_path / name)
+            res = su.train_shard(p, 0, small_bundle.train, small_bundle.val,
+                                 quick_cfg, store=store)
+            for ckpt in res.checkpoints:
+                loaded = load_checkpoint(store.slice_path(0, ckpt.slice_index))
+                assert loaded.params.tensors.flat.tobytes() == ckpt.params.tensors.flat.tobytes()
+                assert loaded.opt_state.step == ckpt.opt_state.step
+                # in memory every checkpoint keeps its moments
+                assert ckpt.opt_state.m.layout == ckpt.params.tensors.layout
+                if ckpt.slice_index in resume:
+                    assert loaded.opt_state.m.flat.tobytes() == ckpt.opt_state.m.flat.tobytes()
+                    assert loaded.opt_state.v.flat.tobytes() == ckpt.opt_state.v.flat.tobytes()
+                else:
+                    assert loaded.opt_state.m == {} and loaded.opt_state.v == {}
 
     def test_resuming_from_a_final_is_an_integrity_error(
             self, small_bundle, plan, quick_cfg, tmp_path):

@@ -1,5 +1,8 @@
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sisa_unlearn as su
 from sisa_unlearn.checkpoint import CheckpointStore, load_checkpoint, stored_digest
@@ -317,19 +320,50 @@ class TestDispatcher:
             su.run_unlearning("sisa_magic", scls_system, bundle, 1, cfg)
 
 
-def assert_disk_matches(store, system):
-    """Every shard's last slice file holds parameters only; every other
-    slice file holds its moments too, and each loads back bitwise."""
+def resume_points(plan, labels, k) -> set[int]:
+    """Oracle: the slices of shard k after which one of its classes first
+    appears, read off the slice contents rather than the plan's metadata."""
+    slices = plan.layouts[k].slices
+    seen = [set(labels[np.concatenate(slices[:ell + 1])].tolist()) for ell in range(plan.L)]
+    return {ell for ell in range(plan.L - 1) if seen[ell + 1] - seen[ell]}
+
+
+def note_writes(moments, system, labels, outcome=None):
+    """Record in `moments`, for every slice file the call that returned
+    `system` wrote, whether that slice was a resume point of the plan the
+    call trained under: every slice of a training, and after a removal the
+    slices it retrained."""
+    if outcome is None:
+        written = {k: range(system.plan.L) for k in system.shard_results}
+    elif outcome.first_slice is None:       # the shard was decommissioned
+        written = {}
+    else:
+        written = {outcome.shard_id: range(outcome.first_slice - 1, system.plan.L)}
+    for k, slices in written.items():
+        points = resume_points(system.plan, labels, k)
+        moments.update({(k, ell): ell in points for ell in slices})
+
+
+def assert_disk_matches(store, system, moments, labels):
+    """Every slice file of a deployed shard loads back to its checkpoint
+    bitwise, with that checkpoint's moments exactly where `moments` says
+    the call that wrote it kept them. Every current resume point is such a
+    file, and no final is."""
     for k, result in system.shard_results.items():
+        points = resume_points(system.plan, labels, k)
         for ckpt in result.checkpoints:
-            loaded = load_checkpoint(store.slice_path(k, ckpt.slice_index))
+            ell = ckpt.slice_index
+            loaded = load_checkpoint(store.slice_path(k, ell))
             assert loaded.params.output_classes == ckpt.params.output_classes
             assert loaded.params.tensors.flat.tobytes() == ckpt.params.tensors.flat.tobytes()
-            if ckpt.slice_index == system.plan.L - 1:
-                assert loaded.opt_state.m == {} and loaded.opt_state.v == {}
-            else:
+            assert loaded.opt_state.step == ckpt.opt_state.step
+            if moments[k, ell]:
                 assert loaded.opt_state.m.flat.tobytes() == ckpt.opt_state.m.flat.tobytes()
                 assert loaded.opt_state.v.flat.tobytes() == ckpt.opt_state.v.flat.tobytes()
+            else:
+                assert loaded.opt_state.m == {} and loaded.opt_state.v == {}
+            assert moments[k, ell] or ell not in points
+            assert not (moments[k, ell] and ell == system.plan.L - 1)
 
 
 class TestFinalsOnDisk:
@@ -337,9 +371,12 @@ class TestFinalsOnDisk:
     def test_after_train_and_chained_removals(self, bundle, cfg, tmp_path, strategy):
         rule = strategy_rule(strategy)
         store = CheckpointStore(tmp_path)
-        plan = su.make_plan(bundle.train.labels, K=2, L=3, policy=rule.policy)
+        labels = bundle.train.labels
+        plan = su.make_plan(labels, K=2, L=3, policy=rule.policy)
         system = su.train_sisa(bundle, plan, cfg, gated=rule.gated, store=store)
-        assert_disk_matches(store, system)
+        moments = {}
+        note_writes(moments, system, labels)
+        assert_disk_matches(store, system, moments, labels)
         # the two later classes of one shard: the second rolls back to the
         # checkpoint that the first removal retrained
         shard = plan.metadata[0].shard_id
@@ -348,4 +385,65 @@ class TestFinalsOnDisk:
         for victim in victims:
             system, outcome = su.run_unlearning(strategy, system, bundle, victim, cfg)
             assert outcome.verdict
-            assert_disk_matches(store, system)
+            note_writes(moments, system, labels, outcome)
+            assert_disk_matches(store, system, moments, labels)
+
+
+@st.composite
+def removal_chains(draw):
+    """A small dataset, a strategy (and so a slicing policy), K, L, and the
+    classes removed in turn: all but one, in a drawn order."""
+    num_classes = draw(st.integers(2, 5))
+    K = draw(st.integers(1, num_classes))
+    L = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(L, 3 * L + 2), min_size=num_classes,
+                          max_size=num_classes))
+    strategy = draw(st.sampled_from([SISA_SCLS_REPLAY, SISA_GATED, SISA_BALANCED]))
+    chain = draw(st.permutations(range(num_classes)))[:-1]
+    return sizes, strategy, K, L, chain
+
+
+def tiny_bundle(sizes) -> su.DataBundle:
+    """`sizes[c]` train rows of class c and one validation and one test row
+    each, Gaussian blobs in 4-d."""
+    names = [f"class_{c}" for c in range(len(sizes))]
+    g = np.random.default_rng(sizes)
+
+    def part(counts):
+        labels = np.repeat(np.arange(len(counts)), counts)
+        inputs = (np.eye(len(counts), 4)[labels % 4] * 3
+                  + g.standard_normal((len(labels), 4))).astype(np.float32)
+        return su.LabeledDataset(inputs=inputs, labels=labels, class_names=names)
+    ones = [1] * len(sizes)
+    return su.DataBundle(train=part(sizes), val=part(ones), test=part(ones))
+
+
+@settings(max_examples=25, deadline=None)
+@given(removal_chains())
+def test_store_holds_moments_exactly_at_resume_points(case):
+    sizes, strategy, K, L, chain = case
+    data = tiny_bundle(sizes)
+    labels = data.train.labels
+    rule = strategy_rule(strategy)
+    cfg = su.TrainConfig(max_epochs_per_slice=2, patience=None,
+                         replay_ratio=0.5 if rule.replay else 0.0,
+                         batch_size=4, seed=sum(sizes))
+    plan = su.make_plan(labels, K=K, L=L, policy=rule.policy)
+    with tempfile.TemporaryDirectory() as root:
+        store = CheckpointStore(root)
+        stored = su.train_sisa(data, plan, cfg, gated=rule.gated, store=store)
+        memory = su.train_sisa(data, plan, cfg, gated=rule.gated)
+        moments = {}
+        note_writes(moments, stored, labels)
+        outcome = None
+        for class_id in [None] + chain:
+            if class_id is not None:
+                stored, outcome = su.run_unlearning(strategy, stored, data, class_id, cfg)
+                memory, _ = su.run_unlearning(strategy, memory, data, class_id, cfg)
+                note_writes(moments, stored, labels, outcome)
+            assert_disk_matches(store, stored, moments, labels)
+            a, b = stored.ensemble, memory.ensemble
+            assert a.shard_ids == b.shard_ids
+            for p, q in zip(a.constituents, b.constituents):
+                assert p.output_classes == q.output_classes
+                assert p.tensors.flat.tobytes() == q.tensors.flat.tobytes()
