@@ -8,6 +8,9 @@
 # into a temporary directory, and on the working tree. Then it compares every
 # `digest` line (trained parameters and unlearning outcomes) and the
 # accuracy_before/accuracy_after lines. Exits nonzero on any difference.
+# Each tree's disk_bytes line (base: REV, work: the working tree) is printed
+# after the result, not compared, so a change in what the store keeps shows
+# next to the digest check.
 set -euo pipefail
 
 rev=${1:?usage: scripts/compare_digests.sh REV}
@@ -38,5 +41,9 @@ for workload in gated_serve cnn_cli mlp_rollback; do
     echo "$workload: differs from $rev" >&2
     status=1
   fi
+  for tree in base work; do
+    echo "  $tree: $(grep "^$workload: disk_bytes " "$tmp/$tree.$workload.out" \
+      || echo "no disk_bytes line")"
+  done
 done
 exit $status

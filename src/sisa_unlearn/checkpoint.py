@@ -12,14 +12,15 @@ architecture and the Adam scalars. It holds no timestamp, so a file's bytes
 are a function of the checkpoint alone, and the footer covers it like the
 tensors: a load checks magic, version and digest before it parses either.
 Optimizer moments ride along as tensors named ``m.<name>`` / ``v.<name>``,
-only in checkpoints that training may resume from: a slice l after which
-some class of the shard first appears (first slice l + 1), as removing
-that class restores slice l and nothing else. A checkpoint nothing resumes
-from holds parameters alone (`without_moments`): every other slice, a
-shard's last among them (a rollback restores slice first - 1 <= L - 2, and
-a restart begins at slice 0), the gating router and the baseline. Files
-with and without moments load the same way. Save -> load roundtrips are
-bitwise exact.
+only in checkpoints that training may resume from: under sequential class
+slicing, a slice l after which some class of the shard first appears
+(first slice l + 1), as removing that class restores slice l and nothing
+else. A checkpoint nothing resumes from holds parameters alone
+(`without_moments`): every other slice, a shard's last among them (a
+rollback restores slice first - 1 <= L - 2), every slice of a balanced
+plan (balanced removal restarts at slice 0), the gating router and the
+baseline. Files with and without moments load the same way. Save -> load
+roundtrips are bitwise exact.
 
 The digest kernel (fnv1a64) is exact and bit-sliced: each block is
 transposed once into 8 bit planes, 64 byte positions per uint64 word, where
@@ -30,6 +31,7 @@ exact float32 GEMM and uint64 arithmetic mod 2**64.
 from __future__ import annotations
 
 import json
+import shutil
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -313,7 +315,10 @@ def _parse_body(body: memoryview) -> tuple[dict, dict[str, np.ndarray]]:
 
 def load_checkpoint(path) -> Checkpoint:
     path = Path(path)
-    raw = path.read_bytes()
+    try:
+        raw = path.read_bytes()
+    except FileNotFoundError:
+        raise IntegrityError(f"{path}: checkpoint file missing") from None
     if len(raw) < 24:
         raise IntegrityError(f"{path}: file too short to be a checkpoint")
     if raw[:4] != MAGIC:
@@ -376,7 +381,13 @@ def stored_digest(path) -> int:
 
 
 class CheckpointStore:
-    """Run-directory layout: shards/<k>/slice_<l>.ckpt plus gating/baseline."""
+    """Run-directory layout: shards/<k>/slice_<l>.ckpt plus gating/baseline.
+
+    A shard's directory holds the slices its training wrote, as long as the
+    shard is deployed: the removal that empties a shard deletes it
+    (`drop_shard`), since its checkpoints were trained on the classes
+    removed from it.
+    """
 
     def __init__(self, root) -> None:
         self.root = Path(root)
@@ -395,6 +406,12 @@ class CheckpointStore:
 
     def save_slice(self, ckpt: Checkpoint) -> int:
         return save_checkpoint(ckpt, self.slice_path(ckpt.shard_id, ckpt.slice_index))
+
+    def drop_shard(self, shard_id: int) -> None:
+        """Delete shard k's directory; one already gone is left as it is."""
+        shard_dir = self.shard_dir(shard_id)
+        if shard_dir.exists():
+            shutil.rmtree(shard_dir)
 
     def shard_digests(self, shard_id: int) -> dict[str, int]:
         shard_dir = self.shard_dir(shard_id)

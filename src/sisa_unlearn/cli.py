@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import shutil
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -232,11 +231,13 @@ def _write_run(store: CheckpointStore, manifest: dict, target,
     relative to the run directory.
 
     A baseline target writes its checkpoint; a SISA system writes its plan,
-    its shard checkpoints having been written as the shards trained. Once
-    the manifest is swapped in, the directory of every shard it no longer
-    lists is deleted: a decommissioned shard's checkpoints were trained on
-    the classes removed from it. A crash before the deletion leaves files
-    no manifest names, which the next write deletes.
+    its shard checkpoints having been written as the shards trained, and a
+    decommissioned shard's directory having been deleted by the removal
+    (`unlearning._unlearn_shard`). Both happen before this call, so a crash
+    in between leaves a manifest that names overwritten or missing files:
+    `eval` then fails with an IntegrityError, and repeating the `unlearn`
+    repairs the directory. A crash after the plan is written and before the
+    manifest is cannot be repaired that way.
     """
     def rel(path: Path) -> str:
         return path.relative_to(store.root).as_posix()
@@ -255,11 +256,6 @@ def _write_run(store: CheckpointStore, manifest: dict, target,
         manifest["gating"] = (rel(store.gating_path())
                               if target.gating is not None else None)
     write_json(store.root / "manifest.json", manifest)   # atomic swap
-    if not isinstance(target, BaselineModel):
-        for a in target.plan.assignments:
-            shard_dir = store.shard_dir(a.shard_id)
-            if a.shard_id not in target.shard_results and shard_dir.exists():
-                shutil.rmtree(shard_dir)
 
 
 # --- commands ----------------------------------------------------------------

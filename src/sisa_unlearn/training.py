@@ -25,7 +25,7 @@ from .errors import IntegrityError, InvalidLabelError, NumericFault
 from .nn import (AdamConfig, Architecture, ModelParameters, OptimizerState,
                  adam_init, adam_step, cnn_architecture, drop_output_classes,
                  init_params, loss_and_grad, mean_loss, mlp_architecture)
-from .partition import PartitionPlan, SliceLayout
+from .partition import BALANCED, PartitionPlan, SliceLayout
 from .rng import RngState
 
 
@@ -252,7 +252,8 @@ def train_shard(plan: PartitionPlan, shard_id: int,
     trained slice, with its moments. The store keeps them only for a resume
     point: slice l such that some class of the shard has first slice l + 1
     in `plan.metadata`, the only checkpoint a removal of that class resumes
-    from. Every other slice, the last among them, is saved without moments
+    from. A balanced plan has none, as balanced removal restarts at slice 0.
+    Every other slice, the last among them, is saved without moments
     (`without_moments`). Removals never move a surviving class's first
     slice, so a resume point stays one until its class is removed.
     """
@@ -281,8 +282,9 @@ def train_shard(plan: PartitionPlan, shard_id: int,
                              root.child("init"))
         opt = adam_init(params, cfg.adam())
 
-    resume_points = {loc.first_slice - 1 for loc in plan.metadata.values()
-                     if loc.shard_id == shard_id}
+    # balanced removal restarts at slice 0: it resumes from no slice
+    resume_points = set() if plan.policy == BALANCED else {
+        loc.first_slice - 1 for loc in plan.metadata.values() if loc.shard_id == shard_id}
     labels = train_ds.labels
     checkpoints: list[Checkpoint] = []
     replays: list[ReplayBuffer] = []

@@ -157,8 +157,13 @@ def _unlearn_shard(strategy: str, system: SisaSystem, data: DataBundle,
 
     The restored head is rebuilt without the class (and without any class
     removed earlier), and the class's samples leave every remaining slice
-    and every replay buffer drawn for them. A shard left without classes is
-    dropped from the ensemble. A gating router is left untouched.
+    and every replay buffer drawn for them. A gating router is left untouched.
+
+    A shard left without classes is dropped from the ensemble and, once the
+    outcome is verified, its directory from `system.store`: its checkpoints
+    were trained on the classes removed from it. This is the one place a
+    store loses a shard, for a library caller as for the CLI. A `system`
+    trained in this process keeps serving from its in-memory checkpoints.
     """
     rule = strategy_rule(strategy)
     if rule.gated and system.gating is None:
@@ -206,6 +211,8 @@ def _unlearn_shard(strategy: str, system: SisaSystem, data: DataBundle,
     outcome = _outcome(strategy, data, new_system.ensemble, class_id,
                        shard_id=shard_id, first_slice=first_slice,
                        slices_retrained=retrained, seconds=seconds)
+    if not new_head and system.store is not None:
+        system.store.drop_shard(shard_id)
     return new_system, outcome
 
 

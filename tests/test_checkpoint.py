@@ -138,6 +138,11 @@ class TestCorruption:
         with pytest.raises(IntegrityError):
             load_checkpoint(path)
 
+    def test_missing_file_names_its_path(self, tmp_path):
+        path = tmp_path / "shards" / "0" / "slice_2.ckpt"
+        with pytest.raises(IntegrityError, match=f"{path}: checkpoint file missing"):
+            load_checkpoint(path)
+
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "a.ckpt"
         save_checkpoint(make_checkpoint(), path)

@@ -238,6 +238,12 @@ class TestTrain:
         assert not (tmp_path / "run").exists()
 
 
+def stored(run_dir, sub: str) -> dict[str, bytes]:
+    """Every file under run_dir/sub, by its path relative to run_dir."""
+    return {p.relative_to(run_dir).as_posix(): p.read_bytes()
+            for p in (run_dir / sub).rglob("*") if p.is_file()}
+
+
 class TestUnlearn:
     @pytest.fixture()
     def trained(self, tmp_path):
@@ -310,6 +316,44 @@ class TestUnlearn:
                    for p in (run_dir / "shards").rglob("*") if p.is_file()}
         assert on_disk == set(manifest["constituents"][0]["checkpoints"])
         assert run(["eval", run_dir]) == 0
+
+    def test_crash_before_the_manifest_swap_is_repaired_by_a_retry(
+            self, tmp_path, monkeypatch, capsys):
+        # the removal deletes the decommissioned shard before _write_run
+        # swaps the manifest; a crash in between leaves it naming lost files
+        demo = Path(__file__).resolve().parent.parent / "demos" / "config.json"
+        crashed, clean = tmp_path / "crashed", tmp_path / "clean"
+        for run_dir in (crashed, clean):
+            assert run(["train", "--config", demo, "--out", run_dir]) == 0
+            for name in ("class_1", "class_3"):
+                assert run(["unlearn", run_dir, "--class", name]) == 0
+        manifest = json.loads((crashed / "manifest.json").read_text())
+        assert [e["shard_id"] for e in manifest["constituents"]] == [0, 1]
+
+        class Crash(Exception):
+            pass
+
+        def crash(*args):
+            raise Crash
+        monkeypatch.setattr(cli, "_write_run", crash)
+        with pytest.raises(Crash):
+            run(["unlearn", crashed, "--class", "class_5"])
+        monkeypatch.undo()
+        assert not (crashed / "shards" / "1").exists()
+        assert json.loads((crashed / "manifest.json").read_text()) == manifest
+
+        capsys.readouterr()
+        assert run(["eval", crashed]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "IntegrityError"
+        assert str(crashed / "shards" / "1" / "slice_2.ckpt") in err["message"]
+
+        for run_dir in (crashed, clean):
+            assert run(["unlearn", run_dir, "--class", "class_5"]) == 0
+            assert run(["eval", run_dir]) == 0
+        assert stored(crashed, "shards") == stored(clean, "shards")
+        for name in ("plan.json", "reports/eval.json"):
+            assert (crashed / name).read_bytes() == (clean / name).read_bytes()
 
     def test_last_class_refused(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dataset={
@@ -540,7 +584,10 @@ def later_classes(meta, shard: int) -> list[int]:
 
 def resume_points(plan: dict, shard: int) -> set[int]:
     """The slices of a shard after which one of its classes first appears,
-    from a plan.json document."""
+    from a plan.json document; none under a balanced plan, whose removals
+    restart at slice 0."""
+    if plan["policy"] == "balanced":
+        return set()
     return {loc["first_slice"] - 1 for loc in plan["metadata"].values()
             if loc["shard_id"] == shard}
 

@@ -1,4 +1,5 @@
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import sisa_unlearn as su
 from sisa_unlearn.checkpoint import CheckpointStore, load_checkpoint, stored_digest
+from sisa_unlearn.ensemble import predict_labels
 from sisa_unlearn.errors import UnknownClassError
 from sisa_unlearn.unlearning import (SISA_BALANCED, SISA_GATED, SISA_SCLS_REPLAY,
                                      strategy_rule)
@@ -322,7 +324,10 @@ class TestDispatcher:
 
 def resume_points(plan, labels, k) -> set[int]:
     """Oracle: the slices of shard k after which one of its classes first
-    appears, read off the slice contents rather than the plan's metadata."""
+    appears, read off the slice contents rather than the plan's metadata;
+    none under a balanced plan, whose removals restart at slice 0."""
+    if plan.policy == su.BALANCED:
+        return set()
     slices = plan.layouts[k].slices
     seen = [set(labels[np.concatenate(slices[:ell + 1])].tolist()) for ell in range(plan.L)]
     return {ell for ell in range(plan.L - 1) if seen[ell + 1] - seen[ell]}
@@ -345,10 +350,13 @@ def note_writes(moments, system, labels, outcome=None):
 
 
 def assert_disk_matches(store, system, moments, labels):
-    """Every slice file of a deployed shard loads back to its checkpoint
+    """The store holds a directory for each deployed shard and for no other.
+    Every slice file of a deployed shard loads back to its checkpoint
     bitwise, with that checkpoint's moments exactly where `moments` says
     the call that wrote it kept them. Every current resume point is such a
     file, and no final is."""
+    shards = store.root / "shards"
+    assert {int(p.name) for p in shards.iterdir()} == set(system.shard_results)
     for k, result in system.shard_results.items():
         points = resume_points(system.plan, labels, k)
         for ckpt in result.checkpoints:
@@ -387,6 +395,60 @@ class TestFinalsOnDisk:
             assert outcome.verdict
             note_writes(moments, system, labels, outcome)
             assert_disk_matches(store, system, moments, labels)
+
+
+def stored_files(root) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in root.rglob("*") if p.is_file()}
+
+
+class TestDecommissionOnDisk:
+    """The removal that empties a shard deletes the shard's directory from a
+    library store too; the system it started from still serves from memory."""
+
+    @pytest.mark.parametrize("strategy", [SISA_SCLS_REPLAY, SISA_GATED, SISA_BALANCED])
+    def test_store_loses_the_shard_and_nothing_else(self, bundle, cfg, tmp_path, strategy):
+        rule = strategy_rule(strategy)
+        store = CheckpointStore(tmp_path)
+        plan = su.make_plan(bundle.train.labels, K=2, L=3, policy=rule.policy)
+        system = su.train_sisa(bundle, plan, cfg, gated=rule.gated, store=store)
+        k = 0
+        kept = {name: raw for name, raw in stored_files(tmp_path).items()
+                if not name.startswith(f"shards/{k}/")}
+        *retrained, last = sorted(plan.assignments[k].class_ids)
+        for class_id in retrained:
+            system, _ = su.run_unlearning(strategy, system, bundle, class_id, cfg)
+        assert store.shard_dir(k).is_dir()
+        parent = system
+        served = predict_labels(parent.ensemble, bundle.test.inputs)
+
+        system, outcome = su.run_unlearning(strategy, parent, bundle, last, cfg)
+        assert outcome.verdict and outcome.first_slice is None
+        assert k not in system.shard_results
+        assert not store.shard_dir(k).exists()
+        assert stored_files(tmp_path) == kept
+        # a copy rebuilds its ensemble from the parent's in-memory checkpoints
+        again = predict_labels(replace(parent).ensemble, bundle.test.inputs)
+        assert again.tobytes() == served.tobytes()
+        assert k in parent.ensemble.shard_ids
+
+
+def test_balanced_plan_stores_no_moments(tmp_path):
+    # class 1 has fewer rows than slices, so it starts at slice 2; balanced
+    # removal still restarts at slice 0 and never reads slice 1's moments
+    data = tiny_bundle([30, 2, 30])
+    plan = su.make_plan(data.train.labels, K=1, L=4, policy=su.BALANCED)
+    assert plan.metadata[1].first_slice == 2
+    cfg = su.TrainConfig(max_epochs_per_slice=2, patience=None,
+                         replay_ratio=0.0, batch_size=4, seed=3)
+    store = CheckpointStore(tmp_path)
+    system = su.train_sisa(data, plan, cfg, store=store)
+    for ckpt in system.shard_results[0].checkpoints:
+        loaded = load_checkpoint(store.slice_path(0, ckpt.slice_index))
+        assert loaded.opt_state.m == {} and loaded.opt_state.v == {}
+        assert loaded.params.tensors.flat.tobytes() == ckpt.params.tensors.flat.tobytes()
+        # in memory every slice keeps its moments
+        assert ckpt.opt_state.m.layout == ckpt.params.tensors.layout
 
 
 @st.composite
