@@ -13,14 +13,13 @@ are a function of the checkpoint alone, and the footer covers it like the
 tensors: a load checks magic, version and digest before it parses either.
 Optimizer moments ride along as tensors named ``m.<name>`` / ``v.<name>``,
 only in checkpoints that training may resume from: under sequential class
-slicing, a slice l after which some class of the shard first appears
-(first slice l + 1), as removing that class restores slice l and nothing
-else. A checkpoint nothing resumes from holds parameters alone
-(`without_moments`): every other slice, a shard's last among them (a
-rollback restores slice first - 1 <= L - 2), every slice of a balanced
-plan (balanced removal restarts at slice 0), the gating router and the
-baseline. Files with and without moments load the same way. Save -> load
-roundtrips are bitwise exact.
+slicing, a slice l after which some class of a shard of two or more classes
+first appears (first slice l + 1), as removing that class restores slice l
+and nothing else. A checkpoint nothing resumes from holds parameters alone
+(`without_moments`): a shard's final (a rollback restores slice
+first - 1 <= L - 2), the gating router and the baseline. A store holds no
+other slice (see `training.train_shard`). Files with and without moments
+load the same way. Save -> load roundtrips are bitwise exact.
 
 The digest kernel (fnv1a64) is exact and bit-sliced: each block is
 transposed once into 8 bit planes, 64 byte positions per uint64 word, where
@@ -352,27 +351,42 @@ def load_checkpoint(path) -> Checkpoint:
     )
 
 
-class LazyChain(Sequence):
-    """A shard's checkpoint chain in a run directory. Each entry is loaded,
-    digest checked, on first access and then kept; slicing and `+` build new
-    chains without loading anything."""
+@dataclass(frozen=True)
+class _NotStored:
+    """A slice of a chain that its run directory does not hold."""
 
-    def __init__(self, entries) -> None:
-        self._entries = list(entries)   # a path until loaded, then its Checkpoint
+    slice_index: int
+
+
+class LazyChain(Sequence):
+    """Shard `shard_id`'s checkpoint chain in a run directory, one entry per
+    slice. Each entry is loaded, digest checked, on first access and then
+    kept. An entry of None is a slice the run directory does not hold:
+    reading it is an IntegrityError that names the shard and the slice.
+    Slicing and `+` build new chains without loading anything."""
+
+    def __init__(self, entries, shard_id: int) -> None:
+        self.shard_id = shard_id
+        # a path until loaded, then its Checkpoint; _NotStored for a slice not held
+        self._entries = [_NotStored(i) if e is None else e for i, e in enumerate(entries)]
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return LazyChain(self._entries[index])
+            return LazyChain(self._entries[index], self.shard_id)
         entry = self._entries[index]
+        if isinstance(entry, _NotStored):
+            raise IntegrityError(
+                f"shard {self.shard_id}: the run directory holds no checkpoint "
+                f"of slice {entry.slice_index}")
         if not isinstance(entry, Checkpoint):
             entry = self._entries[index] = load_checkpoint(entry)
         return entry
 
     def __add__(self, checkpoints: list[Checkpoint]) -> "LazyChain":
-        return LazyChain(self._entries + checkpoints)
+        return LazyChain(self._entries + checkpoints, self.shard_id)
 
 
 def stored_digest(path) -> int:
@@ -383,10 +397,11 @@ def stored_digest(path) -> int:
 class CheckpointStore:
     """Run-directory layout: shards/<k>/slice_<l>.ckpt plus gating/baseline.
 
-    A shard's directory holds the slices its training wrote, as long as the
-    shard is deployed: the removal that empties a shard deletes it
-    (`drop_shard`), since its checkpoints were trained on the classes
-    removed from it.
+    A shard's directory holds the slices its training kept: its resume
+    points, with moments, and its final (see `training.train_shard`). It
+    holds them as long as the shard is deployed: the removal that empties a
+    shard deletes it (`drop_shard`), since its checkpoints were trained on
+    the classes removed from it.
     """
 
     def __init__(self, root) -> None:
@@ -397,6 +412,11 @@ class CheckpointStore:
 
     def slice_path(self, shard_id: int, slice_index: int) -> Path:
         return self.shard_dir(shard_id) / f"slice_{slice_index}.ckpt"
+
+    def stored_slice(self, shard_id: int, slice_index: int) -> Path | None:
+        """The path of a slice the store holds; None for one it does not."""
+        path = self.slice_path(shard_id, slice_index)
+        return path if path.exists() else None
 
     def gating_path(self) -> Path:
         return self.root / "gating.ckpt"
@@ -412,9 +432,3 @@ class CheckpointStore:
         shard_dir = self.shard_dir(shard_id)
         if shard_dir.exists():
             shutil.rmtree(shard_dir)
-
-    def shard_digests(self, shard_id: int) -> dict[str, int]:
-        shard_dir = self.shard_dir(shard_id)
-        if not shard_dir.exists():
-            return {}
-        return {p.name: stored_digest(p) for p in sorted(shard_dir.glob("*.ckpt"))}

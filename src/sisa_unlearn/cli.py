@@ -3,9 +3,9 @@
 Configuration is one JSON document, read only by `RunConfig.from_file`,
 which applies the `--seed`, `--out` and `--strategy` flags; every key
 resolves as flag > config > default. Run directories are self-contained:
-config copy, plan, per-slice checkpoints, manifest, and reports, and
-`_write_run` is the one writer of the manifest, which lists every
-checkpoint path a command reads.
+config copy, plan, the checkpoints the store holds, manifest, and reports,
+and `_write_run` is the one writer of the manifest, which lists every
+checkpoint file the run directory holds.
 """
 from __future__ import annotations
 
@@ -230,17 +230,21 @@ def _write_run(store: CheckpointStore, manifest: dict, target,
     one pointer into its files. Every checkpoint path in it is the store's,
     relative to the run directory.
 
-    A baseline target writes its checkpoint; a SISA system writes its plan,
-    its shard checkpoints having been written as the shards trained, and a
-    decommissioned shard's directory having been deleted by the removal
+    A baseline target writes its checkpoint; a SISA system writes its plan
+    and, per shard, one entry per slice: the path of each slice the store
+    holds (`CheckpointStore.stored_slice`), null for one it does not, the
+    final last. The shard checkpoints were written, and the slices the store
+    does not keep deleted, as the shards trained (`training.train_shard`),
+    and a decommissioned shard's directory was deleted by the removal
     (`unlearning._unlearn_shard`). Both happen before this call, so a crash
     in between leaves a manifest that names overwritten or missing files:
-    `eval` then fails with an IntegrityError, and repeating the `unlearn`
-    repairs the directory. A crash after the plan is written and before the
-    manifest is cannot be repaired that way.
+    `eval` then fails with an IntegrityError, and repeating the `unlearn`,
+    whose rollback point is never touched, repairs the directory. A crash
+    after the plan is written and before the manifest is cannot be repaired
+    that way.
     """
-    def rel(path: Path) -> str:
-        return path.relative_to(store.root).as_posix()
+    def rel(path: Path | None) -> str | None:
+        return None if path is None else path.relative_to(store.root).as_posix()
 
     if isinstance(target, BaselineModel):
         save_params(target.params, store.baseline_path(), tcfg.adam(),
@@ -250,7 +254,7 @@ def _write_run(store: CheckpointStore, manifest: dict, target,
         target.plan.save(store.root / "plan.json")
         manifest["constituents"] = [
             {"shard_id": k, "output_classes": list(r.head),
-             "checkpoints": [rel(store.slice_path(k, i))
+             "checkpoints": [rel(store.stored_slice(k, i))
                              for i in range(len(r.checkpoints))]}
             for k, r in sorted(target.shard_results.items())]
         manifest["gating"] = (rel(store.gating_path())
@@ -331,8 +335,10 @@ def _load_run(run_dir: Path):
     for entry in manifest["constituents"]:
         k = entry["shard_id"]
         # loaded as read: eval reads the finals; unlearn reads the rollback
-        # point and the finals of the other shards, not the owner's
-        ckpts = LazyChain(run_dir / rel for rel in entry["checkpoints"])
+        # point and the finals of the other shards, not the owner's. A null
+        # entry is a slice the store does not hold.
+        ckpts = LazyChain((None if rel is None else run_dir / rel
+                           for rel in entry["checkpoints"]), k)
         shard_results[k] = ShardTrainResult(
             shard_id=k, head=tuple(entry["output_classes"]), checkpoints=ckpts,
             replays=[], seconds_per_slice=[], slices_trained=len(ckpts))

@@ -242,7 +242,7 @@ class TestLazyChain:
 
     def test_loads_each_entry_once_on_access(self, saved):
         paths, loads = saved
-        chain = LazyChain(paths)
+        chain = LazyChain(paths, 0)
         assert len(chain) == 3 and loads == []
         final = chain[-1]
         assert chain[2] is final
@@ -253,7 +253,7 @@ class TestLazyChain:
     def test_slice_and_concat_load_nothing(self, saved):
         paths, loads = saved
         extra = make_checkpoint(seed=9)
-        chain = LazyChain(paths)[:2] + [extra]
+        chain = LazyChain(paths, 0)[:2] + [extra]
         assert isinstance(chain, LazyChain) and len(chain) == 3
         assert loads == []
         assert chain[2] is extra
@@ -265,7 +265,7 @@ class TestLazyChain:
         raw = bytearray(paths[0].read_bytes())
         raw[len(raw) // 2] ^= 0xFF
         paths[0].write_bytes(bytes(raw))
-        chain = LazyChain(paths)
+        chain = LazyChain(paths, 0)
         chain[-1]
         with pytest.raises(IntegrityError, match="digest mismatch"):
             chain[0]

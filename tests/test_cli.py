@@ -7,7 +7,7 @@ import pytest
 
 from sisa_unlearn import bench, checkpoint, cli, training
 from sisa_unlearn.bench import GridReport
-from sisa_unlearn.checkpoint import load_checkpoint, save_checkpoint
+from sisa_unlearn.checkpoint import load_checkpoint, save_checkpoint, without_moments
 from sisa_unlearn.cli import RunConfig, build_bundle, main
 from sisa_unlearn.partition import make_plan
 from sisa_unlearn.pipeline import train_sisa
@@ -111,9 +111,13 @@ class TestTrain:
         run_dir = tmp_path / "run"
         ckpts = sorted(p.relative_to(run_dir).as_posix()
                        for p in run_dir.glob("shards/*/*.ckpt"))
-        assert len(ckpts) == 6      # K=2 x L=3
+        # each shard's second class starts at slice 1: slice 0 is its resume
+        # point, slice 2 its final, and slice 1 is not stored
+        assert ckpts == [f"shards/{k}/slice_{ell}.ckpt" for k in (0, 1) for ell in (0, 2)]
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert manifest["strategy"] == "sisa_scls_replay"
+        assert [e["checkpoints"] for e in manifest["constituents"]] == [
+            [f"shards/{k}/slice_0.ckpt", None, f"shards/{k}/slice_2.ckpt"] for k in (0, 1)]
         assert (run_dir / "reports" / "before.json").exists()
         assert not (run_dir / "gating.ckpt").exists()
 
@@ -314,7 +318,7 @@ class TestUnlearn:
         assert [e["shard_id"] for e in manifest["constituents"]] == [1]
         on_disk = {p.relative_to(run_dir).as_posix()
                    for p in (run_dir / "shards").rglob("*") if p.is_file()}
-        assert on_disk == set(manifest["constituents"][0]["checkpoints"])
+        assert on_disk == set(manifest["constituents"][0]["checkpoints"]) - {None}
         assert run(["eval", run_dir]) == 0
 
     def test_crash_before_the_manifest_swap_is_repaired_by_a_retry(
@@ -585,19 +589,20 @@ def later_classes(meta, shard: int) -> list[int]:
 def resume_points(plan: dict, shard: int) -> set[int]:
     """The slices of a shard after which one of its classes first appears,
     from a plan.json document; none under a balanced plan, whose removals
-    restart at slice 0."""
-    if plan["policy"] == "balanced":
+    restart at slice 0, nor in a shard of one class, whose removal
+    decommissions the shard."""
+    own = [loc for loc in plan["metadata"].values() if loc["shard_id"] == shard]
+    if plan["policy"] == "balanced" or len(own) < 2:
         return set()
-    return {loc["first_slice"] - 1 for loc in plan["metadata"].values()
-            if loc["shard_id"] == shard}
+    return {loc["first_slice"] - 1 for loc in own if loc["first_slice"] > 0}
 
 
-def note_writes(moments, run_dir, report=None):
-    """Record in `moments`, for every slice file the last command wrote,
-    whether that slice was a resume point of the plan it trained under (the
-    plan it wrote): a slice after which some class of the shard first
-    appears. `report` is an unlearn command's report; without one, every
-    slice of every constituent was trained."""
+def note_writes(stored, run_dir, report=None):
+    """Update `stored`, the (shard, slice) pairs the run directory holds, for
+    every slice the last command trained: it is kept if it is a resume
+    point of the plan it trained under (the plan it wrote) or the final,
+    and deleted otherwise. `report` is an unlearn command's report; without
+    one, every slice of every constituent was trained."""
     plan = json.loads((run_dir / "plan.json").read_text())
     if report is None:
         manifest = json.loads((run_dir / "manifest.json").read_text())
@@ -609,28 +614,39 @@ def note_writes(moments, run_dir, report=None):
         written = {report["shard"]: range(first - 1, last)}
     for k, slices in written.items():
         points = resume_points(plan, k)
-        moments.update({(k, ell): ell in points for ell in slices})
+        for ell in slices:
+            if ell in points or ell == plan["L"] - 1:
+                stored.add((k, ell))
+            else:
+                stored.discard((k, ell))
 
 
-def assert_finals_hold_parameters_only(run_dir, scratch, moments):
-    """Each constituent's checkpoint holds moments laid out like its
-    parameters exactly where `moments` says the command that wrote it kept
-    them, and resaves to its bytes. Every current resume point is such a
-    checkpoint, and no final is."""
+def assert_run_holds_kept_slices(run_dir, scratch, stored):
+    """Each constituent's directory holds exactly the slices `stored` names,
+    every current resume point and the final among them, and its manifest
+    entry names those files and null for every other slice. Each stored
+    slice but the final holds moments laid out like its parameters, the
+    final none, and each file resaves to its bytes."""
     manifest = json.loads((run_dir / "manifest.json").read_text())
     plan = json.loads((run_dir / "plan.json").read_text())
+    final = plan["L"] - 1
     for entry in manifest["constituents"]:
         k = entry["shard_id"]
-        points = resume_points(plan, k)
-        for ell, rel in enumerate(entry["checkpoints"]):
+        kept = {ell for j, ell in stored if j == k}
+        assert resume_points(plan, k) | {final} <= kept
+        assert len(entry["checkpoints"]) == plan["L"]
+        assert {ell for ell, rel in enumerate(entry["checkpoints"]) if rel} == kept
+        on_disk = {p.relative_to(run_dir).as_posix()
+                   for p in (run_dir / "shards" / str(k)).iterdir()}
+        assert on_disk == set(entry["checkpoints"]) - {None}
+        for ell in kept:
+            rel = entry["checkpoints"][ell]
             ckpt = load_checkpoint(run_dir / rel)
-            if moments[k, ell]:
+            if ell == final:
+                assert ckpt.opt_state.m == {} and ckpt.opt_state.v == {}
+            else:
                 assert ckpt.opt_state.m.layout == ckpt.params.tensors.layout
                 assert ckpt.opt_state.v.layout == ckpt.params.tensors.layout
-            else:
-                assert ckpt.opt_state.m == {} and ckpt.opt_state.v == {}
-            assert moments[k, ell] or ell not in points
-            assert not (moments[k, ell] and ell == plan["L"] - 1)
             save_checkpoint(ckpt, scratch)
             assert scratch.read_bytes() == (run_dir / rel).read_bytes()
 
@@ -642,8 +658,9 @@ def deployed(run_dir) -> dict[int, bytes]:
 
 
 class TestFinalsOnDisk:
-    """A shard's last slice is saved without Adam moments: nothing resumes
-    from it."""
+    """A run directory holds a shard's resume points, with Adam moments, and
+    its final, without them: nothing resumes from the final. The manifest
+    names exactly those files."""
 
     @pytest.mark.parametrize("strategy", SISA)
     def test_chained_removals_match_the_library(self, tmp_path, strategy):
@@ -651,9 +668,9 @@ class TestFinalsOnDisk:
         run_dir = tmp_path / "run"
         scratch = tmp_path / "resaved.ckpt"
         assert run(["train", "--config", cfg, "--strategy", strategy]) == 0
-        moments = {}
-        note_writes(moments, run_dir)
-        assert_finals_hold_parameters_only(run_dir, scratch, moments)
+        stored = set()
+        note_writes(stored, run_dir)
+        assert_run_holds_kept_slices(run_dir, scratch, stored)
 
         rc = RunConfig.from_file(cfg, strategy=strategy)
         bundle, tcfg = build_bundle(rc), rc.train_config()
@@ -667,8 +684,8 @@ class TestFinalsOnDisk:
             system, _ = run_unlearning(strategy, system, bundle, class_id, tcfg)
             report = json.loads(
                 (run_dir / "reports" / f"unlearn_class_{class_id}.json").read_text())
-            note_writes(moments, run_dir, report)
-            assert_finals_hold_parameters_only(run_dir, scratch, moments)
+            note_writes(stored, run_dir, report)
+            assert_run_holds_kept_slices(run_dir, scratch, stored)
             ens = system.ensemble
             assert deployed(run_dir) == {
                 k: p.tensors.flat.tobytes() for k, p in zip(ens.shard_ids, ens.constituents)}
@@ -701,15 +718,80 @@ class TestFinalsOnDisk:
             assert reports(old, name) == reports(new, name)
         assert deployed(old) == deployed(new)
 
+    @pytest.mark.parametrize("command", ["eval", "unlearn"])
+    def test_reading_a_null_entry_is_an_integrity_error(self, tmp_path, capsys, command):
+        # eval reads every final; unlearn reads the removed class's rollback point
+        run_dir, manifest, meta = train_run(tmp_path, "sisa_scls_replay")
+        class_id = next(int(c) for c, loc in meta.items() if loc["first_slice"] > 0)
+        shard = meta[str(class_id)]["shard_id"]
+        ell = 2 if command == "eval" else meta[str(class_id)]["first_slice"] - 1
+        entry = next(e for e in manifest["constituents"] if e["shard_id"] == shard)
+        entry["checkpoints"][ell] = None
+        (run_dir / "manifest.json").write_text(json.dumps(manifest))
+        before = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+        argv = ["eval", run_dir] if command == "eval" else \
+            ["unlearn", run_dir, "--class", f"class_{class_id}"]
+        capsys.readouterr()
+        assert run(argv) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == {
+            "type": "IntegrityError",
+            "message": f"shard {shard}: the run directory holds no checkpoint of slice {ell}"}
+        assert {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()} == before
+
+    def test_a_manifest_naming_every_slice_still_loads(self, tmp_path):
+        # run directories written before the store held only resume points
+        # and finals: every slice is on disk, and the manifest names it
+        cfg = write_config(tmp_path)
+        old, new = tmp_path / "old", tmp_path / "new"
+        for run_dir in (old, new):
+            assert run(["train", "--config", cfg, "--out", run_dir]) == 0
+        rc = RunConfig.from_file(cfg)
+        bundle = build_bundle(rc)
+        system = train_sisa(bundle, make_plan(bundle.train.labels, rc.K, rc.L, rc.policy),
+                            rc.train_config())
+        manifest = json.loads((old / "manifest.json").read_text())
+        filled = 0
+        for entry in manifest["constituents"]:
+            k = entry["shard_id"]
+            for ell, rel in enumerate(entry["checkpoints"]):
+                if rel is None:
+                    rel = entry["checkpoints"][ell] = f"shards/{k}/slice_{ell}.ckpt"
+                    ckpt = system.shard_results[k].checkpoints[ell]
+                    save_checkpoint(without_moments(ckpt), old / rel)
+                    filled += 1
+        assert filled
+        (old / "manifest.json").write_text(json.dumps(manifest))
+
+        def reports(run_dir, name):
+            doc = json.loads((run_dir / "reports" / name).read_text())
+            return {k: v for k, v in doc.items() if "seconds" not in k}
+
+        meta = json.loads((new / "plan.json").read_text())["metadata"]
+        for class_id in later_classes(meta, 0) + later_classes(meta, 1):
+            for run_dir in (old, new):
+                assert run(["eval", run_dir]) == 0
+                assert run(["unlearn", run_dir, "--class", f"class_{class_id}"]) == 0
+            assert reports(old, "eval.json") == reports(new, "eval.json")
+            name = f"unlearn_class_{class_id}.json"
+            assert reports(old, name) == reports(new, name)
+            assert deployed(old) == deployed(new)
+            # the manifest names every file the old directory still holds
+            manifest = json.loads((old / "manifest.json").read_text())
+            named = {rel for e in manifest["constituents"] for rel in e["checkpoints"]}
+            assert named - {None} == {p.relative_to(old).as_posix()
+                                      for p in old.glob("shards/*/*.ckpt")}
+
     @pytest.mark.parametrize("strategy", SISA)
     def test_single_slice(self, tmp_path, strategy):
         cfg = write_config(tmp_path, L=1)
         run_dir = tmp_path / "run"
         assert run(["train", "--config", cfg, "--strategy", strategy]) == 0
-        moments = {}
-        note_writes(moments, run_dir)
-        assert not any(moments.values())
-        assert_finals_hold_parameters_only(run_dir, tmp_path / "resaved.ckpt", moments)
+        stored = set()
+        note_writes(stored, run_dir)
+        assert stored == {(0, 0), (1, 0)}     # the finals alone
+        assert_run_holds_kept_slices(run_dir, tmp_path / "resaved.ckpt", stored)
         assert run(["unlearn", run_dir, "--class", "class_1"]) == 0
         assert run(["eval", run_dir]) == 0
         outcome = json.loads((run_dir / "reports" / "unlearn_class_1.json").read_text())

@@ -7,6 +7,7 @@ import sisa_unlearn.nn as nn
 from sisa_unlearn import training
 from sisa_unlearn.checkpoint import CheckpointStore, load_checkpoint
 from sisa_unlearn.errors import IntegrityError, InvalidLabelError, NumericFault
+from sisa_unlearn.partition import purge_class
 from sisa_unlearn.rng import RngState
 from sisa_unlearn.training import (_local_labels, early_stop_monitor, fit, lookup,
                                    sample_replay, train_model)
@@ -233,17 +234,46 @@ class TestTrainShard:
             store = CheckpointStore(tmp_path / name)
             res = su.train_shard(p, 0, small_bundle.train, small_bundle.val,
                                  quick_cfg, store=store)
+            # the store holds the resume points and the final, and no other slice
+            kept = resume | {p.L - 1}
+            assert sorted(path.name for path in store.shard_dir(0).iterdir()) == \
+                sorted(f"slice_{ell}.ckpt" for ell in kept)
             for ckpt in res.checkpoints:
+                # in memory every checkpoint keeps its moments
+                assert ckpt.opt_state.m.layout == ckpt.params.tensors.layout
+                if ckpt.slice_index not in kept:
+                    continue
                 loaded = load_checkpoint(store.slice_path(0, ckpt.slice_index))
                 assert loaded.params.tensors.flat.tobytes() == ckpt.params.tensors.flat.tobytes()
                 assert loaded.opt_state.step == ckpt.opt_state.step
-                # in memory every checkpoint keeps its moments
-                assert ckpt.opt_state.m.layout == ckpt.params.tensors.layout
                 if ckpt.slice_index in resume:
                     assert loaded.opt_state.m.flat.tobytes() == ckpt.opt_state.m.flat.tobytes()
                     assert loaded.opt_state.v.flat.tobytes() == ckpt.opt_state.v.flat.tobytes()
                 else:
                     assert loaded.opt_state.m == {} and loaded.opt_state.v == {}
+
+    def test_one_class_shard_stores_no_moments(self, small_bundle, quick_cfg, tmp_path):
+        # removing the last class of a shard decommissions it, so no removal
+        # resumes from the slice before that class's first
+        labels = small_bundle.train.labels
+        # 6 classes of 42 rows, 2 per shard over 3 slices: the second starts at slice 1
+        p = su.make_plan(labels, K=3, L=3, policy=su.SEQUENTIAL_CLASS)
+        first, second = sorted(p.assignments[0].class_ids,
+                               key=lambda c: p.metadata[c].first_slice)
+        assert (p.metadata[first].first_slice, p.metadata[second].first_slice) == (0, 1)
+        # removing the first class restarts the shard at slice 0 with one class
+        purged = purge_class(p, first, labels)
+        assert purged.metadata[second].first_slice == 1
+        store = CheckpointStore(tmp_path)
+        store.save_slice(su.train_shard(p, 0, small_bundle.train, small_bundle.val,
+                                        quick_cfg).checkpoints[1])
+        res = su.train_shard(purged, 0, small_bundle.train, small_bundle.val,
+                             quick_cfg, store=store)
+        # the final alone, without moments; slice 1's old file is deleted
+        assert [path.name for path in store.shard_dir(0).iterdir()] == ["slice_2.ckpt"]
+        loaded = load_checkpoint(store.slice_path(0, 2))
+        assert loaded.opt_state.m == {} and loaded.opt_state.v == {}
+        assert loaded.params.tensors.flat.tobytes() == res.final.params.tensors.flat.tobytes()
 
     def test_resuming_from_a_final_is_an_integrity_error(
             self, small_bundle, plan, quick_cfg, tmp_path):

@@ -13,6 +13,12 @@ from sisa_unlearn.unlearning import (SISA_BALANCED, SISA_GATED, SISA_SCLS_REPLAY
                                      strategy_rule)
 
 
+def shard_digests(store, shard_id) -> dict[str, int]:
+    """The footer digest of every checkpoint file in a shard's directory."""
+    return {p.name: stored_digest(p)
+            for p in sorted(store.shard_dir(shard_id).glob("*.ckpt"))}
+
+
 @pytest.fixture(scope="module")
 def bundle():
     return su.synthetic_bundle(n_per_class=80, num_classes=6, shape=(16,),
@@ -114,14 +120,14 @@ class TestBalanced:
         victim = 0
         k = plan.metadata[victim].shard_id
         other = 1 - k
-        before = store.shard_digests(other)
-        before_own = store.shard_digests(k)
+        before = shard_digests(store, other)
+        before_own = shard_digests(store, k)
 
         new_system, outcome = su.unlearn_balanced(system, bundle, victim, cfg)
         assert outcome.slices_retrained == 3
         assert outcome.verdict
-        assert store.shard_digests(other) == before
-        assert store.shard_digests(k) != before_own
+        assert shard_digests(store, other) == before
+        assert shard_digests(store, k) != before_own
         assert victim not in new_system.ensemble.by_shard(k).output_classes
 
     def test_decommission_after_removing_every_class(self, bundle, cfg,
@@ -184,9 +190,9 @@ class TestScls:
         victim = max(scls_system.plan.metadata)
         k = scls_system.plan.metadata[victim].shard_id
         other = 1 - k
-        before = scls_store.shard_digests(other)
+        before = shard_digests(scls_store, other)
         su.unlearn_scls(scls_system, bundle, victim, cfg)
-        assert scls_store.shard_digests(other) == before
+        assert shard_digests(scls_store, other) == before
 
     def test_unknown_class_lists_known(self, bundle, cfg, scls_system):
         with pytest.raises(UnknownClassError, match="known"):
@@ -275,10 +281,10 @@ class TestLastClass:
         system, outcome = su.run_unlearning(strategy, system, two, 0, cfg)
         assert outcome.slices_retrained == 0      # shard 0 decommissioned
         survivor = system.ensemble.shard_ids[0]
-        before = store.shard_digests(survivor)
+        before = shard_digests(store, survivor)
         with pytest.raises(ValueError, match=r"class 1 \('class_1'\) is the last class"):
             su.run_unlearning(strategy, system, two, 1, cfg)
-        assert store.shard_digests(survivor) == before
+        assert shard_digests(store, survivor) == before
         assert 1 in system.plan.metadata
 
 
@@ -325,19 +331,21 @@ class TestDispatcher:
 def resume_points(plan, labels, k) -> set[int]:
     """Oracle: the slices of shard k after which one of its classes first
     appears, read off the slice contents rather than the plan's metadata;
-    none under a balanced plan, whose removals restart at slice 0."""
-    if plan.policy == su.BALANCED:
-        return set()
+    none under a balanced plan, whose removals restart at slice 0, nor in a
+    shard of one class, whose removal decommissions the shard."""
     slices = plan.layouts[k].slices
     seen = [set(labels[np.concatenate(slices[:ell + 1])].tolist()) for ell in range(plan.L)]
+    if plan.policy == su.BALANCED or len(seen[-1]) < 2:
+        return set()
     return {ell for ell in range(plan.L - 1) if seen[ell + 1] - seen[ell]}
 
 
-def note_writes(moments, system, labels, outcome=None):
-    """Record in `moments`, for every slice file the call that returned
-    `system` wrote, whether that slice was a resume point of the plan the
-    call trained under: every slice of a training, and after a removal the
-    slices it retrained."""
+def note_writes(stored, system, labels, outcome=None):
+    """Update `stored`, the (shard, slice) pairs the store holds, for every
+    slice the call that returned `system` trained (every slice of a
+    training, and after a removal the slices it retrained): it is kept if
+    it is a resume point of the plan the call trained under or the final,
+    and deleted otherwise."""
     if outcome is None:
         written = {k: range(system.plan.L) for k in system.shard_results}
     elif outcome.first_slice is None:       # the shard was decommissioned
@@ -346,32 +354,39 @@ def note_writes(moments, system, labels, outcome=None):
         written = {outcome.shard_id: range(outcome.first_slice - 1, system.plan.L)}
     for k, slices in written.items():
         points = resume_points(system.plan, labels, k)
-        moments.update({(k, ell): ell in points for ell in slices})
+        for ell in slices:
+            if ell in points or ell == system.plan.L - 1:
+                stored.add((k, ell))
+            else:
+                stored.discard((k, ell))
 
 
-def assert_disk_matches(store, system, moments, labels):
-    """The store holds a directory for each deployed shard and for no other.
-    Every slice file of a deployed shard loads back to its checkpoint
-    bitwise, with that checkpoint's moments exactly where `moments` says
-    the call that wrote it kept them. Every current resume point is such a
-    file, and no final is."""
+def assert_disk_matches(store, system, stored, labels):
+    """The store holds a directory for each deployed shard and for no other,
+    and each holds exactly the slices `stored` names: every current resume
+    point and the final, and no retrained slice that is neither. Every slice
+    file loads back to its checkpoint bitwise, every one but the final with
+    that checkpoint's moments, the final without."""
     shards = store.root / "shards"
     assert {int(p.name) for p in shards.iterdir()} == set(system.shard_results)
+    final = system.plan.L - 1
     for k, result in system.shard_results.items():
-        points = resume_points(system.plan, labels, k)
-        for ckpt in result.checkpoints:
-            ell = ckpt.slice_index
+        kept = {ell for j, ell in stored if j == k}
+        assert resume_points(system.plan, labels, k) | {final} <= kept
+        assert {p.name for p in store.shard_dir(k).iterdir()} == \
+            {f"slice_{ell}.ckpt" for ell in kept}
+        for ell in kept:
+            ckpt = result.checkpoints[ell]
+            assert ckpt.slice_index == ell
             loaded = load_checkpoint(store.slice_path(k, ell))
             assert loaded.params.output_classes == ckpt.params.output_classes
             assert loaded.params.tensors.flat.tobytes() == ckpt.params.tensors.flat.tobytes()
             assert loaded.opt_state.step == ckpt.opt_state.step
-            if moments[k, ell]:
+            if ell == final:
+                assert loaded.opt_state.m == {} and loaded.opt_state.v == {}
+            else:
                 assert loaded.opt_state.m.flat.tobytes() == ckpt.opt_state.m.flat.tobytes()
                 assert loaded.opt_state.v.flat.tobytes() == ckpt.opt_state.v.flat.tobytes()
-            else:
-                assert loaded.opt_state.m == {} and loaded.opt_state.v == {}
-            assert moments[k, ell] or ell not in points
-            assert not (moments[k, ell] and ell == system.plan.L - 1)
 
 
 class TestFinalsOnDisk:
@@ -382,9 +397,9 @@ class TestFinalsOnDisk:
         labels = bundle.train.labels
         plan = su.make_plan(labels, K=2, L=3, policy=rule.policy)
         system = su.train_sisa(bundle, plan, cfg, gated=rule.gated, store=store)
-        moments = {}
-        note_writes(moments, system, labels)
-        assert_disk_matches(store, system, moments, labels)
+        stored = set()
+        note_writes(stored, system, labels)
+        assert_disk_matches(store, system, stored, labels)
         # the two later classes of one shard: the second rolls back to the
         # checkpoint that the first removal retrained
         shard = plan.metadata[0].shard_id
@@ -393,8 +408,8 @@ class TestFinalsOnDisk:
         for victim in victims:
             system, outcome = su.run_unlearning(strategy, system, bundle, victim, cfg)
             assert outcome.verdict
-            note_writes(moments, system, labels, outcome)
-            assert_disk_matches(store, system, moments, labels)
+            note_writes(stored, system, labels, outcome)
+            assert_disk_matches(store, system, stored, labels)
 
 
 def stored_files(root) -> dict[str, bytes]:
@@ -443,11 +458,14 @@ def test_balanced_plan_stores_no_moments(tmp_path):
                          replay_ratio=0.0, batch_size=4, seed=3)
     store = CheckpointStore(tmp_path)
     system = su.train_sisa(data, plan, cfg, store=store)
+    # the store holds the final alone, without moments
+    assert [p.name for p in store.shard_dir(0).iterdir()] == ["slice_3.ckpt"]
+    final = system.shard_results[0].final
+    loaded = load_checkpoint(store.slice_path(0, 3))
+    assert loaded.opt_state.m == {} and loaded.opt_state.v == {}
+    assert loaded.params.tensors.flat.tobytes() == final.params.tensors.flat.tobytes()
+    # in memory every slice keeps its moments
     for ckpt in system.shard_results[0].checkpoints:
-        loaded = load_checkpoint(store.slice_path(0, ckpt.slice_index))
-        assert loaded.opt_state.m == {} and loaded.opt_state.v == {}
-        assert loaded.params.tensors.flat.tobytes() == ckpt.params.tensors.flat.tobytes()
-        # in memory every slice keeps its moments
         assert ckpt.opt_state.m.layout == ckpt.params.tensors.layout
 
 
@@ -495,15 +513,15 @@ def test_store_holds_moments_exactly_at_resume_points(case):
         store = CheckpointStore(root)
         stored = su.train_sisa(data, plan, cfg, gated=rule.gated, store=store)
         memory = su.train_sisa(data, plan, cfg, gated=rule.gated)
-        moments = {}
-        note_writes(moments, stored, labels)
+        held = set()
+        note_writes(held, stored, labels)
         outcome = None
         for class_id in [None] + chain:
             if class_id is not None:
                 stored, outcome = su.run_unlearning(strategy, stored, data, class_id, cfg)
                 memory, _ = su.run_unlearning(strategy, memory, data, class_id, cfg)
-                note_writes(moments, stored, labels, outcome)
-            assert_disk_matches(store, stored, moments, labels)
+                note_writes(held, stored, labels, outcome)
+            assert_disk_matches(store, stored, held, labels)
             a, b = stored.ensemble, memory.ensemble
             assert a.shard_ids == b.shard_ids
             for p, q in zip(a.constituents, b.constituents):
