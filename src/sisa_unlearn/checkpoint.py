@@ -15,11 +15,13 @@ Optimizer moments ride along as tensors named ``m.<name>`` / ``v.<name>``,
 only in checkpoints that training may resume from: under sequential class
 slicing, a slice l after which some class of a shard of two or more classes
 first appears (first slice l + 1), as removing that class restores slice l
-and nothing else. A checkpoint nothing resumes from holds parameters alone
-(`without_moments`): a shard's final (a rollback restores slice
-first - 1 <= L - 2), the gating router and the baseline. A store holds no
-other slice (see `training.train_shard`). Files with and without moments
-load the same way. Save -> load roundtrips are bitwise exact.
+and nothing else (`partition.resume_points`). A checkpoint nothing resumes
+from holds parameters alone (`without_moments`): a shard's final (a
+rollback restores slice first - 1 <= L - 2), the gating router and the
+baseline. A store holds no other file, but for the rollback point of the
+last removal until the next one (`CheckpointStore.retain`). Files with and
+without moments load the same way. Save -> load roundtrips are bitwise
+exact.
 
 The digest kernel (fnv1a64) is exact and bit-sliced: each block is
 transposed once into 8 bit planes, 64 byte positions per uint64 word, where
@@ -30,7 +32,7 @@ exact float32 GEMM and uint64 arithmetic mod 2**64.
 from __future__ import annotations
 
 import json
-import shutil
+import os
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -41,6 +43,7 @@ import numpy as np
 from .errors import FormatError, IntegrityError, UnsupportedVersionError
 from .files import write_atomic
 from .nn import AdamConfig, Architecture, FlatTensors, ModelParameters, OptimizerState
+from .partition import PartitionPlan, resume_points
 from .rng import RngState
 
 MAGIC = b"SISA"
@@ -394,14 +397,20 @@ def stored_digest(path) -> int:
     return _verified_body(path, Path(path).read_bytes())[1]
 
 
+def _slice_file(slice_index: int) -> str:
+    return f"slice_{slice_index}.ckpt"
+
+
 class CheckpointStore:
     """Run-directory layout: shards/<k>/slice_<l>.ckpt plus gating/baseline.
 
-    A shard's directory holds the slices its training kept: its resume
-    points, with moments, and its final (see `training.train_shard`). It
-    holds them as long as the shard is deployed: the removal that empties a
-    shard deletes it (`drop_shard`), since its checkpoints were trained on
-    the classes removed from it.
+    What a store holds is decided in one place, `retain`: each deployed
+    shard's final and resume points, the router of a gated system, and,
+    after a removal, the slice it resumed from. Training writes only such
+    slices (`training.train_shard`); `retain` deletes every other file,
+    those of a decommissioned shard, whose checkpoints were trained on the
+    classes removed from it, and those an earlier run left in the same
+    directory among them.
     """
 
     def __init__(self, root) -> None:
@@ -411,7 +420,7 @@ class CheckpointStore:
         return self.root / "shards" / str(shard_id)
 
     def slice_path(self, shard_id: int, slice_index: int) -> Path:
-        return self.shard_dir(shard_id) / f"slice_{slice_index}.ckpt"
+        return self.shard_dir(shard_id) / _slice_file(slice_index)
 
     def stored_slice(self, shard_id: int, slice_index: int) -> Path | None:
         """The path of a slice the store holds; None for one it does not."""
@@ -427,8 +436,39 @@ class CheckpointStore:
     def save_slice(self, ckpt: Checkpoint) -> int:
         return save_checkpoint(ckpt, self.slice_path(ckpt.shard_id, ckpt.slice_index))
 
-    def drop_shard(self, shard_id: int) -> None:
-        """Delete shard k's directory; one already gone is left as it is."""
-        shard_dir = self.shard_dir(shard_id)
-        if shard_dir.exists():
-            shutil.rmtree(shard_dir)
+    def retain(self, plan: PartitionPlan | None, gated: bool = False,
+               rollback: tuple[int, int] | None = None) -> None:
+        """Delete every file under shards/, and gating.ckpt and
+        baseline.ckpt, that no later removal or query of the deployed
+        system reads, and every directory under shards/ left empty.
+
+        Kept: each deployed shard's final and its resume points under
+        `plan`, the router if `gated`, and `rollback`, the (shard, slice) a
+        removal just resumed from, so that a crashed removal can be
+        repeated; the next removal deletes it if no removal of its plan
+        resumes from it. `plan` None is a baseline run: baseline.ckpt alone
+        is kept. Nothing is written: a kept file that does not exist stays
+        absent.
+        """
+        if plan is None or not gated:
+            self.gating_path().unlink(missing_ok=True)
+        if plan is not None:
+            self.baseline_path().unlink(missing_ok=True)
+        kept = {} if plan is None else {
+            a.shard_id: resume_points(plan, a.shard_id) | {plan.L - 1}
+            for a in plan.assignments if a.class_ids}
+        if rollback is not None:
+            kept[rollback[0]].add(rollback[1])
+        # strings, as os.walk gives paths: a Path per slice costs more than the walk
+        keep = set()
+        for k, slices in kept.items():
+            shard_dir = str(self.shard_dir(k))
+            keep.update(os.path.join(shard_dir, _slice_file(ell)) for ell in slices)
+        # bottom-up, so a directory is emptied before it is looked at
+        for parent, _dirs, files in os.walk(self.root / "shards", topdown=False):
+            for name in files:
+                path = os.path.join(parent, name)
+                if path not in keep:
+                    os.unlink(path)
+            if not os.listdir(parent):
+                os.rmdir(parent)

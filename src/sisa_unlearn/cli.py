@@ -230,16 +230,18 @@ def _write_run(store: CheckpointStore, manifest: dict, target,
     one pointer into its files. Every checkpoint path in it is the store's,
     relative to the run directory.
 
-    A baseline target writes its checkpoint; a SISA system writes its plan
+    A baseline target writes its checkpoint and cuts the store to it
+    (`CheckpointStore.retain`), which deletes the checkpoints of any SISA
+    run written to the same directory before. A SISA system writes its plan
     and, per shard, one entry per slice: the path of each slice the store
     holds (`CheckpointStore.stored_slice`), null for one it does not, the
-    final last. The shard checkpoints were written, and the slices the store
-    does not keep deleted, as the shards trained (`training.train_shard`),
-    and a decommissioned shard's directory was deleted by the removal
+    final last. Its checkpoints were written as the shards trained
+    (`training.train_shard`), and the store was cut to what the system
+    reads by `pipeline.train_sisa` or by the removal
     (`unlearning._unlearn_shard`). Both happen before this call, so a crash
     in between leaves a manifest that names overwritten or missing files:
     `eval` then fails with an IntegrityError, and repeating the `unlearn`,
-    whose rollback point is never touched, repairs the directory. A crash
+    whose rollback point the store keeps, repairs the directory. A crash
     after the plan is written and before the manifest is cannot be repaired
     that way.
     """
@@ -249,6 +251,7 @@ def _write_run(store: CheckpointStore, manifest: dict, target,
     if isinstance(target, BaselineModel):
         save_params(target.params, store.baseline_path(), tcfg.adam(),
                     RngState(tcfg.seed))
+        store.retain(None)
         manifest["baseline"] = rel(store.baseline_path())
     else:
         target.plan.save(store.root / "plan.json")

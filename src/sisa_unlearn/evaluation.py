@@ -7,6 +7,7 @@ import numpy as np
 
 from .data import LabeledDataset
 from .ensemble import predict_labels
+from .errors import InvalidLabelError
 
 
 @dataclass
@@ -30,11 +31,17 @@ class EvaluationReport:
 
 
 def confusion_matrix(true_labels, predicted, num_classes: int) -> np.ndarray:
+    """Counts of (true, predicted) label pairs, rows true, as int64; a label
+    outside [0, num_classes) is an InvalidLabelError."""
     true_labels = np.asarray(true_labels, dtype=np.int64)
     predicted = np.asarray(predicted, dtype=np.int64)
-    matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(matrix, (true_labels, predicted), 1)
-    return matrix
+    for labels in (true_labels, predicted):
+        if labels.size and not 0 <= labels.min() <= labels.max() < num_classes:
+            bad = labels[(labels < 0) | (labels >= num_classes)][0]
+            raise InvalidLabelError(f"label {bad} outside [0, {num_classes})")
+    cells = np.bincount(true_labels * num_classes + predicted,
+                        minlength=num_classes * num_classes)
+    return cells.astype(np.int64, copy=False).reshape(num_classes, num_classes)
 
 
 def report_from_confusion(matrix: np.ndarray,

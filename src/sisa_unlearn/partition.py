@@ -208,6 +208,20 @@ def make_plan(labels: np.ndarray, K: int, L: int, policy: str) -> PartitionPlan:
                          layouts=layouts, metadata=metadata, imbalance_ratio=ratio)
 
 
+def resume_points(plan: PartitionPlan, shard_id: int) -> set[int]:
+    """The slices of shard `shard_id` that a removal under `plan` resumes
+    from: slice l for each of the shard's classes whose first slice is
+    l + 1 >= 1. None under a balanced plan, as balanced removal restarts at
+    slice 0, nor in a shard of one class, whose removal decommissions it.
+    Removals never move a surviving class's first slice, so a resume point
+    stays one until its class is removed or its shard is left with one
+    class."""
+    if plan.policy == BALANCED or len(plan.assignments[shard_id].class_ids) < 2:
+        return set()
+    return {loc.first_slice - 1 for loc in plan.metadata.values()
+            if loc.shard_id == shard_id and loc.first_slice > 0}
+
+
 def purge_class(plan: PartitionPlan, class_id: int, labels: np.ndarray) -> PartitionPlan:
     """Plan with every sample of `class_id` dropped from its shard's slices.
 

@@ -256,8 +256,10 @@ def train_sisa(data: DataBundle, plan: PartitionPlan, cfg: TrainConfig, *,
     thread runs (`_usable_cpus`). The router reads only the plan's
     class -> shard table, so it trains in this process while the workers
     run, or after the last shard when they train inline; it is saved to
-    `store` once every shard has trained. Per-shard RNG streams derive from
-    (seed, shard id), so each shard's parameters depend neither on the
+    `store` once every shard has trained. Then `store` is cut to what the
+    trained system reads (`CheckpointStore.retain`), which deletes what an
+    earlier run left in the same directory. Per-shard RNG streams derive
+    from (seed, shard id), so each shard's parameters depend neither on the
     others nor on where it trained: every checkpoint, in memory and in
     `store`, is bit-identical to in-process training.
     `train_seconds` sums each shard's fit time and the router's, in CPU
@@ -274,10 +276,12 @@ def train_sisa(data: DataBundle, plan: PartitionPlan, cfg: TrainConfig, *,
         lambda k: train_shard(plan, k, data.train, data.val, cfg, store=store),
         router if gated else None)
     gating, seconds = trained or (None, 0.0)
-    if gating is not None and store is not None:
-        # the router is never trained again, so no Adam moments are kept
-        save_params(gating, store.gating_path(), cfg.adam(),
-                    RngState(cfg.seed).child("gating"))
+    if store is not None:
+        if gating is not None:
+            # the router is never trained again, so no Adam moments are kept
+            save_params(gating, store.gating_path(), cfg.adam(),
+                        RngState(cfg.seed).child("gating"))
+        store.retain(plan, gated)
     return SisaSystem(
         plan=plan, shard_results=shard_results, num_classes=data.num_classes,
         gating=gating, store=store,

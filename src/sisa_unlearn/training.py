@@ -6,10 +6,11 @@ After every slice the full (parameters, optimizer, cursor, rng) state is
 checkpointed, which is what makes rollback retraining exact: resuming from
 checkpoint l with the same seeds reproduces the uninterrupted run bit for
 bit, because every random stream is derived from (seed, shard, slice,
-epoch) coordinates rather than consumed sequentially. A store holds only
-the checkpoints a removal or a query reads: each resume point, a slice
-after which some class of the shard starts, with its optimizer moments,
-and the shard's final, without them.
+epoch) coordinates rather than consumed sequentially. Training writes a
+store only the checkpoints a removal or a query reads: each resume point, a
+slice after which some class of the shard starts, with its optimizer
+moments, and the shard's final, without them. `CheckpointStore.retain`
+deletes the rest.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from .errors import IntegrityError, InvalidLabelError, NumericFault
 from .nn import (AdamConfig, Architecture, ModelParameters, OptimizerState,
                  adam_init, adam_step, cnn_architecture, drop_output_classes,
                  init_params, loss_and_grad, mean_loss, mlp_architecture)
-from .partition import BALANCED, PartitionPlan, SliceLayout
+from .partition import PartitionPlan, SliceLayout, resume_points
 from .rng import RngState
 
 
@@ -252,18 +253,15 @@ def train_shard(plan: PartitionPlan, shard_id: int,
     keeps depends on no later class's rows. One checkpoint is produced per
     trained slice, with its moments, and the returned chain holds them all.
 
-    `store` holds a trained slice in two cases only. A resume point, slice
-    l such that some class of the shard has first slice l + 1 in
-    `plan.metadata`, is saved with its moments: it is the only checkpoint a
-    removal of that class resumes from. The final, slice L - 1, is saved
-    without them (`without_moments`): queries read it, and nothing resumes
-    from it. A balanced plan has no resume point, as balanced removal
-    restarts at slice 0, and neither has a shard of one class, whose
-    removal decommissions the shard. Any other trained slice is not stored,
-    and a file a former training left for it is deleted. Slices before
-    `start_slice`, the rollback point among them, are not touched. Removals
-    never move a surviving class's first slice, so a resume point stays one
-    until its class is removed.
+    `store` is written a trained slice in two cases only. A resume point
+    under `plan` (`partition.resume_points`) is saved with its moments: it
+    is the only checkpoint a removal of the class that starts after it
+    resumes from. The final, slice L - 1, is saved without them
+    (`without_moments`): queries read it, and nothing resumes from it. Any
+    other trained slice is not written, and no file is deleted here: the
+    caller's `CheckpointStore.retain` deletes what a former training left
+    that the store no longer keeps. Slices before `start_slice`, the
+    rollback point among them, are not touched.
     """
     layout = plan.layouts[shard_id]
     head = tuple(sorted(plan.assignments[shard_id].class_ids))
@@ -290,10 +288,7 @@ def train_shard(plan: PartitionPlan, shard_id: int,
                              root.child("init"))
         opt = adam_init(params, cfg.adam())
 
-    # balanced removal restarts at slice 0, and removing a one-class
-    # shard's class decommissions it: neither resumes from a slice
-    resume_points = set() if plan.policy == BALANCED or len(head) < 2 else {
-        loc.first_slice - 1 for loc in plan.metadata.values() if loc.shard_id == shard_id}
+    resume = resume_points(plan, shard_id)
     labels = train_ds.labels
     checkpoints: list[Checkpoint] = []
     replays: list[ReplayBuffer] = []
@@ -318,12 +313,10 @@ def train_shard(plan: PartitionPlan, shard_id: int,
                           shard_id=shard_id, slice_index=ell,
                           epoch=res.epochs, rng=root)
         if store is not None:
-            if ell in resume_points:
+            if ell in resume:
                 store.save_slice(ckpt)
             elif ell == plan.L - 1:
                 store.save_slice(without_moments(ckpt))
-            else:
-                store.slice_path(shard_id, ell).unlink(missing_ok=True)
         checkpoints.append(ckpt)
         replays.append(replay)
         seconds.append(res.seconds)

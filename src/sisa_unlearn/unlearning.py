@@ -159,11 +159,15 @@ def _unlearn_shard(strategy: str, system: SisaSystem, data: DataBundle,
     removed earlier), and the class's samples leave every remaining slice
     and every replay buffer drawn for them. A gating router is left untouched.
 
-    A shard left without classes is dropped from the ensemble and, once the
-    outcome is verified, its directory from `system.store`: its checkpoints
-    were trained on the classes removed from it. This is the one place a
-    store loses a shard, for a library caller as for the CLI. A `system`
-    trained in this process keeps serving from its in-memory checkpoints.
+    A shard left without classes is dropped from the ensemble. Once the
+    outcome is verified, `system.store` is cut to what the new system reads
+    (`CheckpointStore.retain`), for a library caller as for the CLI: a
+    decommissioned shard's directory goes, as its checkpoints were trained
+    on the classes removed from it, and so does a slice no removal resumes
+    from any more, the previous removal's rollback point among them. The
+    slice this removal resumed from stays until the next removal, so a
+    crashed removal can be repeated. A `system` trained in this process
+    keeps serving from its in-memory checkpoints.
     """
     rule = strategy_rule(strategy)
     if rule.gated and system.gating is None:
@@ -211,8 +215,9 @@ def _unlearn_shard(strategy: str, system: SisaSystem, data: DataBundle,
     outcome = _outcome(strategy, data, new_system.ensemble, class_id,
                        shard_id=shard_id, first_slice=first_slice,
                        slices_retrained=retrained, seconds=seconds)
-    if not new_head and system.store is not None:
-        system.store.drop_shard(shard_id)
+    if system.store is not None:
+        resumed = (shard_id, first - 1) if new_head and first > 0 else None
+        system.store.retain(purged, system.gating is not None, rollback=resumed)
     return new_system, outcome
 
 

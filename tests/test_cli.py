@@ -121,6 +121,32 @@ class TestTrain:
         assert (run_dir / "reports" / "before.json").exists()
         assert not (run_dir / "gating.ckpt").exists()
 
+    def test_train_over_an_earlier_run_leaves_none_of_its_checkpoints(self, tmp_path):
+        # a gated K=3 run, then an ungated K=2 one, a baseline and a K=2 one
+        # again, into one directory: each leaves only what its manifest names
+        demo = json.loads((Path(__file__).resolve().parent.parent / "demos"
+                           / "config.json").read_text())
+        run_dir = tmp_path / "run"
+        for strategy, K in (("sisa_gated", 3), ("sisa_scls_replay", 2),
+                            ("baseline_full", 2), ("sisa_scls_replay", 2)):
+            path = tmp_path / f"{strategy}_{K}.json"
+            path.write_text(json.dumps({**demo, "K": K, "strategy": strategy}))
+            assert run(["train", "--config", path, "--out", run_dir]) == 0
+            manifest = json.loads((run_dir / "manifest.json").read_text())
+            named = {p for e in manifest.get("constituents", [])
+                     for p in e["checkpoints"] if p}
+            named |= {manifest[key] for key in ("gating", "baseline") if manifest.get(key)}
+            held = {p.relative_to(run_dir).as_posix() for p in run_dir.rglob("*")
+                    if p.is_file() and p.parent != run_dir / "reports"} - \
+                {"config.json", "manifest.json", "plan.json"}
+            assert held == named
+            if strategy == "baseline_full":
+                assert held == {"baseline.ckpt"}
+                assert not (run_dir / "shards").exists()
+            else:
+                assert {p.name for p in (run_dir / "shards").iterdir()} == \
+                    {str(k) for k in range(K)}
+
     def test_gated_strategy_adds_gating_checkpoint(self, tmp_path):
         cfg = write_config(tmp_path, strategy="sisa_gated")
         assert run(["train", "--config", cfg]) == 0
@@ -356,6 +382,47 @@ class TestUnlearn:
             assert run(["unlearn", run_dir, "--class", "class_5"]) == 0
             assert run(["eval", run_dir]) == 0
         assert stored(crashed, "shards") == stored(clean, "shards")
+        for name in ("plan.json", "reports/eval.json"):
+            assert (crashed / name).read_bytes() == (clean / name).read_bytes()
+
+    def test_crash_after_retention_deleted_a_stale_slice_is_repaired_by_a_retry(
+            self, tmp_path, monkeypatch):
+        # shard 0 holds one class per slice. Removing the second rolls back to
+        # slice 0, which then stays only as that removal's rollback point;
+        # removing the third deletes it before the manifest is swapped. The
+        # crash comes before _write_run writes plan.json: a plan that no
+        # longer holds the class could not be removed from again.
+        cfg = write_config(tmp_path, dataset=SIX_CLASSES)
+        crashed, clean = tmp_path / "crashed", tmp_path / "clean"
+        for run_dir in (crashed, clean):
+            assert run(["train", "--config", cfg, "--out", run_dir]) == 0
+        meta = json.loads((clean / "plan.json").read_text())["metadata"]
+        second, third = later_classes(meta, 0)
+        for run_dir in (crashed, clean):
+            assert run(["unlearn", run_dir, "--class", f"class_{second}"]) == 0
+        stale = crashed / "shards" / "0" / "slice_0.ckpt"
+        assert stale.exists()
+        manifest = json.loads((crashed / "manifest.json").read_text())
+
+        class Crash(Exception):
+            pass
+
+        def crash(*args):
+            raise Crash
+        monkeypatch.setattr(cli, "_write_run", crash)
+        with pytest.raises(Crash):
+            run(["unlearn", crashed, "--class", f"class_{third}"])
+        monkeypatch.undo()
+        assert not stale.exists()
+        assert json.loads((crashed / "manifest.json").read_text()) == manifest
+        assert manifest["constituents"][0]["checkpoints"][0] == "shards/0/slice_0.ckpt"
+
+        for run_dir in (crashed, clean):
+            assert run(["unlearn", run_dir, "--class", f"class_{third}"]) == 0
+            assert run(["eval", run_dir]) == 0
+        assert stored(crashed, "shards") == stored(clean, "shards")
+        assert sorted(stored(clean, "shards/0")) == ["shards/0/slice_1.ckpt",
+                                                     "shards/0/slice_2.ckpt"]
         for name in ("plan.json", "reports/eval.json"):
             assert (crashed / name).read_bytes() == (clean / name).read_bytes()
 
@@ -597,48 +664,41 @@ def resume_points(plan: dict, shard: int) -> set[int]:
     return {loc["first_slice"] - 1 for loc in own if loc["first_slice"] > 0}
 
 
-def note_writes(stored, run_dir, report=None):
-    """Update `stored`, the (shard, slice) pairs the run directory holds, for
-    every slice the last command trained: it is kept if it is a resume
-    point of the plan it trained under (the plan it wrote) or the final,
-    and deleted otherwise. `report` is an unlearn command's report; without
-    one, every slice of every constituent was trained."""
+def kept_slices(run_dir, report=None) -> set[tuple[int, int]]:
+    """The (shard, slice) pairs a run directory holds: each deployed shard's
+    final and its resume points under plan.json and, after an unlearn
+    command whose `report` is given, the slice that removal resumed from,
+    first - 2 (0-based) from its 1-based retrained range, if it resumed at
+    all."""
     plan = json.loads((run_dir / "plan.json").read_text())
-    if report is None:
-        manifest = json.loads((run_dir / "manifest.json").read_text())
-        written = {e["shard_id"]: range(plan["L"]) for e in manifest["constituents"]}
-    elif report["slice_range_retrained"] is None:     # the shard was decommissioned
-        written = {}
-    else:
-        first, last = report["slice_range_retrained"]
-        written = {report["shard"]: range(first - 1, last)}
-    for k, slices in written.items():
-        points = resume_points(plan, k)
-        for ell in slices:
-            if ell in points or ell == plan["L"] - 1:
-                stored.add((k, ell))
-            else:
-                stored.discard((k, ell))
+    kept = {(a["shard_id"], ell) for a in plan["assignments"] if a["class_ids"]
+            for ell in resume_points(plan, a["shard_id"]) | {plan["L"] - 1}}
+    if report is not None and report["slice_range_retrained"] is not None \
+            and report["slice_range_retrained"][0] >= 2:
+        kept.add((report["shard"], report["slice_range_retrained"][0] - 2))
+    return kept
 
 
-def assert_run_holds_kept_slices(run_dir, scratch, stored):
-    """Each constituent's directory holds exactly the slices `stored` names,
-    every current resume point and the final among them, and its manifest
-    entry names those files and null for every other slice. Each stored
-    slice but the final holds moments laid out like its parameters, the
-    final none, and each file resaves to its bytes."""
+def assert_run_holds_kept_slices(run_dir, scratch, stored, first_slices=None):
+    """shards/ holds exactly the slices `stored` names, and each
+    constituent's manifest entry names its files and null for every other
+    slice. Each stored slice but the final holds moments laid out like its
+    parameters, the final none, and each file resaves to its bytes. With
+    `first_slices`, each removed class's first slice in the plan the run
+    was trained on, no stored slice was trained on a removed class's rows:
+    one whose head still names such a class precedes its first slice."""
     manifest = json.loads((run_dir / "manifest.json").read_text())
     plan = json.loads((run_dir / "plan.json").read_text())
     final = plan["L"] - 1
+    on_disk = {p.relative_to(run_dir).as_posix()
+               for p in (run_dir / "shards").rglob("*") if p.is_file()}
+    assert on_disk == {f"shards/{k}/slice_{ell}.ckpt" for k, ell in stored}
+    assert {e["shard_id"] for e in manifest["constituents"]} == {k for k, _ in stored}
     for entry in manifest["constituents"]:
         k = entry["shard_id"]
         kept = {ell for j, ell in stored if j == k}
-        assert resume_points(plan, k) | {final} <= kept
         assert len(entry["checkpoints"]) == plan["L"]
         assert {ell for ell, rel in enumerate(entry["checkpoints"]) if rel} == kept
-        on_disk = {p.relative_to(run_dir).as_posix()
-                   for p in (run_dir / "shards" / str(k)).iterdir()}
-        assert on_disk == set(entry["checkpoints"]) - {None}
         for ell in kept:
             rel = entry["checkpoints"][ell]
             ckpt = load_checkpoint(run_dir / rel)
@@ -647,6 +707,8 @@ def assert_run_holds_kept_slices(run_dir, scratch, stored):
             else:
                 assert ckpt.opt_state.m.layout == ckpt.params.tensors.layout
                 assert ckpt.opt_state.v.layout == ckpt.params.tensors.layout
+            for c in set(ckpt.params.output_classes) & set(manifest["removed_classes"]):
+                assert ell < first_slices[c]
             save_checkpoint(ckpt, scratch)
             assert scratch.read_bytes() == (run_dir / rel).read_bytes()
 
@@ -659,7 +721,8 @@ def deployed(run_dir) -> dict[int, bytes]:
 
 class TestFinalsOnDisk:
     """A run directory holds a shard's resume points, with Adam moments, and
-    its final, without them: nothing resumes from the final. The manifest
+    its final, without them: nothing resumes from the final. After a
+    removal it also holds the slice that removal resumed from. The manifest
     names exactly those files."""
 
     @pytest.mark.parametrize("strategy", SISA)
@@ -668,15 +731,14 @@ class TestFinalsOnDisk:
         run_dir = tmp_path / "run"
         scratch = tmp_path / "resaved.ckpt"
         assert run(["train", "--config", cfg, "--strategy", strategy]) == 0
-        stored = set()
-        note_writes(stored, run_dir)
-        assert_run_holds_kept_slices(run_dir, scratch, stored)
+        assert_run_holds_kept_slices(run_dir, scratch, kept_slices(run_dir))
 
         rc = RunConfig.from_file(cfg, strategy=strategy)
         bundle, tcfg = build_bundle(rc), rc.train_config()
         plan = make_plan(bundle.train.labels, rc.K, rc.L, rc.policy)
         system = train_sisa(bundle, plan, tcfg, gated=strategy_rule(strategy).gated)
         meta = json.loads((run_dir / "plan.json").read_text())["metadata"]
+        first_slices = {int(c): loc["first_slice"] for c, loc in meta.items()}
         # under sequential slicing the second removal rolls back to slice
         # L - 2, the checkpoint the first removal retrained and saved
         for class_id in later_classes(meta, 0):
@@ -684,8 +746,8 @@ class TestFinalsOnDisk:
             system, _ = run_unlearning(strategy, system, bundle, class_id, tcfg)
             report = json.loads(
                 (run_dir / "reports" / f"unlearn_class_{class_id}.json").read_text())
-            note_writes(stored, run_dir, report)
-            assert_run_holds_kept_slices(run_dir, scratch, stored)
+            assert_run_holds_kept_slices(run_dir, scratch, kept_slices(run_dir, report),
+                                         first_slices)
             ens = system.ensemble
             assert deployed(run_dir) == {
                 k: p.tensors.flat.tobytes() for k, p in zip(ens.shard_ids, ens.constituents)}
@@ -788,8 +850,7 @@ class TestFinalsOnDisk:
         cfg = write_config(tmp_path, L=1)
         run_dir = tmp_path / "run"
         assert run(["train", "--config", cfg, "--strategy", strategy]) == 0
-        stored = set()
-        note_writes(stored, run_dir)
+        stored = kept_slices(run_dir)
         assert stored == {(0, 0), (1, 0)}     # the finals alone
         assert_run_holds_kept_slices(run_dir, tmp_path / "resaved.ckpt", stored)
         assert run(["unlearn", run_dir, "--class", "class_1"]) == 0

@@ -5,6 +5,7 @@ import pytest
 
 import sisa_unlearn as su
 from sisa_unlearn.bench import BenchConfig, format_grid_table, run_benchmark_grid
+from sisa_unlearn.errors import InvalidLabelError
 from sisa_unlearn.evaluation import confusion_matrix, evaluate, report_from_confusion
 
 
@@ -50,6 +51,26 @@ class TestEvaluate:
     def test_confusion_matrix_counts(self):
         matrix = confusion_matrix([0, 0, 1, 2], [0, 1, 1, 1], 3)
         assert matrix.tolist() == [[1, 1, 0], [0, 1, 0], [0, 1, 0]]
+
+    def test_confusion_matrix_matches_pair_counts(self):
+        # oracle: one increment per (true, predicted) pair
+        rng = np.random.default_rng(3)
+        true, pred = rng.integers(0, 7, size=(2, 500))
+        want = np.zeros((7, 7), dtype=np.int64)
+        for t, p in zip(true, pred):
+            want[t, p] += 1
+        matrix = confusion_matrix(true, pred, 7)
+        assert matrix.dtype == np.int64
+        assert matrix.tobytes() == want.tobytes()
+        assert confusion_matrix([], [], 3).tolist() == [[0] * 3] * 3
+
+    @pytest.mark.parametrize("true, pred", [([0, 3], [0, 1]), ([0, 1], [1, 3]),
+                                            ([0, -1], [0, 3]), ([0, 1], [-1, 2])])
+    def test_confusion_matrix_refuses_labels_outside_the_classes(self, true, pred):
+        # a flat cell index true * 3 + pred can land inside the matrix:
+        # (1, 3) would count as (2, 0) and (-1, 3) as (0, 0)
+        with pytest.raises(InvalidLabelError, match=r"outside \[0, 3\)"):
+            confusion_matrix(true, pred, 3)
 
 
 def tiny_bench(**overrides) -> BenchConfig:

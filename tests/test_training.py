@@ -269,7 +269,9 @@ class TestTrainShard:
                                         quick_cfg).checkpoints[1])
         res = su.train_shard(purged, 0, small_bundle.train, small_bundle.val,
                              quick_cfg, store=store)
-        # the final alone, without moments; slice 1's old file is deleted
+        # training writes the final alone; the retention step deletes
+        # slice 1's old file, which no removal of the purged plan reads
+        store.retain(purged)
         assert [path.name for path in store.shard_dir(0).iterdir()] == ["slice_2.ckpt"]
         loaded = load_checkpoint(store.slice_path(0, 2))
         assert loaded.opt_state.m == {} and loaded.opt_state.v == {}

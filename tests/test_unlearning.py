@@ -340,53 +340,42 @@ def resume_points(plan, labels, k) -> set[int]:
     return {ell for ell in range(plan.L - 1) if seen[ell + 1] - seen[ell]}
 
 
-def note_writes(stored, system, labels, outcome=None):
-    """Update `stored`, the (shard, slice) pairs the store holds, for every
-    slice the call that returned `system` trained (every slice of a
-    training, and after a removal the slices it retrained): it is kept if
-    it is a resume point of the plan the call trained under or the final,
-    and deleted otherwise."""
-    if outcome is None:
-        written = {k: range(system.plan.L) for k in system.shard_results}
-    elif outcome.first_slice is None:       # the shard was decommissioned
-        written = {}
-    else:
-        written = {outcome.shard_id: range(outcome.first_slice - 1, system.plan.L)}
-    for k, slices in written.items():
-        points = resume_points(system.plan, labels, k)
-        for ell in slices:
-            if ell in points or ell == system.plan.L - 1:
-                stored.add((k, ell))
-            else:
-                stored.discard((k, ell))
-
-
-def assert_disk_matches(store, system, stored, labels):
-    """The store holds a directory for each deployed shard and for no other,
-    and each holds exactly the slices `stored` names: every current resume
-    point and the final, and no retrained slice that is neither. Every slice
-    file loads back to its checkpoint bitwise, every one but the final with
-    that checkpoint's moments, the final without."""
-    shards = store.root / "shards"
-    assert {int(p.name) for p in shards.iterdir()} == set(system.shard_results)
+def kept_slices(system, labels, outcome=None) -> set[tuple[int, int]]:
+    """The (shard, slice) pairs a store holds: each deployed shard's final
+    and its resume points under the system's plan and, after a removal
+    whose `outcome` is given, the slice it resumed from, first - 2 (0-based)
+    from its 1-based first retrained slice, if it resumed at all."""
     final = system.plan.L - 1
-    for k, result in system.shard_results.items():
-        kept = {ell for j, ell in stored if j == k}
-        assert resume_points(system.plan, labels, k) | {final} <= kept
-        assert {p.name for p in store.shard_dir(k).iterdir()} == \
-            {f"slice_{ell}.ckpt" for ell in kept}
-        for ell in kept:
-            ckpt = result.checkpoints[ell]
-            assert ckpt.slice_index == ell
-            loaded = load_checkpoint(store.slice_path(k, ell))
-            assert loaded.params.output_classes == ckpt.params.output_classes
-            assert loaded.params.tensors.flat.tobytes() == ckpt.params.tensors.flat.tobytes()
-            assert loaded.opt_state.step == ckpt.opt_state.step
-            if ell == final:
-                assert loaded.opt_state.m == {} and loaded.opt_state.v == {}
-            else:
-                assert loaded.opt_state.m.flat.tobytes() == ckpt.opt_state.m.flat.tobytes()
-                assert loaded.opt_state.v.flat.tobytes() == ckpt.opt_state.v.flat.tobytes()
+    kept = {(k, ell) for k in system.shard_results
+            for ell in resume_points(system.plan, labels, k) | {final}}
+    if outcome is not None and outcome.first_slice is not None and outcome.first_slice >= 2:
+        kept.add((outcome.shard_id, outcome.first_slice - 2))
+    return kept
+
+
+def assert_disk_matches(store, system, stored):
+    """The store holds exactly the slices `stored` names, plus the router
+    of a gated system, and no other file. Every slice file loads back to
+    its checkpoint bitwise, every one but the final with that checkpoint's
+    moments, the final without."""
+    on_disk = {p.relative_to(store.root).as_posix()
+               for p in store.root.rglob("*") if p.is_file()}
+    assert on_disk == {f"shards/{k}/slice_{ell}.ckpt" for k, ell in stored} | \
+        ({"gating.ckpt"} if system.gating is not None else set())
+    assert {int(p.name) for p in (store.root / "shards").iterdir()} == set(system.shard_results)
+    final = system.plan.L - 1
+    for k, ell in stored:
+        ckpt = system.shard_results[k].checkpoints[ell]
+        assert ckpt.slice_index == ell
+        loaded = load_checkpoint(store.slice_path(k, ell))
+        assert loaded.params.output_classes == ckpt.params.output_classes
+        assert loaded.params.tensors.flat.tobytes() == ckpt.params.tensors.flat.tobytes()
+        assert loaded.opt_state.step == ckpt.opt_state.step
+        if ell == final:
+            assert loaded.opt_state.m == {} and loaded.opt_state.v == {}
+        else:
+            assert loaded.opt_state.m.flat.tobytes() == ckpt.opt_state.m.flat.tobytes()
+            assert loaded.opt_state.v.flat.tobytes() == ckpt.opt_state.v.flat.tobytes()
 
 
 class TestFinalsOnDisk:
@@ -397,9 +386,7 @@ class TestFinalsOnDisk:
         labels = bundle.train.labels
         plan = su.make_plan(labels, K=2, L=3, policy=rule.policy)
         system = su.train_sisa(bundle, plan, cfg, gated=rule.gated, store=store)
-        stored = set()
-        note_writes(stored, system, labels)
-        assert_disk_matches(store, system, stored, labels)
+        assert_disk_matches(store, system, kept_slices(system, labels))
         # the two later classes of one shard: the second rolls back to the
         # checkpoint that the first removal retrained
         shard = plan.metadata[0].shard_id
@@ -408,8 +395,36 @@ class TestFinalsOnDisk:
         for victim in victims:
             system, outcome = su.run_unlearning(strategy, system, bundle, victim, cfg)
             assert outcome.verdict
-            note_writes(stored, system, labels, outcome)
-            assert_disk_matches(store, system, stored, labels)
+            assert_disk_matches(store, system, kept_slices(system, labels, outcome))
+
+
+class TestRetention:
+    def test_a_former_resume_point_goes_once_no_removal_reads_it(self, bundle, cfg, tmp_path):
+        # K=2, L=3 over 6 classes: each shard holds one class per slice, so
+        # slices 0 and 1 are its resume points
+        store = CheckpointStore(tmp_path)
+        plan = su.make_plan(bundle.train.labels, K=2, L=3, policy=su.SEQUENTIAL_CLASS)
+        system = su.train_sisa(bundle, plan, cfg, store=store)
+        by_slice = {k: sorted(plan.assignments[k].class_ids,
+                              key=lambda c: plan.metadata[c].first_slice) for k in (0, 1)}
+        assert [plan.metadata[c].first_slice for c in by_slice[0]] == [0, 1, 2]
+
+        def held(k):
+            return sorted(p.name for p in store.shard_dir(k).iterdir())
+
+        first, second, third = by_slice[0]
+        # rolls back to slice 0, which stays as this removal's rollback point
+        system, _ = su.unlearn_scls(system, bundle, second, cfg)
+        assert held(0) == ["slice_0.ckpt", "slice_1.ckpt", "slice_2.ckpt"]
+        # leaves a one-class shard: slice 1 stays as the rollback point, and
+        # slice 0, whose head still names `second`, is gone
+        system, _ = su.unlearn_scls(system, bundle, third, cfg)
+        assert held(0) == ["slice_1.ckpt", "slice_2.ckpt"]
+        # the next removal, from the other shard, deletes slice 1 too
+        system, _ = su.unlearn_scls(system, bundle, by_slice[1][-1], cfg)
+        assert held(0) == ["slice_2.ckpt"]
+        assert load_checkpoint(store.slice_path(0, 2)).params.output_classes == (first,)
+        assert held(1) == ["slice_0.ckpt", "slice_1.ckpt", "slice_2.ckpt"]
 
 
 def stored_files(root) -> dict[str, bytes]:
@@ -513,15 +528,12 @@ def test_store_holds_moments_exactly_at_resume_points(case):
         store = CheckpointStore(root)
         stored = su.train_sisa(data, plan, cfg, gated=rule.gated, store=store)
         memory = su.train_sisa(data, plan, cfg, gated=rule.gated)
-        held = set()
-        note_writes(held, stored, labels)
         outcome = None
         for class_id in [None] + chain:
             if class_id is not None:
                 stored, outcome = su.run_unlearning(strategy, stored, data, class_id, cfg)
                 memory, _ = su.run_unlearning(strategy, memory, data, class_id, cfg)
-                note_writes(held, stored, labels, outcome)
-            assert_disk_matches(store, stored, held, labels)
+            assert_disk_matches(store, stored, kept_slices(stored, labels, outcome))
             a, b = stored.ensemble, memory.ensemble
             assert a.shard_ids == b.shard_ids
             for p, q in zip(a.constituents, b.constituents):
