@@ -18,8 +18,8 @@ first appears (first slice l + 1), as removing that class restores slice l
 and nothing else (`partition.resume_points`). A checkpoint nothing resumes
 from holds parameters alone (`without_moments`): a shard's final (a
 rollback restores slice first - 1 <= L - 2), the gating router and the
-baseline. A store holds no other file, but for the rollback point of the
-last removal until the next one (`CheckpointStore.retain`). Files with and
+baseline. A store holds no other file: `CheckpointStore.save_chain` writes
+only these, and `CheckpointStore.retain` deletes the rest. Files with and
 without moments load the same way. Save -> load roundtrips are bitwise
 exact.
 
@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -401,16 +401,24 @@ def _slice_file(slice_index: int) -> str:
     return f"slice_{slice_index}.ckpt"
 
 
+def kept_slices(plan: PartitionPlan) -> dict[int, set[int]]:
+    """The slices a store keeps of each deployed shard under `plan`: its
+    resume points (`partition.resume_points`), which a removal restores,
+    and its final, slice L - 1, which queries read."""
+    return {a.shard_id: resume_points(plan, a.shard_id) | {plan.L - 1}
+            for a in plan.assignments if a.class_ids}
+
+
 class CheckpointStore:
     """Run-directory layout: shards/<k>/slice_<l>.ckpt plus gating/baseline.
 
-    What a store holds is decided in one place, `retain`: each deployed
-    shard's final and resume points, the router of a gated system, and,
-    after a removal, the slice it resumed from. Training writes only such
-    slices (`training.train_shard`); `retain` deletes every other file,
-    those of a decommissioned shard, whose checkpoints were trained on the
-    classes removed from it, and those an earlier run left in the same
-    directory among them.
+    What a store holds is decided in one place, `kept_slices`: each
+    deployed shard's final and resume points, plus the router of a gated
+    system. `save_chain` writes only such slices, and `retain` deletes
+    every other file: those of a decommissioned shard, whose checkpoints
+    were trained on the classes removed from it, a former resume point and
+    the slice a removal resumed from once no removal reads them, and those
+    an earlier run left in the same directory.
     """
 
     def __init__(self, root) -> None:
@@ -422,43 +430,41 @@ class CheckpointStore:
     def slice_path(self, shard_id: int, slice_index: int) -> Path:
         return self.shard_dir(shard_id) / _slice_file(slice_index)
 
-    def stored_slice(self, shard_id: int, slice_index: int) -> Path | None:
-        """The path of a slice the store holds; None for one it does not."""
-        path = self.slice_path(shard_id, slice_index)
-        return path if path.exists() else None
-
     def gating_path(self) -> Path:
         return self.root / "gating.ckpt"
 
     def baseline_path(self) -> Path:
         return self.root / "baseline.ckpt"
 
-    def save_slice(self, ckpt: Checkpoint) -> int:
-        return save_checkpoint(ckpt, self.slice_path(ckpt.shard_id, ckpt.slice_index))
+    def save_chain(self, checkpoints: Iterable[Checkpoint], plan: PartitionPlan) -> None:
+        """Save each of `checkpoints` that the store keeps under `plan`
+        (`kept_slices`): a resume point with its Adam moments, as a removal
+        resumes training from it, and a final without them
+        (`without_moments`), as nothing does. Every other checkpoint is
+        skipped, and no file is deleted: `retain` does that."""
+        kept = kept_slices(plan)
+        for ckpt in checkpoints:
+            if ckpt.slice_index not in kept[ckpt.shard_id]:
+                continue
+            if ckpt.slice_index == plan.L - 1:
+                ckpt = without_moments(ckpt)
+            save_checkpoint(ckpt, self.slice_path(ckpt.shard_id, ckpt.slice_index))
 
-    def retain(self, plan: PartitionPlan | None, gated: bool = False,
-               rollback: tuple[int, int] | None = None) -> None:
+    def retain(self, plan: PartitionPlan | None, gated: bool = False) -> None:
         """Delete every file under shards/, and gating.ckpt and
         baseline.ckpt, that no later removal or query of the deployed
         system reads, and every directory under shards/ left empty.
 
-        Kept: each deployed shard's final and its resume points under
-        `plan`, the router if `gated`, and `rollback`, the (shard, slice) a
-        removal just resumed from, so that a crashed removal can be
-        repeated; the next removal deletes it if no removal of its plan
-        resumes from it. `plan` None is a baseline run: baseline.ckpt alone
-        is kept. Nothing is written: a kept file that does not exist stays
+        Kept: the slices `kept_slices` names under `plan`, and the router
+        if `gated`. `plan` None is a baseline run: baseline.ckpt alone is
+        kept. Nothing is written: a kept file that does not exist stays
         absent.
         """
         if plan is None or not gated:
             self.gating_path().unlink(missing_ok=True)
         if plan is not None:
             self.baseline_path().unlink(missing_ok=True)
-        kept = {} if plan is None else {
-            a.shard_id: resume_points(plan, a.shard_id) | {plan.L - 1}
-            for a in plan.assignments if a.class_ids}
-        if rollback is not None:
-            kept[rollback[0]].add(rollback[1])
+        kept = {} if plan is None else kept_slices(plan)
         # strings, as os.walk gives paths: a Path per slice costs more than the walk
         keep = set()
         for k, slices in kept.items():

@@ -3,21 +3,24 @@
 Configuration is one JSON document, read only by `RunConfig.from_file`,
 which applies the `--seed`, `--out` and `--strategy` flags; every key
 resolves as flag > config > default. Run directories are self-contained:
-config copy, plan, the checkpoints the store holds, manifest, and reports,
+config copy, plan, the checkpoints the store keeps, manifest, and reports,
 and `_write_run` is the one writer of the manifest, which lists every
-checkpoint file the run directory holds.
+checkpoint file the run directory keeps, and of a removal's checkpoints.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .bench import BenchConfig, format_grid_table, run_benchmark_grid
-from .checkpoint import CheckpointStore, LazyChain, load_checkpoint, save_params
+from .checkpoint import (Checkpoint, CheckpointStore, LazyChain, kept_slices,
+                         load_checkpoint, save_params)
 from .data import SplitSpec
 from .errors import IntegrityError, SisaError, UnknownClassError
 from .evaluation import evaluate
@@ -225,44 +228,51 @@ def _say(args, message: str) -> None:
 
 
 def _write_run(store: CheckpointStore, manifest: dict, target,
-               tcfg: TrainConfig) -> None:
+               tcfg: TrainConfig, checkpoints: Iterable[Checkpoint] = ()) -> None:
     """Write the deployed target, then `manifest.json`, the run directory's
-    one pointer into its files. Every checkpoint path in it is the store's,
-    relative to the run directory.
+    one pointer into its files, then cut the run directory to what it
+    names. Every checkpoint path in it is the store's, relative to the run
+    directory.
 
-    A baseline target writes its checkpoint and cuts the store to it
-    (`CheckpointStore.retain`), which deletes the checkpoints of any SISA
-    run written to the same directory before. A SISA system writes its plan
-    and, per shard, one entry per slice: the path of each slice the store
-    holds (`CheckpointStore.stored_slice`), null for one it does not, the
-    final last. Its checkpoints were written as the shards trained
-    (`training.train_shard`), and the store was cut to what the system
-    reads by `pipeline.train_sisa` or by the removal
-    (`unlearning._unlearn_shard`). Both happen before this call, so a crash
-    in between leaves a manifest that names overwritten or missing files:
-    `eval` then fails with an IntegrityError, and repeating the `unlearn`,
-    whose rollback point the store keeps, repairs the directory. A crash
-    after the plan is written and before the manifest is cannot be repaired
-    that way.
+    A baseline target writes its checkpoint; after the manifest, the store
+    is cut to it (`CheckpointStore.retain`) and an earlier SISA run's
+    `plan.json` goes. A SISA system saves `checkpoints`, a removal's
+    retrained slices, as the store keeps them (`CheckpointStore.save_chain`;
+    `pipeline.train_sisa` saved a trained system's), then its plan, then the
+    manifest: per shard, the path of each slice `kept_slices` names and null
+    for every other, the final last. Then the store is cut.
+
+    Nothing is deleted before the manifest swap. A crash before it leaves
+    every file the old manifest names, the rollback point among them, with
+    only the retrained slices overwritten, and repeating the `unlearn`
+    repairs the directory, unless `plan.json` was already written: the new
+    plan no longer holds the class. A crash after it leaves files that the
+    next command's cut deletes.
     """
-    def rel(path: Path | None) -> str | None:
-        return None if path is None else path.relative_to(store.root).as_posix()
+    def rel(path: Path) -> str:
+        return path.relative_to(store.root).as_posix()
 
     if isinstance(target, BaselineModel):
         save_params(target.params, store.baseline_path(), tcfg.adam(),
                     RngState(tcfg.seed))
-        store.retain(None)
         manifest["baseline"] = rel(store.baseline_path())
-    else:
-        target.plan.save(store.root / "plan.json")
-        manifest["constituents"] = [
-            {"shard_id": k, "output_classes": list(r.head),
-             "checkpoints": [rel(store.stored_slice(k, i))
-                             for i in range(len(r.checkpoints))]}
-            for k, r in sorted(target.shard_results.items())]
-        manifest["gating"] = (rel(store.gating_path())
-                              if target.gating is not None else None)
+        write_json(store.root / "manifest.json", manifest)   # atomic swap
+        store.retain(None)
+        (store.root / "plan.json").unlink(missing_ok=True)
+        return
+    plan = target.plan
+    store.save_chain(checkpoints, plan)
+    plan.save(store.root / "plan.json")
+    kept = kept_slices(plan)
+    manifest["constituents"] = [
+        {"shard_id": k, "output_classes": list(r.head),
+         "checkpoints": [rel(store.slice_path(k, ell)) if ell in kept[k] else None
+                         for ell in range(plan.L)]}
+        for k, r in sorted(target.shard_results.items())]
+    gated = target.gating is not None
+    manifest["gating"] = rel(store.gating_path()) if gated else None
     write_json(store.root / "manifest.json", manifest)   # atomic swap
+    store.retain(plan, gated)
 
 
 # --- commands ----------------------------------------------------------------
@@ -310,6 +320,8 @@ def cmd_train(args) -> int:
                       config_tag={"K": cfg.K, "L": cfg.L, "strategy": cfg.strategy,
                                   "replay_ratio": cfg.replay_ratio})
     report.train_seconds = target.train_seconds
+    # an earlier run's reports describe removals and evaluations of another model
+    shutil.rmtree(out / "reports", ignore_errors=True)
     write_json(out / "reports" / "before.json", report.to_json_dict())
     _say(args, f"trained {cfg.strategy} -> {out} "
                f"(test accuracy {report.accuracy:.4f})")
@@ -344,11 +356,12 @@ def _load_run(run_dir: Path):
                            for rel in entry["checkpoints"]), k)
         shard_results[k] = ShardTrainResult(
             shard_id=k, head=tuple(entry["output_classes"]), checkpoints=ckpts,
-            replays=[], seconds_per_slice=[], slices_trained=len(ckpts))
+            seconds_per_slice=[], slices_trained=len(ckpts))
     gating = load_checkpoint(run_dir / manifest["gating"]).params if gated else None
+    # no store: a removal writes nothing, and `_write_run` writes its result
     system = SisaSystem(plan=plan, shard_results=shard_results,
                         num_classes=bundle.num_classes, gating=gating,
-                        store=store, removed_classes=removed)
+                        removed_classes=removed)
     return manifest, bundle, tcfg, store, system
 
 
@@ -366,7 +379,12 @@ def cmd_unlearn(args) -> int:
     new_target, outcome = run_unlearning(manifest["strategy"], target, bundle,
                                          class_id, tcfg)
     manifest["removed_classes"] = sorted(new_target.removed_classes)
-    _write_run(store, manifest, new_target, tcfg)
+    retrained = ()
+    if outcome.shard_id is not None and outcome.first_slice is not None:
+        # the owning shard's chain from its first retrained slice on
+        chain = new_target.shard_results[outcome.shard_id].checkpoints
+        retrained = chain[outcome.first_slice - 1:]
+    _write_run(store, manifest, new_target, tcfg, retrained)
     write_json(run_dir / "reports" / f"unlearn_{args.class_name}.json",
                outcome.to_json_dict())
     _say(args, f"unlearned {args.class_name!r}: verdict "

@@ -253,7 +253,9 @@ def train_sisa(data: DataBundle, plan: PartitionPlan, cfg: TrainConfig, *,
 
     Shards train in forked worker processes, one per usable CPU, or in this
     process when only one CPU is usable, the OS cannot fork or another
-    thread runs (`_usable_cpus`). The router reads only the plan's
+    thread runs (`_usable_cpus`). Each shard's chain is saved to `store`
+    where it trained, right after training (`CheckpointStore.save_chain`),
+    so the writes run in parallel too. The router reads only the plan's
     class -> shard table, so it trains in this process while the workers
     run, or after the last shard when they train inline; it is saved to
     `store` once every shard has trained. Then `store` is cut to what the
@@ -271,9 +273,14 @@ def train_sisa(data: DataBundle, plan: PartitionPlan, cfg: TrainConfig, *,
         gating = train_gating(data.train, data.val, plan.metadata, cfg)
         return gating, time.thread_time() - t0
 
+    def shard(k: int) -> ShardTrainResult:
+        result = train_shard(plan, k, data.train, data.val, cfg)
+        if store is not None:
+            store.save_chain(result.checkpoints, plan)
+        return result
+
     shard_results, trained = _train_shards(
-        [a.shard_id for a in plan.assignments if a.class_ids],
-        lambda k: train_shard(plan, k, data.train, data.val, cfg, store=store),
+        [a.shard_id for a in plan.assignments if a.class_ids], shard,
         router if gated else None)
     gating, seconds = trained or (None, 0.0)
     if store is not None:

@@ -6,11 +6,8 @@ After every slice the full (parameters, optimizer, cursor, rng) state is
 checkpointed, which is what makes rollback retraining exact: resuming from
 checkpoint l with the same seeds reproduces the uninterrupted run bit for
 bit, because every random stream is derived from (seed, shard, slice,
-epoch) coordinates rather than consumed sequentially. Training writes a
-store only the checkpoints a removal or a query reads: each resume point, a
-slice after which some class of the shard starts, with its optimizer
-moments, and the shard's final, without them. `CheckpointStore.retain`
-deletes the rest.
+epoch) coordinates rather than consumed sequentially. Training writes no
+file: `CheckpointStore.save_chain` saves what a store keeps of the chain.
 """
 from __future__ import annotations
 
@@ -21,13 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import Checkpoint, CheckpointStore, without_moments
+from .checkpoint import Checkpoint
 from .data import LabeledDataset
 from .errors import IntegrityError, InvalidLabelError, NumericFault
 from .nn import (AdamConfig, Architecture, ModelParameters, OptimizerState,
                  adam_init, adam_step, cnn_architecture, drop_output_classes,
                  init_params, loss_and_grad, mean_loss, mlp_architecture)
-from .partition import PartitionPlan, SliceLayout, resume_points
+from .partition import PartitionPlan, SliceLayout
 from .rng import RngState
 
 
@@ -197,7 +194,6 @@ class ShardTrainResult:
     head: tuple[int, ...]
     # one per trained slice, in order; a LazyChain when read from a run directory
     checkpoints: Sequence[Checkpoint]
-    replays: list[ReplayBuffer]
     seconds_per_slice: list[float]      # each slice's fit, in CPU seconds
     slices_trained: int
 
@@ -238,7 +234,6 @@ def _local_labels(labels: np.ndarray, head: tuple[int, ...]) -> np.ndarray:
 def train_shard(plan: PartitionPlan, shard_id: int,
                 train_ds: LabeledDataset, val_ds: LabeledDataset,
                 cfg: TrainConfig, *,
-                store: CheckpointStore | None = None,
                 start_slice: int = 0,
                 initial: Checkpoint | None = None) -> ShardTrainResult:
     """Train one shard's model, its head the shard's classes in `plan`, over
@@ -252,16 +247,8 @@ def train_shard(plan: PartitionPlan, shard_id: int,
     filtered to the classes of slices 0..l, so a checkpoint that a rollback
     keeps depends on no later class's rows. One checkpoint is produced per
     trained slice, with its moments, and the returned chain holds them all.
-
-    `store` is written a trained slice in two cases only. A resume point
-    under `plan` (`partition.resume_points`) is saved with its moments: it
-    is the only checkpoint a removal of the class that starts after it
-    resumes from. The final, slice L - 1, is saved without them
-    (`without_moments`): queries read it, and nothing resumes from it. Any
-    other trained slice is not written, and no file is deleted here: the
-    caller's `CheckpointStore.retain` deletes what a former training left
-    that the store no longer keeps. Slices before `start_slice`, the
-    rollback point among them, are not touched.
+    Nothing is written: the caller saves what a store keeps of the chain
+    (`CheckpointStore.save_chain`).
     """
     layout = plan.layouts[shard_id]
     head = tuple(sorted(plan.assignments[shard_id].class_ids))
@@ -288,10 +275,8 @@ def train_shard(plan: PartitionPlan, shard_id: int,
                              root.child("init"))
         opt = adam_init(params, cfg.adam())
 
-    resume = resume_points(plan, shard_id)
     labels = train_ds.labels
     checkpoints: list[Checkpoint] = []
-    replays: list[ReplayBuffer] = []
     seconds: list[float] = []
     for ell in range(start_slice, plan.L):
         slice_rng = root.child("slice", ell)
@@ -309,19 +294,11 @@ def train_shard(plan: PartitionPlan, shard_id: int,
             res = fit(params, opt, x, y, x_val, y_val, cfg, slice_rng)
         except NumericFault as exc:
             raise NumericFault(f"shard {shard_id} slice {ell}: {exc}") from exc
-        ckpt = Checkpoint(params=params.copy(), opt_state=opt.copy(),
-                          shard_id=shard_id, slice_index=ell,
-                          epoch=res.epochs, rng=root)
-        if store is not None:
-            if ell in resume:
-                store.save_slice(ckpt)
-            elif ell == plan.L - 1:
-                store.save_slice(without_moments(ckpt))
-        checkpoints.append(ckpt)
-        replays.append(replay)
+        checkpoints.append(Checkpoint(params=params.copy(), opt_state=opt.copy(),
+                                      shard_id=shard_id, slice_index=ell,
+                                      epoch=res.epochs, rng=root))
         seconds.append(res.seconds)
-    return ShardTrainResult(shard_id=shard_id, head=head,
-                            checkpoints=checkpoints, replays=replays,
+    return ShardTrainResult(shard_id=shard_id, head=head, checkpoints=checkpoints,
                             seconds_per_slice=seconds,
                             slices_trained=plan.L - start_slice)
 

@@ -159,15 +159,16 @@ def _unlearn_shard(strategy: str, system: SisaSystem, data: DataBundle,
     removed earlier), and the class's samples leave every remaining slice
     and every replay buffer drawn for them. A gating router is left untouched.
 
-    A shard left without classes is dropped from the ensemble. Once the
-    outcome is verified, `system.store` is cut to what the new system reads
-    (`CheckpointStore.retain`), for a library caller as for the CLI: a
-    decommissioned shard's directory goes, as its checkpoints were trained
-    on the classes removed from it, and so does a slice no removal resumes
-    from any more, the previous removal's rollback point among them. The
-    slice this removal resumed from stays until the next removal, so a
-    crashed removal can be repeated. A `system` trained in this process
-    keeps serving from its in-memory checkpoints.
+    A shard left without classes is dropped from the ensemble. With a
+    `system.store`, the retrained chain is saved to it
+    (`CheckpointStore.save_chain`) and, once the outcome is verified, the
+    store is cut to what the new system reads (`CheckpointStore.retain`):
+    a decommissioned shard's directory goes, as its checkpoints were trained
+    on the classes removed from it, and so does every slice no removal of
+    the purged plan resumes from, the one this removal resumed from among
+    them. A caller repeats a removal from the `system` it still holds,
+    which serves from its in-memory checkpoints. The CLI reads its systems
+    with no store and writes the run directory itself (`cli._write_run`).
     """
     rule = strategy_rule(strategy)
     if rule.gated and system.gating is None:
@@ -200,8 +201,9 @@ def _unlearn_shard(strategy: str, system: SisaSystem, data: DataBundle,
                     f"shard {shard_id} is missing the checkpoint after slice {first - 1}")
             initial = old.checkpoints[first - 1]
         result = train_shard(purged, shard_id, data.train, data.val, cfg,
-                             store=system.store,
                              start_slice=first, initial=initial)
+        if system.store is not None:
+            system.store.save_chain(result.checkpoints, purged)
         # for a run read from disk, the kept prefix stays unread (LazyChain)
         shard_results[shard_id] = replace(
             result, checkpoints=old.checkpoints[:first] + result.checkpoints)
@@ -216,8 +218,7 @@ def _unlearn_shard(strategy: str, system: SisaSystem, data: DataBundle,
                        shard_id=shard_id, first_slice=first_slice,
                        slices_retrained=retrained, seconds=seconds)
     if system.store is not None:
-        resumed = (shard_id, first - 1) if new_head and first > 0 else None
-        system.store.retain(purged, system.gating is not None, rollback=resumed)
+        system.store.retain(purged, system.gating is not None)
     return new_system, outcome
 
 

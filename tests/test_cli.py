@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sisa_unlearn import bench, checkpoint, cli, training
+from sisa_unlearn import bench, checkpoint, cli
 from sisa_unlearn.bench import GridReport
 from sisa_unlearn.checkpoint import load_checkpoint, save_checkpoint, without_moments
 from sisa_unlearn.cli import RunConfig, build_bundle, main
@@ -123,7 +123,9 @@ class TestTrain:
 
     def test_train_over_an_earlier_run_leaves_none_of_its_checkpoints(self, tmp_path):
         # a gated K=3 run, then an ungated K=2 one, a baseline and a K=2 one
-        # again, into one directory: each leaves only what its manifest names
+        # again, into one directory, each followed by an unlearn and an
+        # eval: each train leaves only the files it writes, its manifest's
+        # checkpoints among them, and no report of an earlier run
         demo = json.loads((Path(__file__).resolve().parent.parent / "demos"
                            / "config.json").read_text())
         run_dir = tmp_path / "run"
@@ -136,16 +138,20 @@ class TestTrain:
             named = {p for e in manifest.get("constituents", [])
                      for p in e["checkpoints"] if p}
             named |= {manifest[key] for key in ("gating", "baseline") if manifest.get(key)}
+            written = {"config.json", "manifest.json", "reports/before.json"}
+            if strategy != "baseline_full":
+                written.add("plan.json")
             held = {p.relative_to(run_dir).as_posix() for p in run_dir.rglob("*")
-                    if p.is_file() and p.parent != run_dir / "reports"} - \
-                {"config.json", "manifest.json", "plan.json"}
-            assert held == named
+                    if p.is_file()}
+            assert held == named | written
             if strategy == "baseline_full":
-                assert held == {"baseline.ckpt"}
+                assert named == {"baseline.ckpt"}
                 assert not (run_dir / "shards").exists()
             else:
                 assert {p.name for p in (run_dir / "shards").iterdir()} == \
                     {str(k) for k in range(K)}
+            assert run(["unlearn", run_dir, "--class", "class_1"]) == 0
+            assert run(["eval", run_dir]) == 0
 
     def test_gated_strategy_adds_gating_checkpoint(self, tmp_path):
         cfg = write_config(tmp_path, strategy="sisa_gated")
@@ -274,6 +280,19 @@ def stored(run_dir, sub: str) -> dict[str, bytes]:
             for p in (run_dir / sub).rglob("*") if p.is_file()}
 
 
+def assert_same_run(a, b):
+    """Two run directories hold the same files with the same bytes, but for
+    what records a time or the directory's path: the manifest, the config,
+    before.json and the unlearn reports."""
+    def files(run_dir):
+        return {name: raw for name, raw in stored(run_dir, ".").items()
+                if name not in ("manifest.json", "config.json")
+                and not name.startswith("reports/")}
+    assert files(a) == files(b)
+    assert (a / "reports" / "eval.json").read_bytes() == \
+        (b / "reports" / "eval.json").read_bytes()
+
+
 class TestUnlearn:
     @pytest.fixture()
     def trained(self, tmp_path):
@@ -348,9 +367,9 @@ class TestUnlearn:
         assert run(["eval", run_dir]) == 0
 
     def test_crash_before_the_manifest_swap_is_repaired_by_a_retry(
-            self, tmp_path, monkeypatch, capsys):
-        # the removal deletes the decommissioned shard before _write_run
-        # swaps the manifest; a crash in between leaves it naming lost files
+            self, tmp_path, monkeypatch):
+        # the removal empties shard 1; _write_run deletes shards/1/ only
+        # after it swaps the manifest, so a crash before leaves the old run
         demo = Path(__file__).resolve().parent.parent / "demos" / "config.json"
         crashed, clean = tmp_path / "crashed", tmp_path / "clean"
         for run_dir in (crashed, clean):
@@ -359,6 +378,7 @@ class TestUnlearn:
                 assert run(["unlearn", run_dir, "--class", name]) == 0
         manifest = json.loads((crashed / "manifest.json").read_text())
         assert [e["shard_id"] for e in manifest["constituents"]] == [0, 1]
+        before = stored(crashed, ".")
 
         class Crash(Exception):
             pass
@@ -369,29 +389,21 @@ class TestUnlearn:
         with pytest.raises(Crash):
             run(["unlearn", crashed, "--class", "class_5"])
         monkeypatch.undo()
-        assert not (crashed / "shards" / "1").exists()
-        assert json.loads((crashed / "manifest.json").read_text()) == manifest
-
-        capsys.readouterr()
-        assert run(["eval", crashed]) == 1
-        err = json.loads(capsys.readouterr().err)["error"]
-        assert err["type"] == "IntegrityError"
-        assert str(crashed / "shards" / "1" / "slice_2.ckpt") in err["message"]
+        assert stored(crashed, ".") == before
+        assert run(["eval", crashed]) == 0
 
         for run_dir in (crashed, clean):
             assert run(["unlearn", run_dir, "--class", "class_5"]) == 0
             assert run(["eval", run_dir]) == 0
-        assert stored(crashed, "shards") == stored(clean, "shards")
-        for name in ("plan.json", "reports/eval.json"):
-            assert (crashed / name).read_bytes() == (clean / name).read_bytes()
+        assert not (crashed / "shards" / "1").exists()
+        assert_same_run(crashed, clean)
 
-    def test_crash_after_retention_deleted_a_stale_slice_is_repaired_by_a_retry(
-            self, tmp_path, monkeypatch):
-        # shard 0 holds one class per slice. Removing the second rolls back to
-        # slice 0, which then stays only as that removal's rollback point;
-        # removing the third deletes it before the manifest is swapped. The
-        # crash comes before _write_run writes plan.json: a plan that no
-        # longer holds the class could not be removed from again.
+    def test_crash_after_the_retrained_slices_are_written_is_repaired_by_a_retry(
+            self, tmp_path, monkeypatch, capsys):
+        # shard 0 holds one class per slice. Removing the third rolls back
+        # to slice 1 and overwrites the final in place; the crash comes
+        # before _write_run writes plan.json, so the old manifest still
+        # names every file it named, the rollback point among them
         cfg = write_config(tmp_path, dataset=SIX_CLASSES)
         crashed, clean = tmp_path / "crashed", tmp_path / "clean"
         for run_dir in (crashed, clean):
@@ -400,31 +412,62 @@ class TestUnlearn:
         second, third = later_classes(meta, 0)
         for run_dir in (crashed, clean):
             assert run(["unlearn", run_dir, "--class", f"class_{second}"]) == 0
-        stale = crashed / "shards" / "0" / "slice_0.ckpt"
-        assert stale.exists()
-        manifest = json.loads((crashed / "manifest.json").read_text())
+        assert sorted(stored(crashed, "shards/0")) == ["shards/0/slice_1.ckpt",
+                                                       "shards/0/slice_2.ckpt"]
+        before = stored(crashed, ".")
 
         class Crash(Exception):
             pass
 
         def crash(*args):
             raise Crash
-        monkeypatch.setattr(cli, "_write_run", crash)
+        monkeypatch.setattr(cli.PartitionPlan, "save", crash)
         with pytest.raises(Crash):
             run(["unlearn", crashed, "--class", f"class_{third}"])
         monkeypatch.undo()
-        assert not stale.exists()
-        assert json.loads((crashed / "manifest.json").read_text()) == manifest
-        assert manifest["constituents"][0]["checkpoints"][0] == "shards/0/slice_0.ckpt"
+        after = stored(crashed, ".")
+        assert sorted(after) == sorted(before)
+        assert {name for name in after if after[name] != before[name]} == \
+            {"shards/0/slice_2.ckpt"}
+        # the old manifest's final of shard 0 now holds the new head
+        capsys.readouterr()
+        assert run(["eval", crashed]) == 1
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "IntegrityError"
 
         for run_dir in (crashed, clean):
             assert run(["unlearn", run_dir, "--class", f"class_{third}"]) == 0
             assert run(["eval", run_dir]) == 0
-        assert stored(crashed, "shards") == stored(clean, "shards")
-        assert sorted(stored(clean, "shards/0")) == ["shards/0/slice_1.ckpt",
-                                                     "shards/0/slice_2.ckpt"]
-        for name in ("plan.json", "reports/eval.json"):
-            assert (crashed / name).read_bytes() == (clean / name).read_bytes()
+        assert sorted(stored(clean, "shards/0")) == ["shards/0/slice_2.ckpt"]
+        assert_same_run(crashed, clean)
+
+    def test_crash_between_the_manifest_swap_and_the_cut(self, tmp_path, monkeypatch):
+        # the new manifest is in place, beside the files the cut would have
+        # deleted: the rollback point of the removal
+        cfg = write_config(tmp_path, dataset=SIX_CLASSES)
+        run_dir = tmp_path / "run"
+        assert run(["train", "--config", cfg, "--out", run_dir]) == 0
+        meta = json.loads((run_dir / "plan.json").read_text())["metadata"]
+        second, third = later_classes(meta, 0)
+
+        class Crash(Exception):
+            pass
+
+        def crash(*args):
+            raise Crash
+        monkeypatch.setattr(cli.CheckpointStore, "retain", crash)
+        with pytest.raises(Crash):
+            run(["unlearn", run_dir, "--class", f"class_{second}"])
+        monkeypatch.undo()
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["removed_classes"] == [second]
+        assert manifest["constituents"][0]["checkpoints"][0] is None
+        assert (run_dir / "shards" / "0" / "slice_0.ckpt").exists()
+        assert run(["eval", run_dir]) == 0
+
+        assert run(["unlearn", run_dir, "--class", f"class_{third}"]) == 0
+        assert_run_holds_kept_slices(run_dir, tmp_path / "resaved.ckpt",
+                                     kept_slices(run_dir))
+        assert sorted(stored(run_dir, "shards/0")) == ["shards/0/slice_2.ckpt"]
 
     def test_last_class_refused(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dataset={
@@ -664,19 +707,13 @@ def resume_points(plan: dict, shard: int) -> set[int]:
     return {loc["first_slice"] - 1 for loc in own if loc["first_slice"] > 0}
 
 
-def kept_slices(run_dir, report=None) -> set[tuple[int, int]]:
+def kept_slices(run_dir) -> set[tuple[int, int]]:
     """The (shard, slice) pairs a run directory holds: each deployed shard's
-    final and its resume points under plan.json and, after an unlearn
-    command whose `report` is given, the slice that removal resumed from,
-    first - 2 (0-based) from its 1-based retrained range, if it resumed at
-    all."""
+    final and its resume points under plan.json, after train and after
+    every unlearn alike."""
     plan = json.loads((run_dir / "plan.json").read_text())
-    kept = {(a["shard_id"], ell) for a in plan["assignments"] if a["class_ids"]
+    return {(a["shard_id"], ell) for a in plan["assignments"] if a["class_ids"]
             for ell in resume_points(plan, a["shard_id"]) | {plan["L"] - 1}}
-    if report is not None and report["slice_range_retrained"] is not None \
-            and report["slice_range_retrained"][0] >= 2:
-        kept.add((report["shard"], report["slice_range_retrained"][0] - 2))
-    return kept
 
 
 def assert_run_holds_kept_slices(run_dir, scratch, stored, first_slices=None):
@@ -721,8 +758,8 @@ def deployed(run_dir) -> dict[int, bytes]:
 
 class TestFinalsOnDisk:
     """A run directory holds a shard's resume points, with Adam moments, and
-    its final, without them: nothing resumes from the final. After a
-    removal it also holds the slice that removal resumed from. The manifest
+    its final, without them: nothing resumes from the final. A removal
+    leaves no other slice, the one it resumed from included. The manifest
     names exactly those files."""
 
     @pytest.mark.parametrize("strategy", SISA)
@@ -744,19 +781,39 @@ class TestFinalsOnDisk:
         for class_id in later_classes(meta, 0):
             assert run(["unlearn", run_dir, "--class", f"class_{class_id}"]) == 0
             system, _ = run_unlearning(strategy, system, bundle, class_id, tcfg)
-            report = json.loads(
-                (run_dir / "reports" / f"unlearn_class_{class_id}.json").read_text())
-            assert_run_holds_kept_slices(run_dir, scratch, kept_slices(run_dir, report),
+            assert_run_holds_kept_slices(run_dir, scratch, kept_slices(run_dir),
                                          first_slices)
             ens = system.ensemble
             assert deployed(run_dir) == {
                 k: p.tensors.flat.tobytes() for k, p in zip(ens.shard_ids, ens.constituents)}
 
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_demo_removals_leave_only_what_the_rule_keeps(self, tmp_path, strategy):
+        # the committed config: class_1 restarts shard 1 at slice 0, class_3
+        # rolls it back to slice 0, and class_5 empties it
+        demo = Path(__file__).resolve().parent.parent / "demos" / "config.json"
+        run_dir = tmp_path / "run"
+        assert run(["train", "--config", demo, "--strategy", strategy,
+                    "--out", run_dir]) == 0
+        for name in ("class_1", "class_3", "class_5"):
+            assert run(["unlearn", run_dir, "--class", name]) == 0
+            held = {p.relative_to(run_dir).as_posix() for p in run_dir.rglob("*.ckpt")}
+            if strategy == "baseline_full":
+                assert held == {"baseline.ckpt"}
+                continue
+            assert_run_holds_kept_slices(run_dir, tmp_path / "resaved.ckpt",
+                                         kept_slices(run_dir))
+            assert ("gating.ckpt" in held) == strategy_rule(strategy).gated
+            if name == "class_3":
+                # shard 1 is down to class 5: it has no resume point left
+                assert sorted(stored(run_dir, "shards/1")) == ["shards/1/slice_2.ckpt"]
+        assert run(["eval", run_dir]) == 0
+
     def test_finals_with_moments_still_load(self, tmp_path, monkeypatch):
         # run directories written before finals dropped their moments
         cfg = write_config(tmp_path, dataset=SIX_CLASSES)
         old, new = tmp_path / "old", tmp_path / "new"
-        monkeypatch.setattr(training, "without_moments", lambda ckpt: ckpt)
+        monkeypatch.setattr(checkpoint, "without_moments", lambda ckpt: ckpt)
         assert run(["train", "--config", cfg, "--out", old]) == 0
         monkeypatch.undo()
         assert run(["train", "--config", cfg, "--out", new]) == 0

@@ -207,7 +207,8 @@ class TestTrainShard:
                                                quick_cfg, tmp_path):
         store = CheckpointStore(tmp_path)
         full = su.train_shard(plan, 1, small_bundle.train, small_bundle.val,
-                              quick_cfg, store=store)
+                              quick_cfg)
+        store.save_chain(full.checkpoints, plan)
         loaded = load_checkpoint(store.slice_path(1, 1))
         resumed = su.train_shard(plan, 1, small_bundle.train, small_bundle.val,
                                  quick_cfg, start_slice=2, initial=loaded)
@@ -233,7 +234,8 @@ class TestTrainShard:
                               "classes straddle slices": {0, 2}}[name]
             store = CheckpointStore(tmp_path / name)
             res = su.train_shard(p, 0, small_bundle.train, small_bundle.val,
-                                 quick_cfg, store=store)
+                                 quick_cfg)
+            store.save_chain(res.checkpoints, p)
             # the store holds the resume points and the final, and no other slice
             kept = resume | {p.L - 1}
             assert sorted(path.name for path in store.shard_dir(0).iterdir()) == \
@@ -265,12 +267,18 @@ class TestTrainShard:
         purged = purge_class(p, first, labels)
         assert purged.metadata[second].first_slice == 1
         store = CheckpointStore(tmp_path)
-        store.save_slice(su.train_shard(p, 0, small_bundle.train, small_bundle.val,
-                                        quick_cfg).checkpoints[1])
+        store.save_chain(su.train_shard(p, 0, small_bundle.train, small_bundle.val,
+                                        quick_cfg).checkpoints, p)
+        assert sorted(path.name for path in store.shard_dir(0).iterdir()) == \
+            ["slice_0.ckpt", "slice_2.ckpt"]
+        before = store.slice_path(0, 0).read_bytes()
         res = su.train_shard(purged, 0, small_bundle.train, small_bundle.val,
-                             quick_cfg, store=store)
-        # training writes the final alone; the retention step deletes
-        # slice 1's old file, which no removal of the purged plan reads
+                             quick_cfg)
+        # the save step writes the final alone; the retention step deletes
+        # slice 0, the removed class's resume point, which no removal of
+        # the purged plan reads
+        store.save_chain(res.checkpoints, purged)
+        assert store.slice_path(0, 0).read_bytes() == before
         store.retain(purged)
         assert [path.name for path in store.shard_dir(0).iterdir()] == ["slice_2.ckpt"]
         loaded = load_checkpoint(store.slice_path(0, 2))
@@ -280,8 +288,8 @@ class TestTrainShard:
     def test_resuming_from_a_final_is_an_integrity_error(
             self, small_bundle, plan, quick_cfg, tmp_path):
         store = CheckpointStore(tmp_path)
-        su.train_shard(plan, 1, small_bundle.train, small_bundle.val,
-                       quick_cfg, store=store)
+        store.save_chain(su.train_shard(plan, 1, small_bundle.train, small_bundle.val,
+                                        quick_cfg).checkpoints, plan)
         final = load_checkpoint(store.slice_path(1, plan.L - 1))
         with pytest.raises(IntegrityError, match=r"shard 1: the checkpoint of slice 2 "
                                                  r"holds no Adam moments"):
@@ -336,12 +344,20 @@ class TestTrainShard:
         assert accs[1] < accs[0]
 
     def test_replay_buffers_stay_behind_cursor(self, small_bundle, plan,
-                                               quick_cfg):
-        res = su.train_shard(plan, 0, small_bundle.train, small_bundle.val,
-                             quick_cfg)
-        for ell, buf in enumerate(res.replays):
-            if len(buf):
-                assert (buf.source_slices < ell).all()
+                                               quick_cfg, monkeypatch):
+        drawn = []
+
+        def spy(layout, slice_index, *args):
+            buf = sample_replay(layout, slice_index, *args)
+            drawn.append((slice_index, buf))
+            return buf
+
+        monkeypatch.setattr(training, "sample_replay", spy)
+        su.train_shard(plan, 0, small_bundle.train, small_bundle.val, quick_cfg)
+        assert [ell for ell, _ in drawn] == list(range(plan.L))
+        assert any(len(buf) for _, buf in drawn)
+        for ell, buf in drawn:
+            assert (buf.source_slices < ell).all()
 
     def test_slice_costs_less_than_shard(self, small_bundle, plan):
         cfg = su.TrainConfig(max_epochs_per_slice=6, patience=None,

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sisa_unlearn as su
+from sisa_unlearn import training
 from sisa_unlearn.checkpoint import CheckpointStore, load_checkpoint, stored_digest
 from sisa_unlearn.ensemble import predict_labels
 from sisa_unlearn.errors import UnknownClassError
+from sisa_unlearn.training import sample_replay
 from sisa_unlearn.unlearning import (SISA_BALANCED, SISA_GATED, SISA_SCLS_REPLAY,
                                      strategy_rule)
 
@@ -111,6 +113,39 @@ class TestBaseline:
         assert 0.5 <= ratio <= 1.3    # ~5/6 of the data at fixed epochs
 
 
+def test_retrained_rows_order_the_strategies(monkeypatch):
+    # acceptance criterion 4 and the timing test above read CPU seconds of
+    # fits of about 0.3 s; this counts the rows each removal's gradients
+    # read, which no host load moves
+    data = su.synthetic_bundle(n_per_class=100, num_classes=10, separation=3.0, seed=11)
+    cfg = su.TrainConfig(max_epochs_per_slice=2, patience=None, replay_ratio=0.3,
+                         batch_size=32, seed=7)
+    labels = data.train.labels
+    targets = {
+        su.unlearn_baseline: su.train_baseline(data, cfg),
+        su.unlearn_balanced: su.train_sisa(
+            data, su.make_plan(labels, K=2, L=5, policy=su.BALANCED), cfg),
+        su.unlearn_scls: su.train_sisa(
+            data, su.make_plan(labels, K=2, L=5, policy=su.SEQUENTIAL_CLASS), cfg),
+    }
+    rows = [0]
+    original = training.loss_and_grad
+
+    def counting(params, x, y):
+        rows[0] += len(x)
+        return original(params, x, y)
+
+    monkeypatch.setattr(training, "loss_and_grad", counting)
+    mean_rows = []
+    for unlearn, target in targets.items():
+        rows[0] = 0
+        for class_id in range(data.num_classes):
+            unlearn(target, data, class_id, cfg)
+        mean_rows.append(rows[0] / data.num_classes)
+    # 45 : 32 : 19, as perfbench's work.grad_rows_per_removal
+    assert mean_rows == [1260, 896, 532]
+
+
 class TestBalanced:
     def test_retrains_all_slices_and_isolates_other_shard(self, bundle, cfg,
                                                           tmp_path):
@@ -166,13 +201,21 @@ class TestScls:
         _, outcome = su.unlearn_scls(scls_system, bundle, last[0], cfg)
         assert outcome.slices_retrained == 1
 
-    def test_replay_hygiene(self, bundle, cfg, scls_system):
+    def test_replay_hygiene(self, bundle, cfg, scls_system, monkeypatch):
+        # the buffers the retraining draws from the purged shard's slices
         victim = 0
-        new_system, _ = su.unlearn_scls(scls_system, bundle, victim, cfg)
-        k = scls_system.plan.metadata[victim].shard_id
-        for buf in new_system.shard_results[k].replays:
-            if len(buf):
-                assert not np.any(bundle.train.labels[buf.indices] == victim)
+        drawn = []
+
+        def spy(*args):
+            drawn.append(sample_replay(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(training, "sample_replay", spy)
+        _, outcome = su.unlearn_scls(scls_system, bundle, victim, cfg)
+        assert len(drawn) == outcome.slices_retrained
+        assert any(len(buf) for buf in drawn)
+        for buf in drawn:
+            assert not np.any(bundle.train.labels[buf.indices] == victim)
 
     def test_prior_checkpoints_preserved(self, bundle, cfg, scls_system):
         plan = scls_system.plan
@@ -340,17 +383,13 @@ def resume_points(plan, labels, k) -> set[int]:
     return {ell for ell in range(plan.L - 1) if seen[ell + 1] - seen[ell]}
 
 
-def kept_slices(system, labels, outcome=None) -> set[tuple[int, int]]:
+def kept_slices(system, labels) -> set[tuple[int, int]]:
     """The (shard, slice) pairs a store holds: each deployed shard's final
-    and its resume points under the system's plan and, after a removal
-    whose `outcome` is given, the slice it resumed from, first - 2 (0-based)
-    from its 1-based first retrained slice, if it resumed at all."""
+    and its resume points under the system's plan, after training and after
+    every removal alike."""
     final = system.plan.L - 1
-    kept = {(k, ell) for k in system.shard_results
+    return {(k, ell) for k in system.shard_results
             for ell in resume_points(system.plan, labels, k) | {final}}
-    if outcome is not None and outcome.first_slice is not None and outcome.first_slice >= 2:
-        kept.add((outcome.shard_id, outcome.first_slice - 2))
-    return kept
 
 
 def assert_disk_matches(store, system, stored):
@@ -395,7 +434,7 @@ class TestFinalsOnDisk:
         for victim in victims:
             system, outcome = su.run_unlearning(strategy, system, bundle, victim, cfg)
             assert outcome.verdict
-            assert_disk_matches(store, system, kept_slices(system, labels, outcome))
+            assert_disk_matches(store, system, kept_slices(system, labels))
 
 
 class TestRetention:
@@ -413,18 +452,19 @@ class TestRetention:
             return sorted(p.name for p in store.shard_dir(k).iterdir())
 
         first, second, third = by_slice[0]
-        # rolls back to slice 0, which stays as this removal's rollback point
+        # rolls back to slice 0, which the same removal deletes: its head
+        # names `second`, and no removal of the purged plan resumes from it
         system, _ = su.unlearn_scls(system, bundle, second, cfg)
-        assert held(0) == ["slice_0.ckpt", "slice_1.ckpt", "slice_2.ckpt"]
-        # leaves a one-class shard: slice 1 stays as the rollback point, and
-        # slice 0, whose head still names `second`, is gone
-        system, _ = su.unlearn_scls(system, bundle, third, cfg)
         assert held(0) == ["slice_1.ckpt", "slice_2.ckpt"]
-        # the next removal, from the other shard, deletes slice 1 too
-        system, _ = su.unlearn_scls(system, bundle, by_slice[1][-1], cfg)
+        # leaves a one-class shard: slice 1, the rollback point, goes too
+        system, _ = su.unlearn_scls(system, bundle, third, cfg)
         assert held(0) == ["slice_2.ckpt"]
         assert load_checkpoint(store.slice_path(0, 2)).params.output_classes == (first,)
-        assert held(1) == ["slice_0.ckpt", "slice_1.ckpt", "slice_2.ckpt"]
+        # a removal from the other shard leaves shard 0 alone and deletes
+        # its own rollback point, slice 1, at once
+        system, _ = su.unlearn_scls(system, bundle, by_slice[1][-1], cfg)
+        assert held(0) == ["slice_2.ckpt"]
+        assert held(1) == ["slice_0.ckpt", "slice_2.ckpt"]
 
 
 def stored_files(root) -> dict[str, bytes]:
@@ -528,12 +568,11 @@ def test_store_holds_moments_exactly_at_resume_points(case):
         store = CheckpointStore(root)
         stored = su.train_sisa(data, plan, cfg, gated=rule.gated, store=store)
         memory = su.train_sisa(data, plan, cfg, gated=rule.gated)
-        outcome = None
         for class_id in [None] + chain:
             if class_id is not None:
-                stored, outcome = su.run_unlearning(strategy, stored, data, class_id, cfg)
+                stored, _ = su.run_unlearning(strategy, stored, data, class_id, cfg)
                 memory, _ = su.run_unlearning(strategy, memory, data, class_id, cfg)
-            assert_disk_matches(store, stored, kept_slices(stored, labels, outcome))
+            assert_disk_matches(store, stored, kept_slices(stored, labels))
             a, b = stored.ensemble, memory.ensemble
             assert a.shard_ids == b.shard_ids
             for p, q in zip(a.constituents, b.constituents):
