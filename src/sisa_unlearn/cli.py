@@ -3,9 +3,10 @@
 Configuration is one JSON document, read only by `RunConfig.from_file`,
 which applies the `--seed`, `--out` and `--strategy` flags; every key
 resolves as flag > config > default. Run directories are self-contained:
-config copy, plan, the checkpoints the store keeps, manifest, and reports,
-and `_write_run` is the one writer of the manifest, which lists every
-checkpoint file the run directory keeps, and of a removal's checkpoints.
+config copy, plan (a report no command reads back), the checkpoints the
+store keeps, manifest, and reports, and `_write_run` is the one writer of
+the manifest, which lists every checkpoint file the run directory keeps,
+and of a removal's checkpoints.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from .data import SplitSpec
 from .errors import IntegrityError, SisaError, UnknownClassError
 from .evaluation import evaluate
 from .files import write_json
-from .partition import PartitionPlan, make_plan, SEQUENTIAL_CLASS
+from .partition import SEQUENTIAL_CLASS, make_plan, purge_class
 from .pipeline import (BaselineModel, DataBundle, SisaSystem, cifar_bundle,
                        synthetic_bundle, train_baseline, train_sisa)
 from .rng import RngState
@@ -230,24 +231,25 @@ def _say(args, message: str) -> None:
 def _write_run(store: CheckpointStore, manifest: dict, target,
                tcfg: TrainConfig, checkpoints: Iterable[Checkpoint] = ()) -> None:
     """Write the deployed target, then `manifest.json`, the run directory's
-    one pointer into its files, then cut the run directory to what it
-    names. Every checkpoint path in it is the store's, relative to the run
-    directory.
+    one pointer into its files and its one commit point, then cut the run
+    directory to what it names. Every checkpoint path in it is the store's,
+    relative to the run directory.
 
     A baseline target writes its checkpoint; after the manifest, the store
     is cut to it (`CheckpointStore.retain`) and an earlier SISA run's
     `plan.json` goes. A SISA system saves `checkpoints`, a removal's
     retrained slices, as the store keeps them (`CheckpointStore.save_chain`;
-    `pipeline.train_sisa` saved a trained system's), then its plan, then the
-    manifest: per shard, the path of each slice `kept_slices` names and null
-    for every other, the final last. Then the store is cut.
+    `pipeline.train_sisa` saved a trained system's), then its plan, a
+    report no command reads back, then the manifest: per shard, the path
+    of each slice `kept_slices` names and null for every other, the final
+    last. Then the store is cut.
 
     Nothing is deleted before the manifest swap. A crash before it leaves
     every file the old manifest names, the rollback point among them, with
-    only the retrained slices overwritten, and repeating the `unlearn`
-    repairs the directory, unless `plan.json` was already written: the new
-    plan no longer holds the class. A crash after it leaves files that the
-    next command's cut deletes.
+    only the retrained slices and `plan.json` overwritten, and repeating
+    the `unlearn` repairs the directory, as `_load_run` rebuilds the plan
+    from the old manifest's removed classes. A crash after it leaves files
+    that the next command's cut deletes.
     """
     def rel(path: Path) -> str:
         return path.relative_to(store.root).as_posix()
@@ -295,6 +297,9 @@ def cmd_train(args) -> int:
     bundle = build_bundle(cfg)
     tcfg = cfg.train_config()
     out = Path(cfg.out)
+    # an earlier run's manifest would name the files this train overwrites:
+    # until the new one is swapped in, the directory is no run
+    (out / "manifest.json").unlink(missing_ok=True)
     out.mkdir(parents=True, exist_ok=True)
     store = CheckpointStore(out)
     write_json(out / "config.json", cfg.to_dict())
@@ -312,7 +317,6 @@ def cmd_train(args) -> int:
         plan = make_plan(bundle.train.labels, cfg.K, cfg.L, cfg.policy)
         target = train_sisa(bundle, plan, tcfg, store=store,
                             gated=strategy_rule(cfg.strategy).gated)
-        manifest["K"], manifest["L"], manifest["policy"] = cfg.K, cfg.L, cfg.policy
         model = target.ensemble
     manifest["train_seconds"] = target.train_seconds
     _write_run(store, manifest, target, tcfg)
@@ -329,8 +333,17 @@ def cmd_train(args) -> int:
 
 
 def _load_run(run_dir: Path):
+    """The run in `run_dir` as its config and manifest define it: the
+    checkpoints the manifest names, and the plan rebuilt by `make_plan` over
+    the config's data, then `purge_class` for each removed class.
+    `plan.json` is never read, so the manifest swap alone commits a removal.
+    A directory without `manifest.json` is an `IntegrityError`."""
+    try:
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+    except FileNotFoundError:
+        raise IntegrityError(f"{run_dir} holds no manifest.json: it is no run "
+                             "directory, or a train into it did not finish") from None
     cfg = RunConfig.from_file(run_dir / "config.json")
-    manifest = json.loads((run_dir / "manifest.json").read_text())
     strategy = manifest["strategy"]
     gated = strategy_rule(strategy).gated
     if bool(manifest.get("gating")) != gated:
@@ -345,7 +358,9 @@ def _load_run(run_dir: Path):
         params = load_checkpoint(run_dir / manifest["baseline"]).params
         target = BaselineModel(params=params, train_seconds=0.0, removed_classes=removed)
         return manifest, bundle, tcfg, store, target
-    plan = PartitionPlan.load(run_dir / "plan.json")
+    plan = make_plan(bundle.train.labels, cfg.K, cfg.L, cfg.policy)
+    for class_id in removed:
+        plan = purge_class(plan, class_id, bundle.train.labels)
     shard_results: dict[int, ShardTrainResult] = {}
     for entry in manifest["constituents"]:
         k = entry["shard_id"]

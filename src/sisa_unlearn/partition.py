@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -75,32 +74,8 @@ class PartitionPlan:
         }
         return json.dumps(doc, indent=2, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "PartitionPlan":
-        doc = json.loads(text)
-        assignments = [
-            ShardAssignment(a["shard_id"], tuple(a["class_ids"]), a["sample_count"])
-            for a in doc["assignments"]
-        ]
-        layouts = [
-            SliceLayout(l["shard_id"],
-                        [np.asarray(s, dtype=np.int64) for s in l["slices"]],
-                        l["policy"])
-            for l in doc["layouts"]
-        ]
-        metadata = {
-            int(c): ClassLocation(m["shard_id"], m["first_slice"], tuple(m["slices"]))
-            for c, m in doc["metadata"].items()
-        }
-        return cls(doc["K"], doc["L"], doc["policy"], assignments, layouts,
-                   metadata, doc["imbalance_ratio"])
-
     def save(self, path) -> None:
         write_atomic(path, self.to_json())
-
-    @classmethod
-    def load(cls, path) -> "PartitionPlan":
-        return cls.from_json(Path(path).read_text())
 
 
 def plan_shards(class_sizes: dict[int, int], K: int):

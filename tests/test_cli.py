@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sisa_unlearn import bench, checkpoint, cli
+from sisa_unlearn import bench, checkpoint, cli, partition
 from sisa_unlearn.bench import GridReport
 from sisa_unlearn.checkpoint import load_checkpoint, save_checkpoint, without_moments
 from sisa_unlearn.cli import RunConfig, build_bundle, main
@@ -152,6 +152,38 @@ class TestTrain:
                     {str(k) for k in range(K)}
             assert run(["unlearn", run_dir, "--class", "class_1"]) == 0
             assert run(["eval", run_dir]) == 0
+
+    def test_crashed_train_over_an_earlier_run_leaves_no_manifest(
+            self, tmp_path, monkeypatch, capsys):
+        # the earlier manifest goes before the first write, so the files a
+        # crashed train leaves are never read as the earlier run
+        cfg = write_config(tmp_path)
+        crashed, clean = tmp_path / "crashed", tmp_path / "clean"
+        assert run(["train", "--config", cfg, "--seed", 7, "--out", crashed]) == 0
+
+        class Crash(Exception):
+            pass
+
+        def crash(*args):
+            raise Crash
+        monkeypatch.setattr(cli, "_write_run", crash)
+        with pytest.raises(Crash):
+            run(["train", "--config", cfg, "--seed", 8, "--out", crashed])
+        monkeypatch.undo()
+        assert not (crashed / "manifest.json").exists()
+        capsys.readouterr()
+        for argv in (["eval", crashed], ["unlearn", crashed, "--class", "class_1"]):
+            assert run(argv) == 1
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1
+            err = json.loads(lines[0])["error"]
+            assert err["type"] == "IntegrityError"
+            assert err["message"].startswith(f"{crashed} holds no manifest.json")
+
+        for run_dir in (crashed, clean):
+            assert run(["train", "--config", cfg, "--seed", 8, "--out", run_dir]) == 0
+            assert run(["eval", run_dir]) == 0
+        assert_same_run(crashed, clean)
 
     def test_gated_strategy_adds_gating_checkpoint(self, tmp_path):
         cfg = write_config(tmp_path, strategy="sisa_gated")
@@ -421,7 +453,7 @@ class TestUnlearn:
 
         def crash(*args):
             raise Crash
-        monkeypatch.setattr(cli.PartitionPlan, "save", crash)
+        monkeypatch.setattr(partition.PartitionPlan, "save", crash)
         with pytest.raises(Crash):
             run(["unlearn", crashed, "--class", f"class_{third}"])
         monkeypatch.undo()
@@ -438,6 +470,38 @@ class TestUnlearn:
             assert run(["unlearn", run_dir, "--class", f"class_{third}"]) == 0
             assert run(["eval", run_dir]) == 0
         assert sorted(stored(clean, "shards/0")) == ["shards/0/slice_2.ckpt"]
+        assert_same_run(crashed, clean)
+
+    def test_crash_between_the_plan_and_the_manifest_swap_is_repaired_by_a_retry(
+            self, tmp_path, monkeypatch):
+        # plan.json already holds the purged plan, but the old manifest
+        # still names the class: the retry rebuilds the plan that holds it
+        cfg = write_config(tmp_path, dataset=SIX_CLASSES)
+        crashed, clean = tmp_path / "crashed", tmp_path / "clean"
+        for run_dir in (crashed, clean):
+            assert run(["train", "--config", cfg, "--out", run_dir]) == 0
+        meta = json.loads((clean / "plan.json").read_text())["metadata"]
+        second, _ = later_classes(meta, 0)
+        plan, manifest = ((crashed / name).read_bytes()
+                          for name in ("plan.json", "manifest.json"))
+
+        class Crash(Exception):
+            pass
+
+        def crash(path, payload, _write_json=cli.write_json):
+            if Path(path).name == "manifest.json":
+                raise Crash
+            _write_json(path, payload)
+        monkeypatch.setattr(cli, "write_json", crash)
+        with pytest.raises(Crash):
+            run(["unlearn", crashed, "--class", f"class_{second}"])
+        monkeypatch.undo()
+        assert (crashed / "plan.json").read_bytes() != plan
+        assert (crashed / "manifest.json").read_bytes() == manifest
+
+        for run_dir in (crashed, clean):
+            assert run(["unlearn", run_dir, "--class", f"class_{second}"]) == 0
+            assert run(["eval", run_dir]) == 0
         assert_same_run(crashed, clean)
 
     def test_crash_between_the_manifest_swap_and_the_cut(self, tmp_path, monkeypatch):
@@ -501,6 +565,31 @@ class TestEval:
         after = json.loads((run_dir / "reports" / "eval.json").read_text())
         for key in ("accuracy", "precision", "recall", "confusion_matrix"):
             assert after[key] == before[key]
+
+    @pytest.mark.parametrize("strategy", ["sisa_scls_replay", "sisa_gated",
+                                          "sisa_balanced"])
+    def test_plan_json_is_never_read(self, tmp_path, strategy):
+        # eval and unlearn rebuild the plan from the config and the
+        # manifest's removed classes; plan.json is a report
+        cfg = write_config(tmp_path)
+        deleted, clean = tmp_path / "deleted", tmp_path / "clean"
+        for run_dir in (deleted, clean):
+            assert run(["train", "--config", cfg, "--strategy", strategy,
+                        "--out", run_dir]) == 0
+        (deleted / "plan.json").unlink()
+        assert run(["eval", deleted]) == 0
+        before = json.loads((deleted / "reports" / "before.json").read_text())
+        after = json.loads((deleted / "reports" / "eval.json").read_text())
+        for key in ("accuracy", "precision", "recall", "confusion_matrix"):
+            assert after[key] == before[key]
+
+        # removed out of order: the manifest lists removed classes sorted
+        for name in ("class_2", "class_1"):
+            (deleted / "plan.json").unlink(missing_ok=True)
+            for run_dir in (deleted, clean):
+                assert run(["unlearn", run_dir, "--class", name]) == 0
+                assert run(["eval", run_dir]) == 0
+            assert_same_run(deleted, clean)
 
     def test_baseline_checkpoint_read_through_manifest(self, tmp_path, loads):
         cfg = write_config(tmp_path, strategy="baseline_full")

@@ -176,8 +176,8 @@ class TestPlanSerialization:
         labels = make_labels({c: 11 for c in range(6)})
         plan = su.make_plan(labels, K=2, L=3, policy=su.SEQUENTIAL_CLASS)
         text = plan.to_json()
-        back = su.PartitionPlan.from_json(text)
-        assert back.to_json() == text
+        again = su.make_plan(labels, K=2, L=3, policy=su.SEQUENTIAL_CLASS)
+        assert again.to_json() == text
         doc = json.loads(text)
         assert set(doc) == {"K", "L", "policy", "assignments", "layouts",
                             "metadata", "imbalance_ratio"}
@@ -197,3 +197,14 @@ class TestPlanSerialization:
         for before, after in zip(plan.layouts[other].slices,
                                  purged.layouts[other].slices):
             assert np.array_equal(before, after)
+
+    @pytest.mark.parametrize("policy", [su.BALANCED, su.SEQUENTIAL_CLASS])
+    def test_purges_commute(self, policy):
+        # a run directory's plan is rebuilt with its removed classes purged
+        # in ascending order, whatever order they were removed in
+        labels = make_labels({c: 8 + 3 * c for c in range(6)})
+        plan = su.make_plan(labels, K=2, L=3, policy=policy)
+        for a, b in itertools.combinations(range(6), 2):
+            ab = purge_class(purge_class(plan, a, labels), b, labels)
+            ba = purge_class(purge_class(plan, b, labels), a, labels)
+            assert ab.to_json() == ba.to_json()
