@@ -4,9 +4,10 @@ Configuration is one JSON document, read only by `RunConfig.from_file`,
 which applies the `--seed`, `--out` and `--strategy` flags; every key
 resolves as flag > config > default. Run directories are self-contained:
 config copy, plan (a report no command reads back), the checkpoints the
-store keeps, manifest, and reports, and `_write_run` is the one writer of
-the manifest, which lists every checkpoint file the run directory keeps,
-and of a removal's checkpoints.
+store keeps, manifest, and reports. `_write_run` is the one writer of the
+manifest and of a removal's checkpoints; `_load_run` reads only its
+removed classes and derives every deployed file from the config, the
+data and the rebuilt plan.
 """
 from __future__ import annotations
 
@@ -14,7 +15,6 @@ import argparse
 import json
 import shutil
 import sys
-import time
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -26,7 +26,7 @@ from .data import SplitSpec
 from .errors import IntegrityError, SisaError, UnknownClassError
 from .evaluation import evaluate
 from .files import write_json
-from .partition import SEQUENTIAL_CLASS, make_plan, purge_class
+from .partition import SEQUENTIAL_CLASS, PartitionPlan, make_plan, purge_class
 from .pipeline import (BaselineModel, DataBundle, SisaSystem, cifar_bundle,
                        synthetic_bundle, train_baseline, train_sisa)
 from .rng import RngState
@@ -228,32 +228,44 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-def _write_run(store: CheckpointStore, manifest: dict, target,
-               tcfg: TrainConfig, checkpoints: Iterable[Checkpoint] = ()) -> None:
+def _stored_chains(store: CheckpointStore, plan: PartitionPlan) -> dict[int, list]:
+    """Each deployed shard's checkpoint files under `plan`, in shard-id
+    order, one entry per slice: the store's path of each slice `kept_slices`
+    names, None for every other, the final last."""
+    return {k: [store.slice_path(k, ell) if ell in kept else None
+                for ell in range(plan.L)]
+            for k, kept in kept_slices(plan).items()}
+
+
+def _write_run(store: CheckpointStore, target, tcfg: TrainConfig,
+               checkpoints: Iterable[Checkpoint] = ()) -> None:
     """Write the deployed target, then `manifest.json`, the run directory's
-    one pointer into its files and its one commit point, then cut the run
-    directory to what it names. Every checkpoint path in it is the store's,
-    relative to the run directory.
+    one commit point, then cut the run directory to what the target reads.
+
+    The manifest holds `removed_classes`, the one key a command reads, and
+    a listing for readers outside the package, each path relative to the
+    run directory: per deployed shard of the plan, its head and its
+    `_stored_chains` paths, null for a slice not stored, and the router
+    (`gating`, null if none); or, for a baseline, `baseline`.
 
     A baseline target writes its checkpoint; after the manifest, the store
     is cut to it (`CheckpointStore.retain`) and an earlier SISA run's
     `plan.json` goes. A SISA system saves `checkpoints`, a removal's
     retrained slices, as the store keeps them (`CheckpointStore.save_chain`;
     `pipeline.train_sisa` saved a trained system's), then its plan, a
-    report no command reads back, then the manifest: per shard, the path
-    of each slice `kept_slices` names and null for every other, the final
-    last. Then the store is cut.
+    report no command reads back, then the manifest. Then the store is cut.
 
     Nothing is deleted before the manifest swap. A crash before it leaves
-    every file the old manifest names, the rollback point among them, with
-    only the retrained slices and `plan.json` overwritten, and repeating
-    the `unlearn` repairs the directory, as `_load_run` rebuilds the plan
-    from the old manifest's removed classes. A crash after it leaves files
-    that the next command's cut deletes.
+    every file the old run reads, the rollback point among them, with only
+    the retrained slices and `plan.json` overwritten, and repeating the
+    `unlearn` repairs the directory, as `_load_run` rebuilds the plan from
+    the old manifest's removed classes. A crash after it leaves files that
+    the next command's cut deletes.
     """
-    def rel(path: Path) -> str:
-        return path.relative_to(store.root).as_posix()
+    def rel(path: Path | None) -> str | None:
+        return None if path is None else path.relative_to(store.root).as_posix()
 
+    manifest: dict = {"removed_classes": sorted(target.removed_classes)}
     if isinstance(target, BaselineModel):
         save_params(target.params, store.baseline_path(), tcfg.adam(),
                     RngState(tcfg.seed))
@@ -265,12 +277,10 @@ def _write_run(store: CheckpointStore, manifest: dict, target,
     plan = target.plan
     store.save_chain(checkpoints, plan)
     plan.save(store.root / "plan.json")
-    kept = kept_slices(plan)
     manifest["constituents"] = [
-        {"shard_id": k, "output_classes": list(r.head),
-         "checkpoints": [rel(store.slice_path(k, ell)) if ell in kept[k] else None
-                         for ell in range(plan.L)]}
-        for k, r in sorted(target.shard_results.items())]
+        {"shard_id": k, "output_classes": list(plan.assignments[k].class_ids),
+         "checkpoints": [rel(path) for path in paths]}
+        for k, paths in _stored_chains(store, plan).items()]
     gated = target.gating is not None
     manifest["gating"] = rel(store.gating_path()) if gated else None
     write_json(store.root / "manifest.json", manifest)   # atomic swap
@@ -281,9 +291,13 @@ def _write_run(store: CheckpointStore, manifest: dict, target,
 
 def cmd_plan(args) -> int:
     cfg = RunConfig.from_file(args.config, seed=args.seed, out=args.out)
+    out = Path(cfg.out)
+    # a run's plan.json reports its removals; a fresh plan would undo them
+    if (out / "manifest.json").exists():
+        raise ValueError(f"{out} holds a run (manifest.json): plan writes "
+                         "only into a directory that holds none")
     bundle = build_bundle(cfg)
     plan = make_plan(bundle.train.labels, cfg.K, cfg.L, cfg.policy)
-    out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     plan.save(out / "plan.json")
     _say(args, f"plan written to {out / 'plan.json'} "
@@ -297,19 +311,13 @@ def cmd_train(args) -> int:
     bundle = build_bundle(cfg)
     tcfg = cfg.train_config()
     out = Path(cfg.out)
-    # an earlier run's manifest would name the files this train overwrites:
-    # until the new one is swapped in, the directory is no run
+    # an earlier run's manifest would commit a run over the files this train
+    # overwrites: until the new one is swapped in, the directory is no run
     (out / "manifest.json").unlink(missing_ok=True)
     out.mkdir(parents=True, exist_ok=True)
     store = CheckpointStore(out)
     write_json(out / "config.json", cfg.to_dict())
 
-    manifest: dict = {
-        "strategy": cfg.strategy,
-        "class_names": bundle.class_names,
-        "removed_classes": [],
-        "created_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-    }
     if cfg.strategy == BASELINE_FULL:
         target = train_baseline(bundle, tcfg)
         model = target.params
@@ -318,8 +326,7 @@ def cmd_train(args) -> int:
         target = train_sisa(bundle, plan, tcfg, store=store,
                             gated=strategy_rule(cfg.strategy).gated)
         model = target.ensemble
-    manifest["train_seconds"] = target.train_seconds
-    _write_run(store, manifest, target, tcfg)
+    _write_run(store, target, tcfg)
     report = evaluate(model, bundle.test,
                       config_tag={"K": cfg.K, "L": cfg.L, "strategy": cfg.strategy,
                                   "replay_ratio": cfg.replay_ratio})
@@ -333,73 +340,65 @@ def cmd_train(args) -> int:
 
 
 def _load_run(run_dir: Path):
-    """The run in `run_dir` as its config and manifest define it: the
-    checkpoints the manifest names, and the plan rebuilt by `make_plan` over
-    the config's data, then `purge_class` for each removed class.
-    `plan.json` is never read, so the manifest swap alone commits a removal.
-    A directory without `manifest.json` is an `IntegrityError`."""
+    """The run in `run_dir`: its config, data and deployed target. The
+    manifest gives `removed_classes` alone, the commit point. The plan is
+    rebuilt by `make_plan` over the config's data, then `purge_class` for
+    each removed class, and names each deployed shard, its head and its
+    stored files (`_stored_chains`). The router is `gating.ckpt` when the
+    config's strategy is gated; a baseline is `baseline.ckpt`. A directory
+    without `manifest.json` is an `IntegrityError`."""
     try:
-        manifest = json.loads((run_dir / "manifest.json").read_text())
+        removed = tuple(json.loads((run_dir / "manifest.json").read_text())
+                        ["removed_classes"])
     except FileNotFoundError:
         raise IntegrityError(f"{run_dir} holds no manifest.json: it is no run "
                              "directory, or a train into it did not finish") from None
     cfg = RunConfig.from_file(run_dir / "config.json")
-    strategy = manifest["strategy"]
-    gated = strategy_rule(strategy).gated
-    if bool(manifest.get("gating")) != gated:
-        raise IntegrityError(
-            f"manifest.json key 'gating' is {manifest.get('gating')!r}, but strategy "
-            f"{strategy} {'deploys a' if gated else 'has no'} gating router")
     bundle = build_bundle(cfg)
     store = CheckpointStore(run_dir)
-    tcfg = cfg.train_config()
-    removed = tuple(manifest["removed_classes"])
-    if strategy == BASELINE_FULL:
-        params = load_checkpoint(run_dir / manifest["baseline"]).params
+    if cfg.strategy == BASELINE_FULL:
+        params = load_checkpoint(store.baseline_path()).params
         target = BaselineModel(params=params, train_seconds=0.0, removed_classes=removed)
-        return manifest, bundle, tcfg, store, target
+        return cfg, bundle, target
     plan = make_plan(bundle.train.labels, cfg.K, cfg.L, cfg.policy)
     for class_id in removed:
         plan = purge_class(plan, class_id, bundle.train.labels)
-    shard_results: dict[int, ShardTrainResult] = {}
-    for entry in manifest["constituents"]:
-        k = entry["shard_id"]
-        # loaded as read: eval reads the finals; unlearn reads the rollback
-        # point and the finals of the other shards, not the owner's. A null
-        # entry is a slice the store does not hold.
-        ckpts = LazyChain((None if rel is None else run_dir / rel
-                           for rel in entry["checkpoints"]), k)
-        shard_results[k] = ShardTrainResult(
-            shard_id=k, head=tuple(entry["output_classes"]), checkpoints=ckpts,
-            seconds_per_slice=[], slices_trained=len(ckpts))
-    gating = load_checkpoint(run_dir / manifest["gating"]).params if gated else None
+    # loaded as read: eval reads the finals; unlearn reads the rollback point
+    # and the finals of the other shards, not the owner's. A None entry is a
+    # slice the store does not hold.
+    shard_results = {
+        k: ShardTrainResult(shard_id=k, head=plan.assignments[k].class_ids,
+                            checkpoints=LazyChain(paths, k),
+                            seconds_per_slice=[], slices_trained=plan.L)
+        for k, paths in _stored_chains(store, plan).items()}
+    gating = (load_checkpoint(store.gating_path()).params
+              if strategy_rule(cfg.strategy).gated else None)
     # no store: a removal writes nothing, and `_write_run` writes its result
     system = SisaSystem(plan=plan, shard_results=shard_results,
                         num_classes=bundle.num_classes, gating=gating,
                         removed_classes=removed)
-    return manifest, bundle, tcfg, store, system
+    return cfg, bundle, system
 
 
 def cmd_unlearn(args) -> int:
     run_dir = Path(args.run_dir)
-    manifest, bundle, tcfg, store, target = _load_run(run_dir)
-    names = manifest["class_names"]
+    cfg, bundle, target = _load_run(run_dir)
+    names = bundle.class_names
     if args.class_name not in names:
         raise UnknownClassError(
             f"unknown class {args.class_name!r}; valid names: {names}")
     class_id = names.index(args.class_name)
-    if class_id in manifest["removed_classes"]:
+    if class_id in target.removed_classes:
         raise UnknownClassError(f"class {args.class_name!r} already removed")
 
-    new_target, outcome = run_unlearning(manifest["strategy"], target, bundle,
-                                         class_id, tcfg)
-    manifest["removed_classes"] = sorted(new_target.removed_classes)
+    tcfg = cfg.train_config()
+    new_target, outcome = run_unlearning(cfg.strategy, target, bundle, class_id, tcfg)
     retrained = ()
     if outcome.shard_id is not None and outcome.first_slice is not None:
         # the owning shard's chain from its first retrained slice on
         chain = new_target.shard_results[outcome.shard_id].checkpoints
         retrained = chain[outcome.first_slice - 1:]
-    _write_run(store, manifest, new_target, tcfg, retrained)
+    _write_run(CheckpointStore(run_dir), new_target, tcfg, retrained)
     write_json(run_dir / "reports" / f"unlearn_{args.class_name}.json",
                outcome.to_json_dict())
     _say(args, f"unlearned {args.class_name!r}: verdict "
@@ -411,14 +410,13 @@ def cmd_unlearn(args) -> int:
 
 def cmd_eval(args) -> int:
     run_dir = Path(args.run_dir)
-    manifest, bundle, _tcfg, _store, target = _load_run(run_dir)
+    cfg, bundle, target = _load_run(run_dir)
     model = target.params if isinstance(target, BaselineModel) else target.ensemble
-    report = evaluate(model, bundle.test,
-                      config_tag={"strategy": manifest["strategy"]})
+    report = evaluate(model, bundle.test, config_tag={"strategy": cfg.strategy})
     write_json(run_dir / "reports" / "eval.json", report.to_json_dict())
     _say(args, f"test accuracy {report.accuracy:.4f} "
                f"({len(bundle.test)} samples, "
-               f"removed classes: {manifest['removed_classes']})")
+               f"removed classes: {list(target.removed_classes)})")
     return 0
 
 

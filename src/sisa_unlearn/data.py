@@ -95,16 +95,14 @@ def load_cifar10(dir_path) -> LabeledDataset:
     """Read CIFAR-10 binary batches from a directory.
 
     Each record is 1 label byte followed by 3072 pixel bytes (R, G, B planes,
-    row-major), yielding CHW float32 inputs scaled to [0, 1]. Looks for the
-    canonical five train batches plus the test batch; if none are present,
-    falls back to every ``*.bin`` file in name order.
+    row-major), yielding CHW float32 inputs scaled to [0, 1]. Reads those of
+    the canonical five train batches and the test batch that are present,
+    in that order.
     """
     root = Path(dir_path)
     if not root.is_dir():
         raise FormatError(f"{root}: not a directory containing CIFAR-10 batches")
     files = [root / n for n in _CIFAR_TRAIN_BATCHES + [_CIFAR_TEST_BATCH] if (root / n).exists()]
-    if not files:
-        files = sorted(root.glob("*.bin"))
     if not files:
         raise FormatError(f"{root}: no CIFAR-10 batch files found")
 
@@ -224,21 +222,18 @@ def split(ds: LabeledDataset, spec: SplitSpec):
 
 
 def channel_stats(ds: LabeledDataset) -> Normalization:
-    """Mean/std per channel (CHW images) or per feature (flat vectors)."""
+    """Mean/std per channel of a dataset of CHW images."""
     x = ds.inputs
-    axes = (0, 2, 3) if x.ndim == 4 else (0,)
-    mean = x.mean(axis=axes)
-    std = x.std(axis=axes)
+    mean = x.mean(axis=(0, 2, 3))
+    std = x.std(axis=(0, 2, 3))
     std = np.where(std < 1e-8, 1.0, std)
     return Normalization(mean=mean.astype(np.float32), std=std.astype(np.float32))
 
 
 def normalize(ds: LabeledDataset, stats: Normalization) -> LabeledDataset:
-    x = ds.inputs
-    if x.ndim == 4:
-        mean = stats.mean.reshape(1, -1, 1, 1)
-        std = stats.std.reshape(1, -1, 1, 1)
-    else:
-        mean, std = stats.mean, stats.std
-    return replace(ds, inputs=((x - mean) / std).astype(np.float32, copy=False))
+    """A dataset of CHW images with each channel shifted by `stats.mean`
+    and scaled by `stats.std`."""
+    mean = stats.mean.reshape(1, -1, 1, 1)
+    std = stats.std.reshape(1, -1, 1, 1)
+    return replace(ds, inputs=((ds.inputs - mean) / std).astype(np.float32, copy=False))
 

@@ -18,7 +18,7 @@ from .data import LabeledDataset
 from .ensemble import predict_labels
 from .errors import IntegrityError, UnknownClassError
 from .evaluation import EvaluationReport, confusion_matrix, report_from_confusion
-from .partition import BALANCED, SEQUENTIAL_CLASS, purge_class
+from .partition import BALANCED, SEQUENTIAL_CLASS, purge_class, resume_points
 from .pipeline import BaselineModel, DataBundle, SisaSystem
 from .training import TrainConfig, train_model, train_shard
 
@@ -31,18 +31,14 @@ SISA_GATED = "sisa_gated"
 class StrategyRule(NamedTuple):
     policy: str | None      # plan policy the strategy requires; None: no plan
     replay: bool            # trains with the configured replay ratio
-    # removal resumes from the checkpoint before the class's first slice;
-    # False restarts the shard at slice 0, which balanced slicing needs
-    # because every slice held samples of the class
-    rollback: bool
     gated: bool             # deploys, and requires, a gating router
 
 
 STRATEGY_RULES = {
-    BASELINE_FULL: StrategyRule(None, False, False, False),
-    SISA_BALANCED: StrategyRule(BALANCED, False, False, False),
-    SISA_SCLS_REPLAY: StrategyRule(SEQUENTIAL_CLASS, True, True, False),
-    SISA_GATED: StrategyRule(SEQUENTIAL_CLASS, True, True, True),
+    BASELINE_FULL: StrategyRule(None, False, False),
+    SISA_BALANCED: StrategyRule(BALANCED, False, False),
+    SISA_SCLS_REPLAY: StrategyRule(SEQUENTIAL_CLASS, True, False),
+    SISA_GATED: StrategyRule(SEQUENTIAL_CLASS, True, True),
 }
 STRATEGIES = tuple(STRATEGY_RULES)
 
@@ -155,6 +151,10 @@ def _unlearn_shard(strategy: str, system: SisaSystem, data: DataBundle,
     """Purge the class from its shard, restore a checkpoint that never saw
     it, and retrain the slices after that checkpoint.
 
+    It resumes from the slice before the class's first when that slice is
+    a resume point (`partition.resume_points`, the store's rule too), and
+    restarts the shard at slice 0 otherwise.
+
     The restored head is rebuilt without the class (and without any class
     removed earlier), and the class's samples leave every remaining slice
     and every replay buffer drawn for them. A gating router is left untouched.
@@ -182,12 +182,14 @@ def _unlearn_shard(strategy: str, system: SisaSystem, data: DataBundle,
             f"(known: {sorted(metadata)}, removed: {sorted(system.removed_classes)})")
     if len(metadata) == 1:
         raise ValueError(_last_class_message(data, class_id))
-    shard_id = metadata[class_id].shard_id
+    loc = metadata[class_id]
+    shard_id = loc.shard_id
     # refuse a bad surviving final before anything is retrained into the store
     for k in sorted(system.shard_results):
         if k != shard_id:
             system.deployed_final(k)
-    first = metadata[class_id].first_slice if rule.rollback else 0
+    first = (loc.first_slice
+             if loc.first_slice - 1 in resume_points(system.plan, shard_id) else 0)
     purged = purge_class(system.plan, class_id, data.train.labels)
     new_head = tuple(sorted(purged.assignments[shard_id].class_ids))
 

@@ -269,3 +269,14 @@ class TestLazyChain:
         chain[-1]
         with pytest.raises(IntegrityError, match="digest mismatch"):
             chain[0]
+
+    def test_entry_not_stored_fails_when_read(self, saved):
+        # a slice the store does not keep: the other entries still load
+        paths, loads = saved
+        chain = LazyChain([paths[0], None, paths[2]], 4)
+        assert len(chain) == 3 and chain[2].rng == make_checkpoint(seed=2).rng
+        with pytest.raises(IntegrityError) as exc:
+            chain[1]
+        assert str(exc.value) == \
+            "shard 4: the run directory holds no checkpoint of slice 1"
+        assert loads == [paths[2]]

@@ -1,5 +1,7 @@
 import json
+import shutil
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ from sisa_unlearn import bench, checkpoint, cli, partition
 from sisa_unlearn.bench import GridReport
 from sisa_unlearn.checkpoint import load_checkpoint, save_checkpoint, without_moments
 from sisa_unlearn.cli import RunConfig, build_bundle, main
+from sisa_unlearn.files import write_json
 from sisa_unlearn.partition import make_plan
 from sisa_unlearn.pipeline import train_sisa
 from sisa_unlearn.unlearning import STRATEGIES, run_unlearning, strategy_rule
@@ -103,6 +106,22 @@ class TestPlan:
                        "message": "unknown config key(s) at top level: ['policy']"}
         assert not (tmp_path / "run").exists()
 
+    def test_refuses_a_run_directory(self, tmp_path, capsys):
+        # the run's plan.json reports its removals; a fresh plan would undo them
+        cfg = write_config(tmp_path)
+        run_dir = tmp_path / "elsewhere"
+        assert run(["train", "--config", cfg, "--out", run_dir]) == 0
+        assert run(["unlearn", run_dir, "--class", "class_3"]) == 0
+        before = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert run(["plan", "--config", cfg, "--out", run_dir]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["type"] == "ValueError"
+        assert err["message"].startswith(f"{run_dir} holds a run (manifest.json)")
+        assert {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()} == before
+
 
 class TestTrain:
     def test_run_directory_layout(self, tmp_path):
@@ -115,7 +134,6 @@ class TestTrain:
         # point, slice 2 its final, and slice 1 is not stored
         assert ckpts == [f"shards/{k}/slice_{ell}.ckpt" for k in (0, 1) for ell in (0, 2)]
         manifest = json.loads((run_dir / "manifest.json").read_text())
-        assert manifest["strategy"] == "sisa_scls_replay"
         assert [e["checkpoints"] for e in manifest["constituents"]] == [
             [f"shards/{k}/slice_0.ckpt", None, f"shards/{k}/slice_2.ckpt"] for k in (0, 1)]
         assert (run_dir / "reports" / "before.json").exists()
@@ -591,17 +609,19 @@ class TestEval:
                 assert run(["eval", run_dir]) == 0
             assert_same_run(deleted, clean)
 
-    def test_baseline_checkpoint_read_through_manifest(self, tmp_path, loads):
+    def test_baseline_checkpoint_read_from_its_path(self, tmp_path, loads, capsys):
         cfg = write_config(tmp_path, strategy="baseline_full")
         assert run(["train", "--config", cfg]) == 0
         run_dir = tmp_path / "run"
-        (run_dir / "baseline.ckpt").rename(run_dir / "moved.ckpt")
-        path = run_dir / "manifest.json"
-        path.write_text(json.dumps({**json.loads(path.read_text()),
-                                    "baseline": "moved.ckpt"}))
         loads.clear()
         assert run(["eval", run_dir]) == 0
-        assert loads == [run_dir / "moved.ckpt"]
+        assert loads == [run_dir / "baseline.ckpt"]
+        (run_dir / "baseline.ckpt").rename(run_dir / "moved.ckpt")
+        capsys.readouterr()
+        assert run(["eval", run_dir]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == {
+            "type": "IntegrityError",
+            "message": f"{run_dir / 'baseline.ckpt'}: checkpoint file missing"}
 
     def test_manifest_with_mode_key_loads(self, tmp_path):
         # manifests written before the aggregation rule was fixed carry "mode"
@@ -613,17 +633,55 @@ class TestEval:
         assert run(["eval", tmp_path / "run"]) == 0
         assert run(["unlearn", tmp_path / "run", "--class", "class_1"]) == 0
 
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_the_manifest_listing_is_never_read(self, tmp_path, strategy):
+        # eval and unlearn derive every deployed file from the rebuilt plan:
+        # a manifest of removed_classes alone serves and unlearns as before
+        cfg = write_config(tmp_path)
+        bare, clean = tmp_path / "bare", tmp_path / "clean"
+        for run_dir in (bare, clean):
+            assert run(["train", "--config", cfg, "--strategy", strategy,
+                        "--out", run_dir]) == 0
+        write_json(bare / "manifest.json", {"removed_classes": []})
+        assert run(["eval", bare]) == 0
+        before = json.loads((bare / "reports" / "before.json").read_text())
+        after = json.loads((bare / "reports" / "eval.json").read_text())
+        for key in ("accuracy", "precision", "recall", "confusion_matrix"):
+            assert after[key] == before[key]
+        for run_dir in (bare, clean):
+            assert run(["unlearn", run_dir, "--class", "class_1"]) == 0
+            assert run(["eval", run_dir]) == 0
+        assert_same_run(bare, clean)
+        assert (bare / "manifest.json").read_bytes() == \
+            (clean / "manifest.json").read_bytes()
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_manifest_holds_removed_classes_and_the_listing(self, tmp_path, strategy):
+        # and nothing timed: two trainings of one config write the same bytes
+        cfg = write_config(tmp_path)
+        first, second = tmp_path / "first", tmp_path / "second"
+        listing = ({"baseline"} if strategy == "baseline_full"
+                   else {"constituents", "gating"})
+        for step in ("train", "class_1", "class_3"):
+            for run_dir in (first, second):
+                argv = (["train", "--config", cfg, "--strategy", strategy, "--out", run_dir]
+                        if step == "train" else ["unlearn", run_dir, "--class", step])
+                assert run(argv) == 0
+            manifest = json.loads((first / "manifest.json").read_text())
+            assert set(manifest) == {"removed_classes"} | listing
+            assert (first / "manifest.json").read_bytes() == \
+                (second / "manifest.json").read_bytes()
+        assert manifest["removed_classes"] == [1, 3]
+
     @pytest.mark.parametrize("command", ["eval", "unlearn"])
-    @pytest.mark.parametrize("strategy, gating", [("sisa_gated", None),
-                                                  ("sisa_scls_replay", "gating.ckpt")])
-    def test_router_entry_must_match_the_strategy(self, tmp_path, capsys, strategy,
-                                                  gating, command):
-        # a gated run without its router would serve by max-confidence instead
+    def test_config_edited_after_train_is_an_integrity_error(self, tmp_path, capsys,
+                                                             command):
+        # K: 3 rebuilds a plan whose shards and heads the stored files do not match
         cfg = write_config(tmp_path)
         run_dir = tmp_path / "run"
-        assert run(["train", "--config", cfg, "--strategy", strategy]) == 0
-        path = run_dir / "manifest.json"
-        path.write_text(json.dumps({**json.loads(path.read_text()), "gating": gating}))
+        assert run(["train", "--config", cfg]) == 0
+        path = run_dir / "config.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "K": 3}))
         before = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
         argv = ["eval", run_dir] if command == "eval" else \
             ["unlearn", run_dir, "--class", "class_1"]
@@ -631,10 +689,27 @@ class TestEval:
         assert run(argv) == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
-        err = json.loads(lines[0])["error"]
-        assert err["type"] == "IntegrityError"
-        assert err["message"].startswith(f"manifest.json key 'gating' is {gating!r}, "
-                                         f"but strategy {strategy} ")
+        assert json.loads(lines[0])["error"]["type"] == "IntegrityError"
+        assert {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()} == before
+
+    @pytest.mark.parametrize("command", ["eval", "unlearn"])
+    def test_gated_run_without_its_router_is_an_integrity_error(self, tmp_path, capsys,
+                                                                command):
+        # it would serve by max-confidence instead
+        cfg = write_config(tmp_path)
+        run_dir = tmp_path / "run"
+        assert run(["train", "--config", cfg, "--strategy", "sisa_gated"]) == 0
+        (run_dir / "gating.ckpt").unlink()
+        before = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+        argv = ["eval", run_dir] if command == "eval" else \
+            ["unlearn", run_dir, "--class", "class_1"]
+        capsys.readouterr()
+        assert run(argv) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == {
+            "type": "IntegrityError",
+            "message": f"{run_dir / 'gating.ckpt'}: checkpoint file missing"}
         assert {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()} == before
 
 
@@ -694,11 +769,14 @@ class TestCheckpointLoads:
     def test_unlearn_loads_finals_and_rollback_point(self, tmp_path, loads,
                                                      strategy, class_id):
         run_dir, manifest, meta = train_run(tmp_path, strategy)
+        plan = json.loads((run_dir / "plan.json").read_text())
         loads.clear()
         assert run(["unlearn", run_dir, "--class", f"class_{class_id}"]) == 0
-        # the owning shard's final is replaced, so it is never read
-        expected = finals(manifest, skip=meta[str(class_id)]["shard_id"])
-        if strategy_rule(strategy).rollback and meta[str(class_id)]["first_slice"] > 0:
+        # the owning shard's final is replaced, so it is never read; the
+        # removal resumes after first slice - 1 when it is a resume point
+        loc = meta[str(class_id)]
+        expected = finals(manifest, skip=loc["shard_id"])
+        if loc["first_slice"] - 1 in resume_points(plan, loc["shard_id"]):
             expected.add(rollback_point(meta, class_id))
         if manifest["gating"]:
             expected.add("gating.ckpt")
@@ -927,15 +1005,15 @@ class TestFinalsOnDisk:
         assert deployed(old) == deployed(new)
 
     @pytest.mark.parametrize("command", ["eval", "unlearn"])
-    def test_reading_a_null_entry_is_an_integrity_error(self, tmp_path, capsys, command):
+    def test_a_deleted_stored_slice_is_an_integrity_error(self, tmp_path, capsys,
+                                                          command):
         # eval reads every final; unlearn reads the removed class's rollback point
-        run_dir, manifest, meta = train_run(tmp_path, "sisa_scls_replay")
+        run_dir, _, meta = train_run(tmp_path, "sisa_scls_replay")
         class_id = next(int(c) for c, loc in meta.items() if loc["first_slice"] > 0)
         shard = meta[str(class_id)]["shard_id"]
         ell = 2 if command == "eval" else meta[str(class_id)]["first_slice"] - 1
-        entry = next(e for e in manifest["constituents"] if e["shard_id"] == shard)
-        entry["checkpoints"][ell] = None
-        (run_dir / "manifest.json").write_text(json.dumps(manifest))
+        deleted = run_dir / "shards" / str(shard) / f"slice_{ell}.ckpt"
+        deleted.unlink()
         before = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
         argv = ["eval", run_dir] if command == "eval" else \
             ["unlearn", run_dir, "--class", f"class_{class_id}"]
@@ -944,8 +1022,7 @@ class TestFinalsOnDisk:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == {
-            "type": "IntegrityError",
-            "message": f"shard {shard}: the run directory holds no checkpoint of slice {ell}"}
+            "type": "IntegrityError", "message": f"{deleted}: checkpoint file missing"}
         assert {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()} == before
 
     def test_a_manifest_naming_every_slice_still_loads(self, tmp_path):
@@ -1006,19 +1083,16 @@ class TestFinalsOnDisk:
         assert outcome["slice_range_retrained"] == [1, 1]
 
     def test_rollback_to_a_final_is_an_integrity_error(self, tmp_path, capsys):
+        # slice 2, the final, copied over slice 1, the rollback point
         cfg = write_config(tmp_path, dataset=SIX_CLASSES)
         run_dir = tmp_path / "run"
         assert run(["train", "--config", cfg]) == 0
         meta = json.loads((run_dir / "plan.json").read_text())["metadata"]
         class_id = next(int(c) for c, loc in meta.items() if loc["first_slice"] == 2)
         shard = meta[str(class_id)]["shard_id"]
-        path = run_dir / "manifest.json"
-        manifest = json.loads(path.read_text())
-        entry = next(e for e in manifest["constituents"] if e["shard_id"] == shard)
-        entry["checkpoints"][1] = entry["checkpoints"][2]
-        path.write_text(json.dumps(manifest))
-        before = {name: (run_dir / name).read_bytes()
-                  for name in ("manifest.json", "plan.json")}
+        shard_dir = run_dir / "shards" / str(shard)
+        shutil.copyfile(shard_dir / "slice_2.ckpt", shard_dir / "slice_1.ckpt")
+        before = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
         capsys.readouterr()
         assert run(["unlearn", run_dir, "--class", f"class_{class_id}"]) == 1
         lines = capsys.readouterr().err.splitlines()
@@ -1027,66 +1101,61 @@ class TestFinalsOnDisk:
         assert err["type"] == "IntegrityError"
         assert f"shard {shard}: the checkpoint of slice 2 holds no Adam moments" \
             in err["message"]
-        for name, raw in before.items():
-            assert (run_dir / name).read_bytes() == raw
+        assert {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()} == before
 
     @pytest.mark.parametrize("wrong", ["slice_0", "other_shard"])
     def test_rollback_to_another_checkpoint_is_an_integrity_error(
             self, tmp_path, capsys, wrong):
-        # the manifest's slice-1 entry names a checkpoint that holds moments
+        # slice 1, the rollback point, overwritten by another checkpoint
+        # that holds moments
         cfg = write_config(tmp_path, dataset=SIX_CLASSES)
         run_dir = tmp_path / "run"
         assert run(["train", "--config", cfg]) == 0
         meta = json.loads((run_dir / "plan.json").read_text())["metadata"]
         class_id = next(int(c) for c, loc in meta.items() if loc["first_slice"] == 2)
         shard = meta[str(class_id)]["shard_id"]
-        path = run_dir / "manifest.json"
-        manifest = json.loads(path.read_text())
-        entry, other = sorted(manifest["constituents"],
-                              key=lambda e: e["shard_id"] != shard)
-        entry["checkpoints"][1] = (entry["checkpoints"][0] if wrong == "slice_0"
-                                   else other["checkpoints"][1])
-        path.write_text(json.dumps(manifest))
-        before = {name: (run_dir / name).read_bytes()
-                  for name in ("manifest.json", "plan.json")}
+        other = 1 - shard
+        source = (f"shards/{shard}/slice_0.ckpt" if wrong == "slice_0"
+                  else f"shards/{other}/slice_1.ckpt")
+        shutil.copyfile(run_dir / source, run_dir / "shards" / str(shard) / "slice_1.ckpt")
+        before = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
         capsys.readouterr()
         assert run(["unlearn", run_dir, "--class", f"class_{class_id}"]) == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         err = json.loads(lines[0])["error"]
         assert err["type"] == "IntegrityError"
-        got = (f"shard {shard} slice 0" if wrong == "slice_0"
-               else f"shard {other['shard_id']} slice 1")
+        got = f"shard {shard} slice 0" if wrong == "slice_0" else f"shard {other} slice 1"
         assert (f"shard {shard}: resuming at slice 2 needs the checkpoint of slice 1, "
                 f"got {got}") in err["message"]
-        for name, raw in before.items():
-            assert (run_dir / name).read_bytes() == raw
+        assert {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()} == before
 
 
     @pytest.mark.parametrize("command", ["eval", "unlearn"])
     @pytest.mark.parametrize("edit", ["final_of_another_shard", "head"])
     def test_mismatched_final_is_an_integrity_error(self, tmp_path, capsys,
                                                     edit, command):
-        # a shard deploys its manifest's last entry under the manifest's head
+        # a shard deploys its final under the head the plan gives it
         cfg = write_config(tmp_path)
         run_dir = tmp_path / "run"
         assert run(["train", "--config", cfg]) == 0
-        path = run_dir / "manifest.json"
-        manifest = json.loads(path.read_text())
+        manifest = json.loads((run_dir / "manifest.json").read_text())
         entry, other = manifest["constituents"]
         k, head = entry["shard_id"], entry["output_classes"]
+        final = run_dir / entry["checkpoints"][-1]
         if edit == "final_of_another_shard":
             # unlearn refuses it before retraining the other shard
-            entry["checkpoints"][-1] = other["checkpoints"][-1]
+            shutil.copyfile(run_dir / other["checkpoints"][-1], final)
             want = [f"shard {k}: the deployed final is shard {other['shard_id']} slice 2 "
                     f"with head {other['output_classes']}, not shard {k} slice 2 "
                     f"with head {head}"]
         else:
-            entry["output_classes"] = head[::-1]
+            ckpt = load_checkpoint(final)
+            save_checkpoint(replace(ckpt, params=replace(
+                ckpt.params, output_classes=tuple(head[::-1]))), final)
             want = [f"shard {k}: the deployed final is shard {k} slice 2 with head "
-                    f"{head}, not shard {k} slice 2 with head {head[::-1]}"]
-        path.write_text(json.dumps(manifest))
-        before = path.read_bytes()
+                    f"{head[::-1]}, not shard {k} slice 2 with head {head}"]
+        before = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
         argv = ["eval", run_dir] if command == "eval" else \
             ["unlearn", run_dir, "--class", f"class_{other['output_classes'][0]}"]
         capsys.readouterr()
@@ -1096,21 +1165,20 @@ class TestFinalsOnDisk:
         err = json.loads(lines[0])["error"]
         assert err["type"] == "IntegrityError"
         assert all(part in err["message"] for part in want)
-        assert path.read_bytes() == before
+        assert {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()} == before
 
     @pytest.mark.parametrize("strategy", SISA)
     def test_refused_unlearn_changes_no_file(self, tmp_path, capsys, strategy):
-        # shard 0 deploys shard 1's final: removing a shard-1 class must be
+        # shard 0 holds shard 1's final: removing a shard-1 class must be
         # refused before shard 1 retrains into the run directory
         cfg = write_config(tmp_path, dataset=SIX_CLASSES)
         run_dir = tmp_path / "run"
         assert run(["train", "--config", cfg, "--strategy", strategy]) == 0
-        path = run_dir / "manifest.json"
-        manifest = json.loads(path.read_text())
+        manifest = json.loads((run_dir / "manifest.json").read_text())
         entry, other = manifest["constituents"]
         assert (entry["shard_id"], other["shard_id"]) == (0, 1)
-        entry["checkpoints"][-1] = other["checkpoints"][-1]
-        path.write_text(json.dumps(manifest))
+        shutil.copyfile(run_dir / other["checkpoints"][-1],
+                        run_dir / entry["checkpoints"][-1])
         before = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
         capsys.readouterr()
         assert run(["unlearn", run_dir, "--class",
