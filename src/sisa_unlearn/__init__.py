@@ -9,8 +9,8 @@ from .nn import (Architecture, ModelParameters, adam_init, adam_step,
                  mlp_architecture)
 from .partition import (BALANCED, SEQUENTIAL_CLASS, PartitionPlan,
                         build_metadata, make_plan, plan_shards, plan_slices)
-from .pipeline import (BaselineModel, DataBundle, SisaSystem, synthetic_bundle,
-                       train_baseline, train_sisa)
+from .pipeline import (DataBundle, SisaSystem, synthetic_bundle, train_baseline,
+                       train_sisa)
 from .rng import RngState
 from .training import (Checkpoint, ReplayBuffer, TrainConfig,
                        early_stop_monitor, sample_replay, train_shard)

@@ -12,11 +12,10 @@ import numpy as np
 
 from .evaluation import evaluate
 from .files import write_atomic, write_json
-from .partition import make_plan
-from .pipeline import DataBundle, train_baseline, train_sisa
+from .pipeline import DataBundle
 from .training import TrainConfig
-from .unlearning import (BASELINE_FULL, SISA_SCLS_REPLAY, STRATEGIES,
-                         STRATEGY_RULES, run_unlearning, train_config_for)
+from .unlearning import (BASELINE_FULL, SISA_SCLS_REPLAY, STRATEGIES, run_training,
+                         run_unlearning, train_config_for)
 
 # (K, L) of the replay-ratio study
 REPLAY_SETUP = (2, 5)
@@ -84,25 +83,14 @@ def _run_strategy_cell(cfg: BenchConfig, data: DataBundle, setup: tuple[int, int
     K, L = setup
     cell = GridCell(setup=f"{K}-{L}", model=STRATEGIES.index(strategy) + 1,
                     strategy=strategy, seed=seed)
-    rule = STRATEGY_RULES[strategy]
     tcfg = train_config_for(strategy, replace(cfg.train, seed=seed))
-    classes = sorted(set(int(c) for c in data.train.labels))
-
-    if strategy == BASELINE_FULL:
-        model = train_baseline(data, tcfg)
-        cell.accuracy_before = evaluate(model.params, data.test).accuracy
-        cell.train_seconds = model.train_seconds
-        target = model
-    else:
-        plan = make_plan(data.train.labels, K, L, rule.policy)
-        system = train_sisa(data, plan, tcfg, gated=rule.gated)
-        cell.accuracy_before = evaluate(system.ensemble, data.test).accuracy
-        cell.train_seconds = system.train_seconds
-        target = system
+    system = run_training(strategy, data, K, L, tcfg)
+    cell.accuracy_before = evaluate(system.ensemble, data.test).accuracy
+    cell.train_seconds = system.train_seconds
 
     after_acc, seconds = [], []
-    for c in classes:
-        _new, outcome = run_unlearning(strategy, target, data, c, tcfg)
+    for c in sorted(system.plan.metadata):
+        _new, outcome = run_unlearning(strategy, system, data, c, tcfg)
         after_acc.append(outcome.report.accuracy)
         seconds.append(outcome.seconds)
     cell.accuracy_after = float(np.mean(after_acc))

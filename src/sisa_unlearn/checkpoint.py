@@ -17,11 +17,11 @@ slicing, a slice l after which some class of a shard of two or more classes
 first appears (first slice l + 1), as removing that class restores slice l
 and nothing else (`partition.resume_points`). A checkpoint nothing resumes
 from holds parameters alone (`without_moments`): a shard's final (a
-rollback restores slice first - 1 <= L - 2), the gating router and the
-baseline. A store holds no other file: `CheckpointStore.save_chain` writes
-only these, and `CheckpointStore.retain` deletes the rest. Files with and
-without moments load the same way. Save -> load roundtrips are bitwise
-exact.
+rollback restores slice first - 1 <= L - 2), the baseline's one slice
+among them, and the gating router. A store holds no other file:
+`CheckpointStore.save_chain` writes only these, and
+`CheckpointStore.retain` deletes the rest. Files with and without moments
+load the same way. Save -> load roundtrips are bitwise exact.
 
 The digest kernel (fnv1a64) is exact and bit-sliced: each block is
 transposed once into 8 bit planes, 64 byte positions per uint64 word, where
@@ -265,8 +265,7 @@ def without_moments(ckpt: Checkpoint) -> Checkpoint:
 def save_params(params: ModelParameters, path, adam: AdamConfig,
                 rng: RngState) -> int:
     """Save a model that is never trained further, with no Adam moments
-    (see `without_moments`): the gating router and the full-retraining
-    baseline, which retrains from a fresh initialization."""
+    (see `without_moments`): the gating router."""
     return save_checkpoint(Checkpoint(params=params, opt_state=_no_moments(adam, 0),
                                       shard_id=-1, slice_index=-1, epoch=0,
                                       rng=rng), path)
@@ -410,7 +409,8 @@ def kept_slices(plan: PartitionPlan) -> dict[int, set[int]]:
 
 
 class CheckpointStore:
-    """Run-directory layout: shards/<k>/slice_<l>.ckpt plus gating/baseline.
+    """Run-directory layout: shards/<k>/slice_<l>.ckpt plus gating.ckpt. The
+    baseline's one model is shards/0/slice_0.ckpt.
 
     What a store holds is decided in one place, `kept_slices`: each
     deployed shard's final and resume points, plus the router of a gated
@@ -433,9 +433,6 @@ class CheckpointStore:
     def gating_path(self) -> Path:
         return self.root / "gating.ckpt"
 
-    def baseline_path(self) -> Path:
-        return self.root / "baseline.ckpt"
-
     def save_chain(self, checkpoints: Iterable[Checkpoint], plan: PartitionPlan) -> None:
         """Save each of `checkpoints` that the store keeps under `plan`
         (`kept_slices`): a resume point with its Adam moments, as a removal
@@ -450,24 +447,23 @@ class CheckpointStore:
                 ckpt = without_moments(ckpt)
             save_checkpoint(ckpt, self.slice_path(ckpt.shard_id, ckpt.slice_index))
 
-    def retain(self, plan: PartitionPlan | None, gated: bool = False) -> None:
-        """Delete every file under shards/, and gating.ckpt and
-        baseline.ckpt, that no later removal or query of the deployed
-        system reads, and every directory under shards/ left empty.
+    def retain(self, plan: PartitionPlan, gated: bool = False) -> None:
+        """Delete every file under shards/, and every checkpoint beside it,
+        that no later removal or query of the deployed system reads, and
+        every directory under shards/ left empty.
 
-        Kept: the slices `kept_slices` names under `plan`, and the router
-        if `gated`. `plan` None is a baseline run: baseline.ckpt alone is
-        kept. Nothing is written: a kept file that does not exist stays
-        absent.
+        Kept: the slices `kept_slices` names under `plan`, and gating.ckpt
+        if `gated`. Any other checkpoint beside shards/ goes, such as the
+        model file of a baseline run written before the baseline was a plan
+        of one shard and one slice. Nothing is written: a kept file that
+        does not exist stays absent.
         """
-        if plan is None or not gated:
-            self.gating_path().unlink(missing_ok=True)
-        if plan is not None:
-            self.baseline_path().unlink(missing_ok=True)
-        kept = {} if plan is None else kept_slices(plan)
+        for path in self.root.glob("*.ckpt"):
+            if not (gated and path == self.gating_path()):
+                path.unlink()
         # strings, as os.walk gives paths: a Path per slice costs more than the walk
         keep = set()
-        for k, slices in kept.items():
+        for k, slices in kept_slices(plan).items():
             shard_dir = str(self.shard_dir(k))
             keep.update(os.path.join(shard_dir, _slice_file(ell)) for ell in slices)
         # bottom-up, so a directory is emptied before it is looked at

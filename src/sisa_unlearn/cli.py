@@ -4,7 +4,9 @@ Configuration is one JSON document, read only by `RunConfig.from_file`,
 which applies the `--seed`, `--out` and `--strategy` flags; every key
 resolves as flag > config > default. Run directories are self-contained:
 config copy, plan (a report no command reads back), the checkpoints the
-store keeps, manifest, and reports. `_write_run` is the one writer of the
+store keeps, manifest, and reports. Every strategy's run has this one
+layout, the baseline's too: its plan has one shard of one slice
+(`unlearning.strategy_plan`). `_write_run` is the one writer of the
 manifest and of a removal's checkpoints; `_load_run` reads only its
 removed classes and derives every deployed file from the config, the
 data and the rebuilt plan.
@@ -21,18 +23,16 @@ from pathlib import Path
 
 from .bench import BenchConfig, format_grid_table, run_benchmark_grid
 from .checkpoint import (Checkpoint, CheckpointStore, LazyChain, kept_slices,
-                         load_checkpoint, save_params)
+                         load_checkpoint)
 from .data import SplitSpec
 from .errors import IntegrityError, SisaError, UnknownClassError
 from .evaluation import evaluate
 from .files import write_json
-from .partition import SEQUENTIAL_CLASS, PartitionPlan, make_plan, purge_class
-from .pipeline import (BaselineModel, DataBundle, SisaSystem, cifar_bundle,
-                       synthetic_bundle, train_baseline, train_sisa)
-from .rng import RngState
+from .partition import PartitionPlan, purge_class
+from .pipeline import DataBundle, SisaSystem, cifar_bundle, synthetic_bundle
 from .training import ShardTrainResult, TrainConfig
-from .unlearning import (BASELINE_FULL, STRATEGIES, run_unlearning, strategy_rule,
-                         train_config_for)
+from .unlearning import (STRATEGIES, run_training, run_unlearning, strategy_plan,
+                         strategy_rule, train_config_for)
 
 
 def _int(value) -> int:
@@ -183,12 +183,6 @@ class RunConfig:
             bench=bench,
         )
 
-    @property
-    def policy(self) -> str:
-        """The plan policy the strategy requires; the baseline trains on no
-        plan, and `plan` writes it a sequential one."""
-        return strategy_rule(self.strategy).policy or SEQUENTIAL_CLASS
-
     def train_config(self) -> TrainConfig:
         return train_config_for(self.strategy, _train_config(
             self.train, _RUN_TRAIN_DEFAULTS, replay_ratio=self.replay_ratio,
@@ -237,23 +231,20 @@ def _stored_chains(store: CheckpointStore, plan: PartitionPlan) -> dict[int, lis
             for k, kept in kept_slices(plan).items()}
 
 
-def _write_run(store: CheckpointStore, target, tcfg: TrainConfig,
+def _write_run(store: CheckpointStore, system: SisaSystem,
                checkpoints: Iterable[Checkpoint] = ()) -> None:
-    """Write the deployed target, then `manifest.json`, the run directory's
-    one commit point, then cut the run directory to what the target reads.
+    """Save `checkpoints`, a removal's retrained slices, as the store keeps
+    them (`CheckpointStore.save_chain`; `pipeline.train_sisa` and
+    `train_baseline` saved a trained system's), then the plan, a report no
+    command reads back, then `manifest.json`, the run directory's one commit
+    point, then cut the run directory to what the system reads
+    (`CheckpointStore.retain`).
 
     The manifest holds `removed_classes`, the one key a command reads, and
     a listing for readers outside the package, each path relative to the
     run directory: per deployed shard of the plan, its head and its
     `_stored_chains` paths, null for a slice not stored, and the router
-    (`gating`, null if none); or, for a baseline, `baseline`.
-
-    A baseline target writes its checkpoint; after the manifest, the store
-    is cut to it (`CheckpointStore.retain`) and an earlier SISA run's
-    `plan.json` goes. A SISA system saves `checkpoints`, a removal's
-    retrained slices, as the store keeps them (`CheckpointStore.save_chain`;
-    `pipeline.train_sisa` saved a trained system's), then its plan, a
-    report no command reads back, then the manifest. Then the store is cut.
+    (`gating`, null if none).
 
     Nothing is deleted before the manifest swap. A crash before it leaves
     every file the old run reads, the rollback point among them, with only
@@ -265,24 +256,18 @@ def _write_run(store: CheckpointStore, target, tcfg: TrainConfig,
     def rel(path: Path | None) -> str | None:
         return None if path is None else path.relative_to(store.root).as_posix()
 
-    manifest: dict = {"removed_classes": sorted(target.removed_classes)}
-    if isinstance(target, BaselineModel):
-        save_params(target.params, store.baseline_path(), tcfg.adam(),
-                    RngState(tcfg.seed))
-        manifest["baseline"] = rel(store.baseline_path())
-        write_json(store.root / "manifest.json", manifest)   # atomic swap
-        store.retain(None)
-        (store.root / "plan.json").unlink(missing_ok=True)
-        return
-    plan = target.plan
+    plan = system.plan
     store.save_chain(checkpoints, plan)
     plan.save(store.root / "plan.json")
-    manifest["constituents"] = [
-        {"shard_id": k, "output_classes": list(plan.assignments[k].class_ids),
-         "checkpoints": [rel(path) for path in paths]}
-        for k, paths in _stored_chains(store, plan).items()]
-    gated = target.gating is not None
-    manifest["gating"] = rel(store.gating_path()) if gated else None
+    gated = system.gating is not None
+    manifest = {
+        "removed_classes": sorted(system.removed_classes),
+        "constituents": [
+            {"shard_id": k, "output_classes": list(plan.assignments[k].class_ids),
+             "checkpoints": [rel(path) for path in paths]}
+            for k, paths in _stored_chains(store, plan).items()],
+        "gating": rel(store.gating_path()) if gated else None,
+    }
     write_json(store.root / "manifest.json", manifest)   # atomic swap
     store.retain(plan, gated)
 
@@ -297,7 +282,7 @@ def cmd_plan(args) -> int:
         raise ValueError(f"{out} holds a run (manifest.json): plan writes "
                          "only into a directory that holds none")
     bundle = build_bundle(cfg)
-    plan = make_plan(bundle.train.labels, cfg.K, cfg.L, cfg.policy)
+    plan = strategy_plan(cfg.strategy, bundle.train.labels, cfg.K, cfg.L)
     out.mkdir(parents=True, exist_ok=True)
     plan.save(out / "plan.json")
     _say(args, f"plan written to {out / 'plan.json'} "
@@ -317,20 +302,12 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     store = CheckpointStore(out)
     write_json(out / "config.json", cfg.to_dict())
-
-    if cfg.strategy == BASELINE_FULL:
-        target = train_baseline(bundle, tcfg)
-        model = target.params
-    else:
-        plan = make_plan(bundle.train.labels, cfg.K, cfg.L, cfg.policy)
-        target = train_sisa(bundle, plan, tcfg, store=store,
-                            gated=strategy_rule(cfg.strategy).gated)
-        model = target.ensemble
-    _write_run(store, target, tcfg)
-    report = evaluate(model, bundle.test,
+    system = run_training(cfg.strategy, bundle, cfg.K, cfg.L, tcfg, store=store)
+    _write_run(store, system)
+    report = evaluate(system.ensemble, bundle.test,
                       config_tag={"K": cfg.K, "L": cfg.L, "strategy": cfg.strategy,
                                   "replay_ratio": cfg.replay_ratio})
-    report.train_seconds = target.train_seconds
+    report.train_seconds = system.train_seconds
     # an earlier run's reports describe removals and evaluations of another model
     shutil.rmtree(out / "reports", ignore_errors=True)
     write_json(out / "reports" / "before.json", report.to_json_dict())
@@ -340,27 +317,29 @@ def cmd_train(args) -> int:
 
 
 def _load_run(run_dir: Path):
-    """The run in `run_dir`: its config, data and deployed target. The
+    """The run in `run_dir`: its config, data and deployed system. The
     manifest gives `removed_classes` alone, the commit point. The plan is
-    rebuilt by `make_plan` over the config's data, then `purge_class` for
-    each removed class, and names each deployed shard, its head and its
+    rebuilt by `strategy_plan` over the config's data, then `purge_class`
+    for each removed class, and names each deployed shard, its head and its
     stored files (`_stored_chains`). The router is `gating.ckpt` when the
-    config's strategy is gated; a baseline is `baseline.ckpt`. A directory
-    without `manifest.json` is an `IntegrityError`."""
+    config's strategy is gated. A directory without `manifest.json`, or
+    whose manifest is not a JSON object with a list of class ids under
+    `removed_classes`, is an `IntegrityError`."""
+    path = run_dir / "manifest.json"
     try:
-        removed = tuple(json.loads((run_dir / "manifest.json").read_text())
-                        ["removed_classes"])
+        text = path.read_text()
     except FileNotFoundError:
         raise IntegrityError(f"{run_dir} holds no manifest.json: it is no run "
                              "directory, or a train into it did not finish") from None
+    try:
+        removed = _list_of(_int)(_object(json.loads(text))["removed_classes"])
+    except (KeyError, ValueError):
+        raise IntegrityError(f"{path}: not a JSON object with a list of class ids "
+                             "under removed_classes") from None
     cfg = RunConfig.from_file(run_dir / "config.json")
     bundle = build_bundle(cfg)
     store = CheckpointStore(run_dir)
-    if cfg.strategy == BASELINE_FULL:
-        params = load_checkpoint(store.baseline_path()).params
-        target = BaselineModel(params=params, train_seconds=0.0, removed_classes=removed)
-        return cfg, bundle, target
-    plan = make_plan(bundle.train.labels, cfg.K, cfg.L, cfg.policy)
+    plan = strategy_plan(cfg.strategy, bundle.train.labels, cfg.K, cfg.L)
     for class_id in removed:
         plan = purge_class(plan, class_id, bundle.train.labels)
     # loaded as read: eval reads the finals; unlearn reads the rollback point
@@ -382,23 +361,23 @@ def _load_run(run_dir: Path):
 
 def cmd_unlearn(args) -> int:
     run_dir = Path(args.run_dir)
-    cfg, bundle, target = _load_run(run_dir)
+    cfg, bundle, system = _load_run(run_dir)
     names = bundle.class_names
     if args.class_name not in names:
         raise UnknownClassError(
             f"unknown class {args.class_name!r}; valid names: {names}")
     class_id = names.index(args.class_name)
-    if class_id in target.removed_classes:
+    if class_id in system.removed_classes:
         raise UnknownClassError(f"class {args.class_name!r} already removed")
 
-    tcfg = cfg.train_config()
-    new_target, outcome = run_unlearning(cfg.strategy, target, bundle, class_id, tcfg)
+    new_system, outcome = run_unlearning(cfg.strategy, system, bundle, class_id,
+                                         cfg.train_config())
     retrained = ()
-    if outcome.shard_id is not None and outcome.first_slice is not None:
+    if outcome.first_slice is not None:
         # the owning shard's chain from its first retrained slice on
-        chain = new_target.shard_results[outcome.shard_id].checkpoints
+        chain = new_system.shard_results[outcome.shard_id].checkpoints
         retrained = chain[outcome.first_slice - 1:]
-    _write_run(CheckpointStore(run_dir), new_target, tcfg, retrained)
+    _write_run(CheckpointStore(run_dir), new_system, retrained)
     write_json(run_dir / "reports" / f"unlearn_{args.class_name}.json",
                outcome.to_json_dict())
     _say(args, f"unlearned {args.class_name!r}: verdict "
@@ -410,13 +389,12 @@ def cmd_unlearn(args) -> int:
 
 def cmd_eval(args) -> int:
     run_dir = Path(args.run_dir)
-    cfg, bundle, target = _load_run(run_dir)
-    model = target.params if isinstance(target, BaselineModel) else target.ensemble
-    report = evaluate(model, bundle.test, config_tag={"strategy": cfg.strategy})
+    cfg, bundle, system = _load_run(run_dir)
+    report = evaluate(system.ensemble, bundle.test, config_tag={"strategy": cfg.strategy})
     write_json(run_dir / "reports" / "eval.json", report.to_json_dict())
     _say(args, f"test accuracy {report.accuracy:.4f} "
                f"({len(bundle.test)} samples, "
-               f"removed classes: {list(target.removed_classes)})")
+               f"removed classes: {list(system.removed_classes)})")
     return 0
 
 

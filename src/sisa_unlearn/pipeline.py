@@ -3,7 +3,8 @@
 A SisaSystem bundles the partition plan, the per-shard checkpoint chains
 and the gating router; the inference ensemble is derived from them. It is
 the object unlearning strategies operate on; they return fresh systems
-rather than mutating in place.
+rather than mutating in place. The full-retraining baseline is one too:
+its plan has one shard of one slice.
 """
 from __future__ import annotations
 
@@ -26,9 +27,9 @@ from .data import (LabeledDataset, SplitSpec, channel_stats, generate_synthetic,
 from .ensemble import EnsembleModel, train_gating
 from .errors import IntegrityError
 from .nn import ModelParameters
-from .partition import PartitionPlan
+from .partition import BALANCED, PartitionPlan, make_plan
 from .rng import RngState
-from .training import ShardTrainResult, TrainConfig, train_model, train_shard
+from .training import ShardTrainResult, TrainConfig, train_full, train_shard
 
 
 @dataclass
@@ -295,17 +296,16 @@ def train_sisa(data: DataBundle, plan: PartitionPlan, cfg: TrainConfig, *,
         train_seconds=sum(r.seconds for r in shard_results.values()) + seconds)
 
 
-@dataclass
-class BaselineModel:
-    """Single model over every class, the full-retraining reference point."""
-
-    params: ModelParameters
-    train_seconds: float                # CPU seconds of its fit
-    removed_classes: tuple[int, ...] = ()
-
-
-def train_baseline(data: DataBundle, cfg: TrainConfig) -> BaselineModel:
-    """One model over every class in the train split."""
-    params, _opt, res = train_model(data.train, data.val,
-                                    set(data.train.labels.tolist()), cfg)
-    return BaselineModel(params=params, train_seconds=res.seconds)
+def train_baseline(data: DataBundle, cfg: TrainConfig, *,
+                   store: CheckpointStore | None = None) -> SisaSystem:
+    """The full-retraining reference point: SISA with one shard of one
+    slice, `make_plan(labels, 1, 1, BALANCED)`, whose one model trains over
+    every class in the train split (`train_full`). Its chain is saved to
+    `store` and the store cut to it, as `train_sisa` does."""
+    plan = make_plan(data.train.labels, 1, 1, BALANCED)
+    result = train_full(plan, data.train, data.val, cfg)
+    if store is not None:
+        store.save_chain(result.checkpoints, plan)
+        store.retain(plan)
+    return SisaSystem(plan=plan, shard_results={0: result}, num_classes=data.num_classes,
+                      store=store, train_seconds=result.seconds)

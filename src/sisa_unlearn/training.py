@@ -318,3 +318,19 @@ def train_model(train_ds: LabeledDataset, val_ds: LabeledDataset,
     y_val = _local_labels(val_part.labels, head) if len(val_part) else None
     res = fit(params, opt, train_part.inputs, y, x_val, y_val, cfg, root.child("fit"))
     return params, opt, res
+
+
+def train_full(plan: PartitionPlan, train_ds: LabeledDataset, val_ds: LabeledDataset,
+               cfg: TrainConfig) -> ShardTrainResult:
+    """Full retraining: the one shard of a plan of one shard and one slice,
+    trained from scratch as one model over its classes by `train_model`.
+    Its chain is one checkpoint, shard 0's of slice 0, with the Adam state
+    `train_model` returns. Any other plan is a ValueError."""
+    if (plan.K, plan.L) != (1, 1):
+        raise ValueError("full retraining requires a plan of one shard and one "
+                         f"slice, got K={plan.K}, L={plan.L}")
+    params, opt, res = train_model(train_ds, val_ds, plan.assignments[0].class_ids, cfg)
+    final = Checkpoint(params=params, opt_state=opt, shard_id=0, slice_index=0,
+                       epoch=res.epochs, rng=RngState(cfg.seed).child("model"))
+    return ShardTrainResult(shard_id=0, head=params.output_classes, checkpoints=[final],
+                            seconds_per_slice=[res.seconds], slices_trained=1)

@@ -3,8 +3,10 @@
 All four strategies end with a deployed model whose output heads no longer
 contain the removed class, so zero predictions of it are structurally
 guaranteed; verify_exact checks that empirically via the confusion matrix.
-The three SISA strategies share one removal path, _unlearn_shard; their
-differences are the columns of STRATEGY_RULES.
+The full-retraining baseline is SISA with one shard of one slice, so all
+four share one training dispatcher, run_training, and one removal path,
+_unlearn_shard; their differences are the columns of STRATEGY_RULES, the
+plan each trains on (strategy_plan) and the fit.
 """
 from __future__ import annotations
 
@@ -14,13 +16,15 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .checkpoint import CheckpointStore
 from .data import LabeledDataset
 from .ensemble import predict_labels
 from .errors import IntegrityError, UnknownClassError
 from .evaluation import EvaluationReport, confusion_matrix, report_from_confusion
-from .partition import BALANCED, SEQUENTIAL_CLASS, purge_class, resume_points
-from .pipeline import BaselineModel, DataBundle, SisaSystem
-from .training import TrainConfig, train_model, train_shard
+from .partition import (BALANCED, SEQUENTIAL_CLASS, PartitionPlan, make_plan,
+                        purge_class, resume_points)
+from .pipeline import DataBundle, SisaSystem, train_baseline, train_sisa
+from .training import TrainConfig, train_full, train_shard
 
 BASELINE_FULL = "baseline_full"
 SISA_BALANCED = "sisa_balanced"
@@ -29,13 +33,13 @@ SISA_GATED = "sisa_gated"
 
 
 class StrategyRule(NamedTuple):
-    policy: str | None      # plan policy the strategy requires; None: no plan
+    policy: str             # plan policy the strategy requires
     replay: bool            # trains with the configured replay ratio
     gated: bool             # deploys, and requires, a gating router
 
 
 STRATEGY_RULES = {
-    BASELINE_FULL: StrategyRule(None, False, False),
+    BASELINE_FULL: StrategyRule(BALANCED, False, False),
     SISA_BALANCED: StrategyRule(BALANCED, False, False),
     SISA_SCLS_REPLAY: StrategyRule(SEQUENTIAL_CLASS, True, False),
     SISA_GATED: StrategyRule(SEQUENTIAL_CLASS, True, True),
@@ -55,10 +59,29 @@ def strategy_rule(strategy: str) -> StrategyRule:
     return STRATEGY_RULES[strategy]
 
 
+def strategy_plan(strategy: str, labels, K: int, L: int) -> PartitionPlan:
+    """The plan `strategy` trains on: K shards of L slices under its rule's
+    policy. The baseline's has one shard of one slice, whatever K and L, as
+    `pipeline.train_baseline` trains it: SISA's full retraining."""
+    if strategy == BASELINE_FULL:
+        K = L = 1
+    return make_plan(labels, K, L, strategy_rule(strategy).policy)
+
+
 def train_config_for(strategy: str, cfg: TrainConfig) -> TrainConfig:
     """`cfg` as `strategy` trains with it: its replay ratio is kept only if
     the strategy's rule trains with replay."""
     return cfg if strategy_rule(strategy).replay else replace(cfg, replay_ratio=0.0)
+
+
+def run_training(strategy: str, data: DataBundle, K: int, L: int, cfg: TrainConfig,
+                 *, store: CheckpointStore | None = None) -> SisaSystem:
+    """Train `strategy` on its plan (`strategy_plan`), saving to `store` as
+    `pipeline.train_sisa` does."""
+    if strategy == BASELINE_FULL:
+        return train_baseline(data, cfg, store=store)
+    return train_sisa(data, strategy_plan(strategy, data.train.labels, K, L), cfg,
+                      gated=strategy_rule(strategy).gated, store=store)
 
 
 @dataclass
@@ -66,7 +89,7 @@ class UnlearnOutcome:
     strategy: str
     class_id: int
     class_name: str
-    shard_id: int | None
+    shard_id: int
     first_slice: int | None            # 1-based slice where retraining began
     slices_retrained: int
     seconds: float                     # CPU seconds of the retraining fits
@@ -119,33 +142,6 @@ def _outcome(strategy: str, data: DataBundle, model, class_id: int,
     )
 
 
-def _last_class_message(data: DataBundle, class_id: int) -> str:
-    return (f"class {class_id} ({data.class_names[class_id]!r}) is the last "
-            "class left; removing it would leave no model")
-
-
-def unlearn_baseline(model: BaselineModel, data: DataBundle, class_id: int,
-                     cfg: TrainConfig):
-    """Full retraining from scratch on the dataset minus the class."""
-    if class_id not in model.params.output_classes:
-        raise UnknownClassError(
-            f"class {class_id} not in model head {model.params.output_classes}")
-    survivors = tuple(c for c in model.params.output_classes if c != class_id)
-    if not survivors:
-        raise ValueError(_last_class_message(data, class_id))
-    if len(survivors) < 2:
-        warnings.warn("unlearning leaves a degenerate single-class model",
-                      stacklevel=2)
-    params, _opt, res = train_model(data.train, data.val, survivors, cfg)
-    new_model = BaselineModel(params=params, train_seconds=res.seconds,
-                              removed_classes=model.removed_classes + (class_id,))
-    # its one training set, as SISA with K=1 and L=1 would report it
-    outcome = _outcome(BASELINE_FULL, data, params, class_id,
-                       shard_id=None, first_slice=1,
-                       slices_retrained=1, seconds=res.seconds)
-    return new_model, outcome
-
-
 def _unlearn_shard(strategy: str, system: SisaSystem, data: DataBundle,
                    class_id: int, cfg: TrainConfig):
     """Purge the class from its shard, restore a checkpoint that never saw
@@ -153,7 +149,10 @@ def _unlearn_shard(strategy: str, system: SisaSystem, data: DataBundle,
 
     It resumes from the slice before the class's first when that slice is
     a resume point (`partition.resume_points`, the store's rule too), and
-    restarts the shard at slice 0 otherwise.
+    restarts the shard at slice 0 otherwise. The fit is the one step that
+    differs by strategy: the baseline's one shard of one slice retrains as
+    one model (`training.train_full`), and warns when one class is left;
+    every other shard retrains by `train_shard`.
 
     The restored head is rebuilt without the class (and without any class
     removed earlier), and the class's samples leave every remaining slice
@@ -181,7 +180,8 @@ def _unlearn_shard(strategy: str, system: SisaSystem, data: DataBundle,
             f"class {class_id} not in the current metadata table "
             f"(known: {sorted(metadata)}, removed: {sorted(system.removed_classes)})")
     if len(metadata) == 1:
-        raise ValueError(_last_class_message(data, class_id))
+        raise ValueError(f"class {class_id} ({data.class_names[class_id]!r}) is the "
+                         "last class left; removing it would leave no model")
     loc = metadata[class_id]
     shard_id = loc.shard_id
     # refuse a bad surviving final before anything is retrained into the store
@@ -202,8 +202,14 @@ def _unlearn_shard(strategy: str, system: SisaSystem, data: DataBundle,
                 raise IntegrityError(
                     f"shard {shard_id} is missing the checkpoint after slice {first - 1}")
             initial = old.checkpoints[first - 1]
-        result = train_shard(purged, shard_id, data.train, data.val, cfg,
-                             start_slice=first, initial=initial)
+        if strategy == BASELINE_FULL:
+            if len(new_head) < 2:
+                warnings.warn("unlearning leaves a degenerate single-class model",
+                              stacklevel=3)
+            result = train_full(purged, data.train, data.val, cfg)
+        else:
+            result = train_shard(purged, shard_id, data.train, data.val, cfg,
+                                 start_slice=first, initial=initial)
         if system.store is not None:
             system.store.save_chain(result.checkpoints, purged)
         # for a run read from disk, the kept prefix stays unread (LazyChain)
@@ -222,6 +228,13 @@ def _unlearn_shard(strategy: str, system: SisaSystem, data: DataBundle,
     if system.store is not None:
         system.store.retain(purged, system.gating is not None)
     return new_system, outcome
+
+
+def unlearn_baseline(system: SisaSystem, data: DataBundle, class_id: int,
+                     cfg: TrainConfig):
+    """Retrain the baseline's one model from scratch on the classes left.
+    A plan of other than one shard and one slice is a ValueError."""
+    return _unlearn_shard(BASELINE_FULL, system, data, class_id, cfg)
 
 
 def unlearn_balanced(system: SisaSystem, data: DataBundle, class_id: int,
@@ -243,9 +256,7 @@ def unlearn_gated(system: SisaSystem, data: DataBundle, class_id: int,
     return _unlearn_shard(SISA_GATED, system, data, class_id, cfg)
 
 
-def run_unlearning(strategy: str, target, data: DataBundle, class_id: int,
+def run_unlearning(strategy: str, system: SisaSystem, data: DataBundle, class_id: int,
                    cfg: TrainConfig):
-    """Dispatch a request to its strategy implementation."""
-    if strategy == BASELINE_FULL:
-        return unlearn_baseline(target, data, class_id, cfg)
-    return _unlearn_shard(strategy, target, data, class_id, cfg)
+    """Remove `class_id` from `system` as `strategy` does."""
+    return _unlearn_shard(strategy, system, data, class_id, cfg)

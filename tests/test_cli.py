@@ -12,9 +12,9 @@ from sisa_unlearn.bench import GridReport
 from sisa_unlearn.checkpoint import load_checkpoint, save_checkpoint, without_moments
 from sisa_unlearn.cli import RunConfig, build_bundle, main
 from sisa_unlearn.files import write_json
-from sisa_unlearn.partition import make_plan
 from sisa_unlearn.pipeline import train_sisa
-from sisa_unlearn.unlearning import STRATEGIES, run_unlearning, strategy_rule
+from sisa_unlearn.unlearning import (STRATEGIES, run_unlearning, strategy_plan,
+                                     strategy_rule)
 
 
 def base_config(out_dir, **overrides):
@@ -72,6 +72,16 @@ class TestPlan:
         doc = json.loads((tmp_path / "run" / "plan.json").read_text())
         assert doc["K"] == 2 and doc["L"] == 3
         assert doc["imbalance_ratio"] == 1.0
+
+    def test_baseline_plan_is_the_one_it_trains_on(self, tmp_path):
+        # one shard of one slice, whatever the config's K and L
+        cfg = write_config(tmp_path, strategy="baseline_full")
+        assert run(["plan", "--config", cfg, "--out", tmp_path / "planned"]) == 0
+        doc = json.loads((tmp_path / "planned" / "plan.json").read_text())
+        assert (doc["K"], doc["L"], doc["policy"]) == (1, 1, "balanced")
+        assert run(["train", "--config", cfg]) == 0
+        assert (tmp_path / "planned" / "plan.json").read_bytes() == \
+            (tmp_path / "run" / "plan.json").read_bytes()
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -153,21 +163,17 @@ class TestTrain:
             path.write_text(json.dumps({**demo, "K": K, "strategy": strategy}))
             assert run(["train", "--config", path, "--out", run_dir]) == 0
             manifest = json.loads((run_dir / "manifest.json").read_text())
-            named = {p for e in manifest.get("constituents", [])
-                     for p in e["checkpoints"] if p}
-            named |= {manifest[key] for key in ("gating", "baseline") if manifest.get(key)}
-            written = {"config.json", "manifest.json", "reports/before.json"}
-            if strategy != "baseline_full":
-                written.add("plan.json")
+            named = {p for e in manifest["constituents"] for p in e["checkpoints"] if p}
+            if manifest["gating"]:
+                named.add(manifest["gating"])
+            written = {"config.json", "plan.json", "manifest.json", "reports/before.json"}
             held = {p.relative_to(run_dir).as_posix() for p in run_dir.rglob("*")
                     if p.is_file()}
             assert held == named | written
-            if strategy == "baseline_full":
-                assert named == {"baseline.ckpt"}
-                assert not (run_dir / "shards").exists()
-            else:
-                assert {p.name for p in (run_dir / "shards").iterdir()} == \
-                    {str(k) for k in range(K)}
+            # one directory per shard of the plan; the baseline's has one
+            plan = json.loads((run_dir / "plan.json").read_text())
+            assert {p.name for p in (run_dir / "shards").iterdir()} == \
+                {str(a["shard_id"]) for a in plan["assignments"]}
             assert run(["unlearn", run_dir, "--class", "class_1"]) == 0
             assert run(["eval", run_dir]) == 0
 
@@ -217,14 +223,24 @@ class TestTrain:
         assert path.read_bytes() == first
 
     def test_baseline_strategy(self, tmp_path):
+        # SISA with one shard of one slice, whatever the config's K and L
         cfg = write_config(tmp_path, strategy="baseline_full")
         assert run(["train", "--config", cfg]) == 0
-        assert (tmp_path / "run" / "baseline.ckpt").exists()
+        run_dir = tmp_path / "run"
+        assert {p.relative_to(run_dir).as_posix() for p in run_dir.rglob("*.ckpt")} \
+            == {"shards/0/slice_0.ckpt"}
+        plan = json.loads((run_dir / "plan.json").read_text())
+        assert (plan["K"], plan["L"], plan["policy"]) == (1, 1, "balanced")
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["constituents"] == [
+            {"shard_id": 0, "output_classes": [0, 1, 2, 3],
+             "checkpoints": ["shards/0/slice_0.ckpt"]}]
+        assert manifest["gating"] is None
 
     def test_baseline_checkpoint_holds_parameters_only(self, tmp_path):
         # the baseline retrains from a fresh init, so Adam moments are never read
         cfg = write_config(tmp_path, strategy="baseline_full")
-        path = tmp_path / "run" / "baseline.ckpt"
+        path = tmp_path / "run" / "shards" / "0" / "slice_0.ckpt"
         assert run(["train", "--config", cfg]) == 0
         ckpt = load_checkpoint(path)
         assert ckpt.opt_state.m == {} and ckpt.opt_state.v == {}
@@ -392,7 +408,7 @@ class TestUnlearn:
             (run_dir / "reports" / "unlearn_class_0.json").read_text())
         assert outcome["verdict"] == "pass"
         # the whole model retrains: one training set, as SISA with K=1, L=1
-        assert outcome["shard"] is None
+        assert outcome["shard"] == 0
         assert outcome["slices_retrained"] == 1
         assert outcome["slice_range_retrained"] == [1, 1]
         assert "1 slice(s) retrained" in capsys.readouterr().out
@@ -613,15 +629,61 @@ class TestEval:
         cfg = write_config(tmp_path, strategy="baseline_full")
         assert run(["train", "--config", cfg]) == 0
         run_dir = tmp_path / "run"
+        path = run_dir / "shards" / "0" / "slice_0.ckpt"
         loads.clear()
         assert run(["eval", run_dir]) == 0
-        assert loads == [run_dir / "baseline.ckpt"]
-        (run_dir / "baseline.ckpt").rename(run_dir / "moved.ckpt")
+        assert loads == [path]
+        path.rename(run_dir / "moved.ckpt")
         capsys.readouterr()
         assert run(["eval", run_dir]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == {
+            "type": "IntegrityError", "message": f"{path}: checkpoint file missing"}
+
+    def test_a_baseline_run_written_before_it_was_one_shard_is_not_read(
+            self, tmp_path, capsys):
+        # such a run held baseline.ckpt and no plan.json or shards/: eval
+        # refuses it, and unlearn retrains from scratch, reading no
+        # checkpoint, and deletes baseline.ckpt
+        cfg = write_config(tmp_path, strategy="baseline_full")
+        assert run(["train", "--config", cfg]) == 0
+        run_dir = tmp_path / "run"
+        (run_dir / "shards" / "0" / "slice_0.ckpt").rename(run_dir / "baseline.ckpt")
+        shutil.rmtree(run_dir / "shards")
+        (run_dir / "plan.json").unlink()
+        write_json(run_dir / "manifest.json",
+                   {"removed_classes": [], "baseline": "baseline.ckpt"})
+        capsys.readouterr()
+        assert run(["eval", run_dir]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert json.loads(lines[0])["error"] == {
             "type": "IntegrityError",
-            "message": f"{run_dir / 'baseline.ckpt'}: checkpoint file missing"}
+            "message": f"{run_dir / 'shards' / '0' / 'slice_0.ckpt'}: checkpoint file missing"}
+        assert run(["unlearn", run_dir, "--class", "class_1"]) == 0
+        assert {p.relative_to(run_dir).as_posix() for p in run_dir.rglob("*.ckpt")} \
+            == {"shards/0/slice_0.ckpt"}
+        assert run(["eval", run_dir]) == 0
+
+    @pytest.mark.parametrize("manifest", ["{}", "[]", '{"removed_classes": "1"}',
+                                          '{"removed_classes": [true]}', "{"])
+    @pytest.mark.parametrize("command", ["eval", "unlearn"])
+    def test_a_manifest_without_removed_classes_is_an_integrity_error(
+            self, tmp_path, capsys, command, manifest):
+        cfg = write_config(tmp_path)
+        run_dir = tmp_path / "run"
+        assert run(["train", "--config", cfg]) == 0
+        (run_dir / "manifest.json").write_text(manifest)
+        before = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+        argv = ["eval", run_dir] if command == "eval" else \
+            ["unlearn", run_dir, "--class", "class_1"]
+        capsys.readouterr()
+        assert run(argv) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == {
+            "type": "IntegrityError",
+            "message": f"{run_dir / 'manifest.json'}: not a JSON object with a list "
+                       "of class ids under removed_classes"}
+        assert {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()} == before
 
     def test_manifest_with_mode_key_loads(self, tmp_path):
         # manifests written before the aggregation rule was fixed carry "mode"
@@ -660,15 +722,13 @@ class TestEval:
         # and nothing timed: two trainings of one config write the same bytes
         cfg = write_config(tmp_path)
         first, second = tmp_path / "first", tmp_path / "second"
-        listing = ({"baseline"} if strategy == "baseline_full"
-                   else {"constituents", "gating"})
         for step in ("train", "class_1", "class_3"):
             for run_dir in (first, second):
                 argv = (["train", "--config", cfg, "--strategy", strategy, "--out", run_dir]
                         if step == "train" else ["unlearn", run_dir, "--class", step])
                 assert run(argv) == 0
             manifest = json.loads((first / "manifest.json").read_text())
-            assert set(manifest) == {"removed_classes"} | listing
+            assert set(manifest) == {"removed_classes", "constituents", "gating"}
             assert (first / "manifest.json").read_bytes() == \
                 (second / "manifest.json").read_bytes()
         assert manifest["removed_classes"] == [1, 3]
@@ -939,7 +999,7 @@ class TestFinalsOnDisk:
 
         rc = RunConfig.from_file(cfg, strategy=strategy)
         bundle, tcfg = build_bundle(rc), rc.train_config()
-        plan = make_plan(bundle.train.labels, rc.K, rc.L, rc.policy)
+        plan = strategy_plan(strategy, bundle.train.labels, rc.K, rc.L)
         system = train_sisa(bundle, plan, tcfg, gated=strategy_rule(strategy).gated)
         meta = json.loads((run_dir / "plan.json").read_text())["metadata"]
         first_slices = {int(c): loc["first_slice"] for c, loc in meta.items()}
@@ -956,8 +1016,9 @@ class TestFinalsOnDisk:
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_demo_removals_leave_only_what_the_rule_keeps(self, tmp_path, strategy):
-        # the committed config: class_1 restarts shard 1 at slice 0, class_3
-        # rolls it back to slice 0, and class_5 empties it
+        # the committed config: under SISA, class_1 restarts shard 1 at slice
+        # 0, class_3 rolls it back to slice 0, and class_5 empties it; the
+        # baseline's one shard of one slice retrains whole each time
         demo = Path(__file__).resolve().parent.parent / "demos" / "config.json"
         run_dir = tmp_path / "run"
         assert run(["train", "--config", demo, "--strategy", strategy,
@@ -965,15 +1026,16 @@ class TestFinalsOnDisk:
         for name in ("class_1", "class_3", "class_5"):
             assert run(["unlearn", run_dir, "--class", name]) == 0
             held = {p.relative_to(run_dir).as_posix() for p in run_dir.rglob("*.ckpt")}
-            if strategy == "baseline_full":
-                assert held == {"baseline.ckpt"}
-                continue
             assert_run_holds_kept_slices(run_dir, tmp_path / "resaved.ckpt",
                                          kept_slices(run_dir))
             assert ("gating.ckpt" in held) == strategy_rule(strategy).gated
             if name == "class_3":
-                # shard 1 is down to class 5: it has no resume point left
-                assert sorted(stored(run_dir, "shards/1")) == ["shards/1/slice_2.ckpt"]
+                # class 5's shard has no resume point left: under SISA it is
+                # down to class 5
+                plan = json.loads((run_dir / "plan.json").read_text())
+                k, final = plan["metadata"]["5"]["shard_id"], plan["L"] - 1
+                assert sorted(stored(run_dir, f"shards/{k}")) == \
+                    [f"shards/{k}/slice_{final}.ckpt"]
         assert run(["eval", run_dir]) == 0
 
     def test_finals_with_moments_still_load(self, tmp_path, monkeypatch):
@@ -1034,8 +1096,8 @@ class TestFinalsOnDisk:
             assert run(["train", "--config", cfg, "--out", run_dir]) == 0
         rc = RunConfig.from_file(cfg)
         bundle = build_bundle(rc)
-        system = train_sisa(bundle, make_plan(bundle.train.labels, rc.K, rc.L, rc.policy),
-                            rc.train_config())
+        system = train_sisa(bundle, strategy_plan(rc.strategy, bundle.train.labels,
+                                                  rc.K, rc.L), rc.train_config())
         manifest = json.loads((old / "manifest.json").read_text())
         filled = 0
         for entry in manifest["constituents"]:

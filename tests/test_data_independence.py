@@ -18,21 +18,22 @@ import pytest
 
 import sisa_unlearn as su
 from sisa_unlearn.rng import RngState
-from sisa_unlearn.unlearning import (SISA_BALANCED, SISA_GATED, SISA_SCLS_REPLAY,
-                                     strategy_rule, train_config_for)
+from sisa_unlearn.unlearning import (BASELINE_FULL, SISA_BALANCED, SISA_GATED,
+                                     SISA_SCLS_REPLAY, run_training, train_config_for)
 
 NUM_CLASSES = 6
 CFG = su.TrainConfig(max_epochs_per_slice=10, patience=2, replay_ratio=0.3,
                      batch_size=16, seed=3, learning_rate=1e-2)
 SHAPES = {"mlp": (8,), "cnn": (1, 8, 8)}
-STRATEGIES = (SISA_SCLS_REPLAY, SISA_GATED, SISA_BALANCED)
+STRATEGIES = (SISA_SCLS_REPLAY, SISA_GATED, SISA_BALANCED, BASELINE_FULL)
 
 
 @cache
 def bundle(model: str, noise_class: int | None = None) -> su.DataBundle:
-    """K=2, L=3 over 6 classes: under sequential slicing each class fills
-    one slice. With `noise_class`, that class's train and validation inputs
-    are replaced by noise; labels, test split and plan stay the same."""
+    """K=2, L=3 over 6 classes (the baseline's plan has K=1, L=1): under
+    sequential slicing each class fills one slice. With `noise_class`, that
+    class's train and validation inputs are replaced by noise; labels, test
+    split and plan stay the same."""
     data = su.synthetic_bundle(n_per_class=30, num_classes=NUM_CLASSES,
                                shape=SHAPES[model], separation=2.0, seed=4)
     if noise_class is None:
@@ -49,10 +50,8 @@ def bundle(model: str, noise_class: int | None = None) -> su.DataBundle:
 
 @cache
 def trained(model: str, strategy: str, noise_class: int | None = None) -> su.SisaSystem:
-    data = bundle(model, noise_class)
-    rule = strategy_rule(strategy)
-    plan = su.make_plan(data.train.labels, K=2, L=3, policy=rule.policy)
-    return su.train_sisa(data, plan, train_config_for(strategy, CFG), gated=rule.gated)
+    return run_training(strategy, bundle(model, noise_class), 2, 3,
+                        train_config_for(strategy, CFG))
 
 
 def removed(model: str, strategy: str, class_id: int, noise_class: int | None):

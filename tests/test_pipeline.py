@@ -52,7 +52,7 @@ class TestTrainSisa:
         plan = su.make_plan(data.train.labels, K=2, L=2,
                             policy=su.SEQUENTIAL_CLASS)
         system = su.train_sisa(data, plan, cfg, gated=True)
-        assert su.train_baseline(data, cfg).params.arch == arch
+        assert su.train_baseline(data, cfg).ensemble.constituents[0].arch == arch
         # a removal restarting a shard at slice 0 builds the same architecture
         class_id = next(c for c, loc in plan.metadata.items()
                         if loc.first_slice == 0 and len(plan.assignments[

@@ -73,14 +73,31 @@ class TestVerifyExact:
 
 
 class TestBaseline:
+    def test_is_one_shard_of_one_slice_trained_as_one_model(self, bundle, cfg):
+        # SISA with K=1 and L=1; its one checkpoint is what train_model returns
+        model = su.train_baseline(bundle, cfg)
+        assert model.plan.to_json() == su.make_plan(
+            bundle.train.labels, 1, 1, su.BALANCED).to_json()
+        assert list(model.shard_results) == [0]
+        (ckpt,) = model.shard_results[0].checkpoints
+        assert (ckpt.shard_id, ckpt.slice_index) == (0, 0)
+        params, opt, res = training.train_model(bundle.train, bundle.val, range(6), cfg)
+        assert ckpt.params.output_classes == params.output_classes == tuple(range(6))
+        assert ckpt.params.tensors.flat.tobytes() == params.tensors.flat.tobytes()
+        assert ckpt.opt_state.m.flat.tobytes() == opt.m.flat.tobytes()
+        assert ckpt.opt_state.v.flat.tobytes() == opt.v.flat.tobytes()
+        assert (ckpt.opt_state.step, ckpt.epoch) == (opt.step, res.epochs)
+        assert model.ensemble.constituents[0] is ckpt.params
+
     def test_retrains_on_reduced_set(self, bundle, cfg):
         model = su.train_baseline(bundle, cfg)
         new_model, outcome = su.unlearn_baseline(model, bundle, 3, cfg)
-        assert 3 not in new_model.params.output_classes
+        (params,) = new_model.ensemble.constituents
+        assert 3 not in params.output_classes
         assert outcome.verdict
-        assert outcome.shard_id is None
+        assert outcome.shard_id == 0
         # reduced training set: 6 classes x 56 train samples, minus one class
-        survivors = bundle.train.restricted_to(new_model.params.output_classes)
+        survivors = bundle.train.restricted_to(params.output_classes)
         assert len(survivors) == len(bundle.train) - 56
 
     def test_reports_its_one_training_set_as_one_slice(self, bundle, cfg):
@@ -89,7 +106,12 @@ class TestBaseline:
         _, outcome = su.unlearn_baseline(model, bundle, 3, cfg)
         doc = outcome.to_json_dict()
         assert (doc["shard"], doc["slices_retrained"], doc["slice_range_retrained"]) \
-            == (None, 1, [1, 1])
+            == (0, 1, [1, 1])
+
+    def test_refuses_a_plan_of_more_than_one_shard_or_slice(self, bundle, cfg,
+                                                           balanced_system):
+        with pytest.raises(ValueError, match="one shard and one slice, got K=2, L=3"):
+            su.unlearn_baseline(balanced_system, bundle, 3, cfg)
 
     def test_unknown_class(self, bundle, cfg):
         model = su.train_baseline(bundle, cfg)
@@ -339,8 +361,7 @@ class TestOutcomeReport:
                   "sisa_scls_replay": lambda: request.getfixturevalue("scls_system"),
                   "sisa_gated": lambda: request.getfixturevalue("gated")[1]}[strategy]()
         new, outcome = su.run_unlearning(strategy, target, bundle, 3, cfg)
-        model = new.params if strategy == "baseline_full" else new.ensemble
-        want = su.evaluate(model, bundle.test)
+        want = su.evaluate(new.ensemble, bundle.test)
         got = outcome.report
         assert got.accuracy == want.accuracy
         assert got.precision.tobytes() == want.precision.tobytes()
